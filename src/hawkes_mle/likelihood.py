@@ -15,16 +15,27 @@ simultaneous arrivals do not excite each other at the shared instant.  The
 regularized objective subtracts a Tikhonov penalty C * ||theta||_2^2 over all
 coordinates including beta.
 
-Evaluation is by direct pairwise summation (O(n^2) memory and time), exact at
-desk scale; an optional truncation horizon drops contributions with
-t - s > truncation.  All functions here are pure; a ``LikelihoodProblem`` is
-immutable after construction and safe to share across threads.  Sums are
-reduced in fixed order, so objective values reproduce bit for bit.
+Every evaluation reduces to the kernel sums R[a, j] = sum_{s < t_a, type j}
+phi(t_a - s) and their beta-derivatives, computed exactly and without any
+n x n array:
+
+* an exponential kernel with no truncation uses the linear recursion over
+  distinct time stamps (Ozaki 1979), O(n K) time and memory per kernel;
+* every other kernel (power-law, or any kernel under a truncation horizon,
+  which drops contributions with t - s > truncation) is summed over the list
+  of strictly earlier (source, destination) pairs built once at construction:
+  O(#pairs) time and 16 bytes per pair, at most n^2 / 2 pairs.
+
+All functions here are pure; a ``LikelihoodProblem`` is immutable after
+construction and safe to share across threads.  Sums are reduced in fixed
+order, so objective values reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .model import Exponential
 
 __all__ = [
     "LikelihoodProblem",
@@ -35,12 +46,96 @@ __all__ = [
     "grad_regularized",
 ]
 
+# Largest |beta| * (time span) of one chunk of the exponential scan.  Inside a
+# chunk each term is e^{beta (u_h - tau)} e^{-beta (u_g - tau)} instead of
+# e^{-beta (u_g - u_h)}; keeping the exponents this small keeps every factor
+# finite and each term within a few dozen ulp of the direct value.
+_CHUNK_SPAN = 30.0
+
+
+def _pair_list(times, types, K, truncation):
+    """Elapsed times and flat cells ``dst * K + type_src`` of all kernel pairs.
+
+    A pair (source b, destination a) enters the sums when t_b < t_a and, with a
+    truncation horizon, t_a - t_b <= truncation.  Pairs are ordered by
+    destination, then source time, so the scatter sums in a fixed order.
+    """
+    n = times.size
+    hi = np.searchsorted(times, times, side="left")  # sources strictly earlier
+    lo = np.zeros(n, dtype=np.intp)
+    if truncation is not None and n:
+        lo = np.searchsorted(times, times - truncation, side="left")
+        # t_a - truncation is rounded, so settle the window edge with the exact
+        # predicate t_a - t_b <= truncation (monotone in b).
+        while True:
+            back = (lo > 0) & (times - times[np.maximum(lo - 1, 0)] <= truncation)
+            if not back.any():
+                break
+            lo -= back
+        while True:
+            ahead = (lo < hi) & (times - times[np.minimum(lo, n - 1)] > truncation)
+            if not ahead.any():
+                break
+            lo += ahead
+    dt = np.empty(int(np.maximum(hi - lo, 0).sum()))
+    cell = np.empty(dt.size, dtype=np.intp)
+    # One destination row at a time: no pair-sized scratch.
+    o = 0
+    for a, (b0, b1) in enumerate(zip(lo.tolist(), hi.tolist())):
+        if b1 > b0:
+            e = o + b1 - b0
+            np.subtract(times[a], times[b0:b1], out=dt[o:e])
+            np.add(types[b0:b1], a * K, out=cell[o:e])
+            o = e
+    return dt, cell
+
+
+class _DecayScan:
+    """Y[g] = sum_{h <= g} exp(-beta (u[g] - u[h])) x[h] over sorted stamps u.
+
+    Equivalent to the recursion Y[g] = e^{-beta (u[g] - u[g-1])} Y[g-1] + x[g],
+    vectorised as anchored cumulative sums: in a chunk starting at stamp s,
+    Y[g] = e^{-beta (u[g] - u[s])} (carry + sum_{s <= h <= g} e^{beta (u[h] -
+    u[s])} x[h]), and the carry into the next chunk is the previous chunk's
+    last sum moved to the new anchor.  Chunks span |beta| * time <=
+    _CHUNK_SPAN; for x >= 0 every term is nonnegative, so nothing cancels.
+    Any beta returns: zero or non-finite beta makes one chunk, and no chunk is
+    empty, so there are at most len(u) chunks.
+    """
+
+    def __init__(self, u, beta):
+        G = u.size
+        if np.isfinite(beta) and G:
+            key = np.floor(abs(beta) * (u - u[0]) * (1.0 / _CHUNK_SPAN))
+            starts = np.concatenate(([0], np.flatnonzero(np.diff(key) != 0) + 1))
+        else:
+            starts = np.zeros(min(G, 1), dtype=np.intp)
+        anchor = u[starts]
+        z = beta * (u - np.repeat(anchor, np.diff(starts, append=G)))
+        self._up, self._down = np.exp(z)[:, None], np.exp(-z)[:, None]
+        self._hop = np.exp(-beta * np.diff(anchor))  # carry factor between anchors
+        self._bounds = starts.tolist() + [G]
+
+    def __call__(self, x):
+        Y = self._up * x
+        bounds = self._bounds
+        for k in range(len(bounds) - 1):
+            s, e = bounds[k], bounds[k + 1]
+            if k:
+                Y[s] += self._hop[k - 1] * Y[s - 1]
+            if e - s > 1:
+                np.cumsum(Y[s:e], axis=0, out=Y[s:e])
+        Y *= self._down
+        return Y
+
 
 class LikelihoodProblem:
     """Event stream + model spec + box domain + Tikhonov coefficient.
 
-    Precomputes the pairwise elapsed-time matrix and per-type indicator used
-    by every objective/gradient evaluation.
+    Precomputes what every evaluation shares: the per-type indicator, the
+    distinct time stamps with their per-type event counts (for the
+    exponential recursion), and, when some kernel needs it, the list of kernel
+    pairs.  No array of size n x n is built.
     """
 
     def __init__(self, spec, events, domain, reg_c=0.0, truncation=None):
@@ -70,15 +165,66 @@ class LikelihoodProblem:
         if n:
             Z[np.arange(n), types] = 1.0
         self._Z = Z
-        # dt[a, b] = t_a - t_b where t_b < t_a (strict); invalid entries get a
-        # harmless positive placeholder and are masked out of every sum.
-        dt = times[:, None] - times[None, :]
-        valid = dt > 0
-        if truncation is not None:
-            valid &= dt <= float(truncation)
-        self._dt = np.where(valid, dt, 1.0)
-        self._valid = valid
         self._comp_dt = self.T - times  # elapsed time entering the compensator
+        # Distinct stamps u_g, the stamp of each event, the gaps u_g - u_{g-1}
+        # (0 for the first) and the per-type counts at each stamp.  Grouping
+        # ties keeps simultaneous events out of each other's sums.
+        stamps, self._stamp_of = np.unique(times, return_inverse=True)
+        self._stamps = stamps
+        self._gaps = np.diff(stamps, prepend=stamps[:1])
+        G = stamps.size
+        self._counts = np.bincount(
+            self._stamp_of * K + types, minlength=G * K
+        ).reshape(G, K).astype(float)
+        # Exponential kernels without truncation take the recursion; the rest
+        # sum over the pair list.
+        self._recursive = tuple(
+            isinstance(kern, Exponential) and self.truncation is None
+            for kern in spec.kernels
+        )
+        if all(self._recursive):
+            self._pair_dt = self._pair_cell = None
+        else:
+            self._pair_dt, self._pair_cell = _pair_list(times, types, K, self.truncation)
+
+    # -- kernel sums ----------------------------------------------------------
+
+    def _kernel_sums(self, m, beta, want_dbeta):
+        """Per-event kernel sums of base kernel m at shape parameter beta.
+
+        Returns (R, D), both n x K: R[a, j] = sum_{s < t_a, type j}
+        phi_m(t_a - s) and D the same sum of d phi_m / d beta (None unless
+        ``want_dbeta``).  Sums stay within the truncation horizon if set.
+        """
+        n, K = self.n, self.spec.K
+        kern = self.spec.kernels[m]
+        if self._recursive[m]:
+            # Ozaki's recursion over stamps, with W_g the type counts at u_g:
+            # R_g = c_g (R_{g-1} + W_{g-1}) and D_g = c_g D_{g-1} + gap_g R_g
+            # with c_g = e^{-beta gap_g}, where D_g = sum (u_g - s)
+            # e^{-beta (u_g - s)}; d phi / d beta sums to -D.
+            scan, gaps = _DecayScan(self._stamps, beta), self._gaps
+            R = np.zeros_like(self._counts)
+            R[1:] = np.exp(-beta * gaps[1:])[:, None] * scan(self._counts)[:-1]
+            D = -scan(gaps[:, None] * R)[self._stamp_of] if want_dbeta else None
+            return R[self._stamp_of], D
+
+        def scatter(values):
+            S = np.bincount(self._pair_cell, weights=values, minlength=n * K)
+            S = S.reshape(n, K)
+            if not np.all(np.isfinite(S)):
+                # A non-finite kernel value makes its whole row non-finite, as
+                # in the dense product E @ Z, so a bad extrapolated candidate
+                # fails the same way whichever way its sums are taken.
+                bad = np.bincount(self._pair_cell // K, minlength=n,
+                                  weights=~np.isfinite(values)) > 0
+                S[bad] = np.nan
+            return S
+
+        if not want_dbeta:
+            return scatter(kern.value(self._pair_dt, beta)), None
+        phi, dphi = kern.value_and_dbeta(self._pair_dt, beta)
+        return scatter(phi), scatter(dphi)
 
     # -- internal fused evaluation ------------------------------------------
 
@@ -100,6 +246,7 @@ class LikelihoodProblem:
 
         # Per-kernel building blocks.
         R = []       # R[m][a, j] = sum_{s < t_a, type j} phi_m(t_a - s)
+        D = []       # D[m][a, j] = the same sum of d phi_m / d beta
         S = []       # S[m][j]    = sum_{s: type j} Phi_m(T - s)
         # Extrapolated candidates can land far outside the box where kernel
         # values overflow; the resulting non-finite gradients are rejected by
@@ -108,8 +255,9 @@ class LikelihoodProblem:
             for m in range(M):
                 kern = spec.kernels[m]
                 b = float(beta[m])
-                E = np.where(self._valid, kern.value(self._dt, b), 0.0)
-                R.append(E @ Z)
+                Rm, Dm = self._kernel_sums(m, b, want_grad_beta)
+                R.append(Rm)
+                D.append(Dm)
                 S.append(Z.T @ kern.antiderivative(self._comp_dt, b))
             lam = mu[types].copy() if n else np.empty(0)
             for m in range(M):
@@ -144,8 +292,7 @@ class LikelihoodProblem:
                         kern = spec.kernels[m]
                         b = float(beta[m])
                         Sd = Z.T @ kern.antideriv_dbeta(self._comp_dt, b)
-                        D = np.where(self._valid, kern.dbeta(self._dt, b), 0.0) @ Z
-                        excite = np.einsum("aj,aj,a->", alpha[m][types], D, inv_lam)
+                        excite = np.einsum("aj,aj,a->", alpha[m][types], D[m], inv_lam)
                         g_beta[m] = -(alpha[m].sum(axis=0) @ Sd) + excite
                     grad[im.beta_slice] = g_beta
             if want_grad_ma:

@@ -73,7 +73,12 @@ class Exponential:
         return -np.expm1(-beta * u) / beta
 
     def dbeta(self, t, beta):
-        return -t * np.exp(-beta * t)
+        return self.value_and_dbeta(t, beta)[1]
+
+    def value_and_dbeta(self, t, beta):
+        # phi and d phi / d beta from one exponential.
+        phi = np.exp(-beta * t)
+        return phi, -t * phi
 
     def antideriv_dbeta(self, u, beta):
         # d/dbeta [(1 - e^{-beta u})/beta] = (e^{-beta u}(1 + beta u) - 1)/beta^2,
@@ -94,6 +99,18 @@ class Exponential:
     def inverse_antiderivative(self, y, beta):
         # u with antiderivative(u) = y; y in [0, 1/beta).
         return -np.log1p(-beta * y) / beta
+
+
+def _pow_or_inf(base, exponent):
+    """Scalar base ** exponent for base > 0, inf where float ``**`` would raise.
+
+    An extrapolated beta far outside the box overflows here; the caller's
+    non-finite result is then rejected like any other bad candidate.
+    """
+    try:
+        return base**exponent
+    except OverflowError:
+        return np.inf
 
 
 @dataclass(frozen=True)
@@ -121,11 +138,16 @@ class PowerLawCutoff:
         c = self.c
         if beta == 1.0:
             return np.log1p(np.asarray(u, dtype=float) / c)
-        return (c ** (1.0 - beta) - np.power(u + c, 1.0 - beta)) / (beta - 1.0)
+        return (_pow_or_inf(c, 1.0 - beta) - np.power(u + c, 1.0 - beta)) / (beta - 1.0)
 
     def dbeta(self, t, beta):
+        return self.value_and_dbeta(t, beta)[1]
+
+    def value_and_dbeta(self, t, beta):
+        # phi and d phi / d beta from one power.
         tc = t + self.c
-        return -np.log(tc) * np.power(tc, -beta)
+        phi = np.power(tc, -beta)
+        return phi, -np.log(tc) * phi
 
     def antideriv_dbeta(self, u, beta):
         # Differentiate (c^{1-b} - (u+c)^{1-b})/(b-1) in b analytically.
@@ -134,7 +156,7 @@ class PowerLawCutoff:
             # Limit of the quotient-rule expression as beta -> 1.
             lc, lu = np.log(c), np.log(u + c)
             return 0.5 * (lc * lc - lu * lu)
-        a = c ** (1.0 - beta)
+        a = _pow_or_inf(c, 1.0 - beta)
         b = np.power(u + c, 1.0 - beta)
         da = -np.log(c) * a
         db = -np.log(u + c) * b

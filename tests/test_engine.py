@@ -1,0 +1,248 @@
+"""The linear-time likelihood engine against the dense pairwise oracle.
+
+``dense_oracle.DenseProblem`` sums every kernel pair of an explicit n x n
+matrix; ``LikelihoodProblem`` uses the exponential recursion over time stamps
+or a list of pairs.  Property tests draw streams (with ties, empty types,
+n = 0, mixed kernels, truncation and beta at the box edges) and require the
+objective and both gradient blocks to agree to 1e-12 relative.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from common import events, params, wide_domain
+from dense_oracle import DenseProblem
+from hawkes_mle import (
+    Exponential,
+    LikelihoodProblem,
+    ModelSpec,
+    PowerLawCutoff,
+    intensity_at,
+)
+
+RTOL = 1e-12
+PROPERTY = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+KERNELS = {"exp": Exponential(), "pwl": PowerLawCutoff(0.05), "pwl-wide": PowerLawCutoff(0.7)}
+
+
+@st.composite
+def cases(draw, kernels=None, truncated=None, ties=None, chunked=False):
+    """A problem and a point of its box: (LikelihoodProblem, flat).
+
+    ``chunked`` draws dense streams with beta * T in [30, 300], so the
+    exponential scan runs over several chunks whose carries matter.
+    """
+    K = draw(st.integers(1, 3))
+    names = kernels or draw(st.lists(st.sampled_from(sorted(KERNELS)), min_size=1, max_size=2))
+    spec = ModelSpec(K=K, M=len(names), kernels=[KERNELS[k] for k in names])
+    T = draw(st.floats(8.0, 60.0) if chunked else st.floats(0.5, 60.0))
+    n = draw(st.integers(0, 120 if chunked else 40))
+    times = np.sort(draw(st.lists(st.floats(0.0, T), min_size=n, max_size=n)))
+    if ties if ties is not None else draw(st.booleans()):
+        tick = draw(st.sampled_from([0.25, 1.0, 3.0]))
+        times = np.floor(times / tick) * tick
+    # Types come from a drawn subset, so some types may have no events.
+    used = draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=K, unique=True))
+    types = np.array([draw(st.sampled_from(used)) for _ in range(n)], dtype=np.int64)
+    truncation = None
+    if truncated if truncated is not None else draw(st.booleans()):
+        truncation = draw(st.floats(0.05, T))
+    reg_c = draw(st.sampled_from([0.0, 0.1]))
+    domain = wide_domain(spec, mu_hi=5.0, alpha_hi=5.0, beta_hi=40.0)
+    prob = LikelihoodProblem(spec, events(times, types, horizon=T), domain,
+                             reg_c=reg_c, truncation=truncation)
+    lb, ub = domain.lb_flat(), domain.ub_flat()
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=lb.size, max_size=lb.size)))
+    flat = lb + u * (ub - lb)
+    flat[prob.index_map.mu_slice] = np.maximum(flat[prob.index_map.mu_slice], 1e-3)
+    edge = draw(st.sampled_from(["inside", "lower", "upper"]))
+    if chunked:
+        flat[prob.index_map.beta_slice] = draw(st.floats(30.0, 300.0)) / T
+    elif edge != "inside":
+        flat[prob.index_map.beta_slice] = (lb if edge == "lower" else ub)[prob.index_map.beta_slice]
+    return prob, flat
+
+
+def assert_agrees(prob, flat):
+    oracle = DenseProblem(prob)
+    im = prob.index_map
+    obj, grad = prob.objective_and_grad_flat(flat)
+    obj0, grad0 = oracle.objective_flat(flat), oracle.grad_flat(flat)
+    # The objective is a difference of large terms; T * sum(mu) is one of them.
+    scale = max(abs(obj0), prob.T * float(flat[im.mu_slice].sum()))
+    assert abs(obj - obj0) <= RTOL * scale, (obj, obj0)
+    for block in (im.mu_alpha_slice, im.beta_slice):
+        g, g0 = grad[block], grad0[block]
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(g0))
+        assert np.abs(g - g0).max() <= RTOL * np.abs(g0).max(), (g, g0)
+    # The single-block calls the optimizer makes give the same numbers.
+    np.testing.assert_array_equal(prob.grad_flat(flat, beta=False)[im.mu_alpha_slice],
+                                  grad[im.mu_alpha_slice])
+    np.testing.assert_array_equal(prob.grad_flat(flat, mu_alpha=False)[im.beta_slice],
+                                  grad[im.beta_slice])
+    assert prob.objective_flat(flat) == obj
+
+
+@PROPERTY
+@given(cases())
+def test_random_streams_match_oracle(case):
+    assert_agrees(*case)
+
+
+@PROPERTY
+@given(cases(ties=True))
+def test_tied_stamps_match_oracle(case):
+    assert_agrees(*case)
+
+
+@PROPERTY
+@given(cases(kernels=["exp", "pwl"]))
+def test_mixed_kernels_match_oracle(case):
+    assert_agrees(*case)
+
+
+@PROPERTY
+@given(cases(truncated=True))
+def test_truncation_matches_oracle(case):
+    assert_agrees(*case)
+
+
+@PROPERTY
+@given(cases(kernels=["exp"], truncated=False))
+def test_exponential_recursion_matches_oracle(case):
+    assert_agrees(*case)
+
+
+@PROPERTY
+@given(cases(kernels=["exp"], truncated=False, chunked=True))
+def test_exponential_scan_carries_match_oracle(case):
+    assert_agrees(*case)
+
+
+@pytest.mark.parametrize("truncation", [None, 2.0])
+def test_empty_stream_matches_oracle(truncation):
+    spec = ModelSpec(K=2, M=2, kernels=[Exponential(), PowerLawCutoff(0.05)])
+    prob = LikelihoodProblem(spec, events([], horizon=10.0), wide_domain(spec), reg_c=0.1,
+                             truncation=truncation)
+    assert_agrees(prob, prob.index_map.pack(params([0.3, 0.2], np.full((2, 2, 2), 0.1), [2.0, 1.5])))
+
+
+def test_long_stream_matches_oracle():
+    """Hundreds of stamps and many chunks of the exponential scan."""
+    spec = ModelSpec(K=3, M=1, kernels=[Exponential()])
+    rng = np.random.default_rng(11)
+    times = np.sort(rng.uniform(0.0, 200.0, 900))
+    prob = LikelihoodProblem(spec, events(times, rng.integers(0, 3, 900), horizon=200.0),
+                             wide_domain(spec))
+    for beta in (1e-3, 0.4, 7.0, 90.0):
+        pv = params(rng.uniform(0.1, 1.0, 3), rng.uniform(0.0, 0.2, (3, 3)), beta)
+        assert_agrees(prob, prob.index_map.pack(pv))
+
+
+# -- out-of-box beta ----------------------------------------------------------
+
+
+def finite_pattern(value):
+    return tuple(np.isfinite(np.atleast_1d(value)))
+
+
+def objective_outcome(problem, flat):
+    """The objective's finite pattern, or "raised" for the documented invariant error."""
+    try:
+        return finite_pattern(problem.objective_flat(flat))
+    except RuntimeError:
+        return "raised"
+
+
+@pytest.mark.parametrize("kernel", ["exp", "pwl"])
+@pytest.mark.parametrize("truncation", [None, 1.0])
+@pytest.mark.parametrize("beta", [0.0, -1.0, 1e6, math.nan])
+def test_out_of_box_beta_returns_like_oracle(kernel, truncation, beta):
+    """Extrapolated AA candidates can carry any beta; evaluation must return."""
+    spec = ModelSpec(K=3, M=1, kernels=[KERNELS[kernel]])
+    ev = events([0.0, 0.5, 0.5, 1.25, 2.0, 3.5], [2, 1, 0, 1, 0, 0], horizon=5.0)
+    prob = LikelihoodProblem(spec, ev, wide_domain(spec), reg_c=0.1, truncation=truncation)
+    oracle = DenseProblem(prob)
+    flat = prob.index_map.pack(params([0.3, 0.2, 0.4], np.full((3, 3), 0.1), beta))
+    for blocks in ((True, True), (True, False), (False, True)):
+        assert finite_pattern(prob.grad_flat(flat, *blocks)) == finite_pattern(
+            oracle.grad_flat(flat, *blocks))
+    assert objective_outcome(prob, flat) == objective_outcome(oracle, flat)
+
+
+# -- intensities from the kernel sums vs intensity_at --------------------------
+
+
+@pytest.mark.parametrize("truncation", [None, 1.5])
+@pytest.mark.parametrize("kernels", [["exp"], ["pwl"], ["exp", "pwl-wide"]])
+def test_event_intensities_match_intensity_at(kernels, truncation):
+    """lam at each event from the engine's sums equals the direct scan."""
+    K = 3
+    spec = ModelSpec(K=K, M=len(kernels), kernels=[KERNELS[k] for k in kernels])
+    rng = np.random.default_rng(5)
+    times = np.sort(np.floor(rng.uniform(0.0, 12.0, 80) * 4.0) / 4.0)  # many ties
+    types = rng.integers(0, K, times.size)
+    prob = LikelihoodProblem(spec, events(times, types, horizon=12.0), wide_domain(spec),
+                             truncation=truncation)
+    pv = params(rng.uniform(0.1, 1.0, K), rng.uniform(0.0, 0.5, (spec.M, K, K)),
+                [1.3, 2.0][: spec.M])
+    lam = pv.mu[types].copy()
+    for m in range(spec.M):
+        R, _ = prob._kernel_sums(m, float(pv.beta[m]), False)
+        lam += np.einsum("aj,aj->a", pv.alpha[m][types], R)
+    direct = [intensity_at(prob, pv, t, i) for t, i in zip(times, types)]
+    np.testing.assert_allclose(lam, direct, rtol=1e-12, atol=0.0)
+
+
+# -- memory --------------------------------------------------------------------
+
+
+def traced_peak(build_and_evaluate):
+    tracemalloc.start()
+    try:
+        build_and_evaluate()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exponential_engine_allocates_no_pair_storage():
+    """An exponential stream needs O(n K) memory; a dense n x n float is 8 n^2."""
+    n, K = 4000, 2
+    spec = ModelSpec(K=K, M=1, kernels=[Exponential()])
+    rng = np.random.default_rng(2)
+    ev = events(np.sort(rng.uniform(0.0, 500.0, n)), rng.integers(0, K, n), horizon=500.0)
+    flat = spec.index_map.pack(params([0.5, 0.5], np.full((K, K), 0.2), 1.5))
+
+    def run():
+        prob = LikelihoodProblem(spec, ev, wide_domain(spec))
+        prob.objective_and_grad_flat(flat)
+
+    assert traced_peak(run) < 0.05 * 8 * n * n
+
+
+def test_pair_list_stays_below_dense_storage():
+    """n(n-1)/2 pairs at 16 bytes each, and a lower peak than the dense oracle."""
+    n, K = 1000, 2
+    spec = ModelSpec(K=K, M=1, kernels=[PowerLawCutoff(0.05)])
+    rng = np.random.default_rng(2)
+    ev = events(np.sort(rng.uniform(0.0, 500.0, n)), rng.integers(0, K, n), horizon=500.0)
+    flat = spec.index_map.pack(params([0.5, 0.5], np.full((K, K), 0.2), 1.5))
+    prob = LikelihoodProblem(spec, ev, wide_domain(spec))
+    assert prob._pair_dt.size == n * (n - 1) // 2
+    assert prob._pair_dt.nbytes + prob._pair_cell.nbytes <= 8 * n * n
+
+    new = traced_peak(lambda: LikelihoodProblem(spec, ev, wide_domain(spec)).grad_flat(flat))
+    assert new < traced_peak(lambda: DenseProblem(prob).grad_flat(flat))
