@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,13 +38,7 @@ from .model import (
     spectral_radius,
     stationary_mean_intensity,
 )
-from .optim import (
-    HyperParamsError,
-    InfeasibleInitError,
-    run_aa_ipalm,
-    run_ipalm,
-    run_palm,
-)
+from .optim import RUNNERS, HyperParamsError, InfeasibleInitError
 from .simulate import SimConfig, simulate_cluster, simulate_thinning
 
 EXIT_OK = 0
@@ -74,7 +69,7 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-_RUNNERS = {"palm": run_palm, "ipalm": run_ipalm, "aa-ipalm": run_aa_ipalm}
+_RUNNERS = RUNNERS
 
 
 def cmd_fit(args):
@@ -132,30 +127,32 @@ def cmd_check_stationarity(args):
     if radius >= 1.0:
         print("non-stationary: spectral radius >= 1")
         return EXIT_DOMAIN
-    lam_bar = np.linalg.solve(np.eye(spec.K) - G, params.mu)
+    lam_bar = stationary_mean_intensity(spec, params)
     print("stationary mean intensity: " + " ".join(f"{v:.6g}" for v in lam_bar))
     return EXIT_OK
 
 
+def _recipe_from_config(doc, default, **kw):
+    """A built-in recipe by name or a custom one as a dict, seeded; ``kw`` overrides."""
+    recipe_field = doc.get("recipe", default)
+    seed = int(doc.get("recipe_seed", 0))
+    if isinstance(recipe_field, dict):
+        try:
+            return experiments.SyntheticRecipe(**{"seed": seed, **recipe_field, **kw})
+        except TypeError as exc:
+            raise ConfigError(f"recipe: {exc}") from None
+    if isinstance(recipe_field, str) and recipe_field in experiments.RECIPES:
+        return replace(experiments.RECIPES[recipe_field], seed=seed, **kw)
+    raise ConfigError(f"unknown recipe {recipe_field!r}")
+
+
 def _instance_from_config(doc):
-    recipe_field = doc.get("recipe", "exp-k10")
     kw = {}
     if "K" in doc:
         kw["K"] = int(doc["K"])
     if "horizon" in doc:
         kw["horizon"] = float(doc["horizon"])
-    seed = int(doc.get("recipe_seed", 0))
-    if recipe_field == "exp-k10":
-        return experiments.gen_synthetic_exponential(seed, **kw)
-    if recipe_field == "pwl-k10":
-        return experiments.gen_synthetic_powerlaw(seed, **kw)
-    if isinstance(recipe_field, dict):
-        try:
-            recipe = experiments.SyntheticRecipe(**{"seed": seed, **recipe_field, **kw})
-        except TypeError as exc:
-            raise ConfigError(f"recipe: {exc}") from None
-        return experiments.generate_instance(recipe)
-    raise ConfigError(f"unknown recipe {recipe_field!r}")
+    return experiments.generate_instance(_recipe_from_config(doc, "exp-k10", **kw))
 
 
 def cmd_benchmark(args):
@@ -164,10 +161,14 @@ def cmd_benchmark(args):
             doc = json.load(f)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{args.config}: {exc}") from None
+    algorithms = tuple(doc.get("algorithms", experiments.ALGORITHMS))
+    unknown = [a for a in algorithms if a not in experiments.ALGORITHMS]
+    if unknown:
+        raise ConfigError(f"algorithms: unknown {', '.join(map(repr, unknown))}")
     instance = _instance_from_config(doc)
     report = experiments.run_benchmark(
         instance,
-        algorithms=tuple(doc.get("algorithms", experiments.ALGORITHMS)),
+        algorithms=algorithms,
         iters=doc.get("iters"),
         seeds=tuple(doc.get("seeds", (0, 1, 2, 3, 4))),
     )
@@ -184,22 +185,7 @@ def cmd_consistency(args):
             doc = json.load(f)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{args.config}: {exc}") from None
-    recipe_field = doc.get("recipe", {})
-    seed = int(doc.get("recipe_seed", 0))
-    if isinstance(recipe_field, dict):
-        try:
-            recipe = experiments.SyntheticRecipe(**{"seed": seed, **recipe_field})
-        except TypeError as exc:
-            raise ConfigError(f"recipe: {exc}") from None
-    elif recipe_field == "exp-k10":
-        recipe = experiments.SyntheticRecipe(kind="exp-k10", seed=seed)
-    elif recipe_field == "pwl-k10":
-        recipe = experiments.SyntheticRecipe(
-            kind="pwl-k10", family="powerlaw", beta_true=1.5,
-            alpha_divisor=200.0, seed=seed,
-        )
-    else:
-        raise ConfigError(f"unknown recipe {recipe_field!r}")
+    recipe = _recipe_from_config(doc, {})
     report = experiments.run_consistency_study(
         recipe,
         doc.get("T_grid", [200.0, 2000.0]),
@@ -255,7 +241,7 @@ def build_parser():
     s = sub.add_parser("fit", help="fit parameters to an event stream")
     s.add_argument("--events", required=True)
     s.add_argument("--config", required=True)
-    s.add_argument("--algo", choices=("palm", "ipalm", "aa-ipalm"), default=None)
+    s.add_argument("--algo", choices=experiments.ALGORITHMS, default=None)
     s.add_argument("--iters", type=int, default=None)
     s.add_argument("--out", required=True)
     s.add_argument("--trace", default=None)

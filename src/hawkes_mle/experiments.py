@@ -33,17 +33,12 @@ from .model import (
     project_onto_box,
     spectral_radius,
 )
-from .optim import (
-    HyperParams,
-    estimate_lipschitz_bounds,
-    run_aa_ipalm,
-    run_ipalm,
-    run_palm,
-)
+from .optim import RUNNERS, HyperParams, estimate_lipschitz_bounds, run_aa_ipalm
 from .simulate import SimConfig, simulate_cluster
 
 __all__ = [
     "SyntheticRecipe",
+    "RECIPES",
     "SyntheticInstance",
     "BenchmarkReport",
     "ConsistencyReport",
@@ -57,7 +52,7 @@ __all__ = [
 ]
 
 REGRET_FLOOR = 1e-12
-ALGORITHMS = ("palm", "ipalm", "aa-ipalm")
+ALGORITHMS = tuple(RUNNERS)
 
 
 def worker_count():
@@ -99,6 +94,15 @@ class SyntheticRecipe:
     seed: int = 0
     horizon: float = 1000.0
     max_attempts: int = 100
+
+
+# The built-in recipes, by name; callers override K, seed and horizon.
+RECIPES = {
+    "exp-k10": SyntheticRecipe(kind="exp-k10"),
+    "pwl-k10": SyntheticRecipe(
+        kind="pwl-k10", family="powerlaw", beta_true=1.5, alpha_divisor=200.0
+    ),
+}
 
 
 @dataclass
@@ -197,33 +201,16 @@ def generate_instance(recipe):
 def gen_synthetic_exponential(seed, K=10, horizon=1000.0):
     """Exponential-kernel instance: beta = 0.5, alpha divided by 11."""
     return generate_instance(
-        SyntheticRecipe(kind="exp-k10", K=K, seed=seed, horizon=horizon)
+        replace(RECIPES["exp-k10"], K=K, seed=seed, horizon=horizon)
     )
 
 
 def gen_synthetic_powerlaw(seed, K=10, horizon=1000.0, beta_true=1.5):
     """Power-law instance: cutoff 0.05, alpha divided by 200, beta > 1."""
-    return generate_instance(
-        SyntheticRecipe(
-            kind="pwl-k10",
-            K=K,
-            family="powerlaw",
-            beta_true=beta_true,
-            alpha_divisor=200.0,
-            seed=seed,
-            horizon=horizon,
-        )
+    recipe = replace(
+        RECIPES["pwl-k10"], K=K, seed=seed, horizon=horizon, beta_true=beta_true
     )
-
-
-def _run_algorithm(problem, hp, init, algo):
-    if algo == "palm":
-        return run_palm(problem, hp, init)
-    if algo == "ipalm":
-        return run_ipalm(problem, hp, init)
-    if algo == "aa-ipalm":
-        return run_aa_ipalm(problem, hp, init)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return generate_instance(recipe)
 
 
 @dataclass
@@ -275,6 +262,7 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     """
     hp = instance.hp if iters is None else replace(instance.hp, max_iters=iters)
     algorithms = tuple(algorithms)
+    runners = {algo: RUNNERS[algo] for algo in algorithms}  # KeyError before any work
     seeds = tuple(int(s) for s in seeds)
 
     def run_seed(seed):
@@ -286,7 +274,7 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
         )
         out = {}
         for algo in algorithms:
-            res = _run_algorithm(prob, hp, instance.init, algo)
+            res = runners[algo](prob, hp, instance.init)
             obj = np.array([r.objective for r in res.trace] + [res.final_objective])
             sec = np.array(
                 [r.seconds for r in res.trace]

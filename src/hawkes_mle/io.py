@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .model import BoxDomain, Exponential, ModelSpec, ParamVector, PowerLawCutoff
-from .optim import HyperParams
+from .optim import RUNNERS, HyperParams
 from .simulate import EventSequence
 
 __all__ = [
@@ -296,7 +296,7 @@ def hyperparams_from_config(doc, allow_noncompliant=False, algo=None, iters=None
     """Build HyperParams from the optimizer section; returns (hp, algorithm)."""
     opt = dict(doc.get("optimizer", {}))
     algorithm = algo or opt.pop("algorithm", "aa-ipalm")
-    if algorithm not in ("palm", "ipalm", "aa-ipalm"):
+    if algorithm not in tuple(RUNNERS):  # a tuple: JSON values may be unhashable
         raise ConfigError(f"optimizer: unknown algorithm {algorithm!r}")
     kwargs = {k: v for k, v in opt.items() if k != "algorithm"}
     if iters is not None:

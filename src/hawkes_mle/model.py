@@ -306,9 +306,11 @@ class ParamVector:
         return ParamVector(self.mu.copy(), self.alpha.copy(), self.beta.copy())
 
     def validate(self, spec):
-        """Admissibility: positive baselines, nonnegative weights, kernel beta."""
+        """Admissibility: finite, positive baselines, nonnegative weights, kernel beta."""
         if (self.K, self.M) != (spec.K, spec.M):
             raise ValueError("parameter shapes do not match the model spec")
+        if not all(np.all(np.isfinite(a)) for a in (self.mu, self.alpha, self.beta)):
+            raise DomainError("parameters must be finite")
         if np.any(self.mu <= 0):
             raise DomainError("baseline rates mu must be positive")
         if np.any(self.alpha < 0):
@@ -356,10 +358,6 @@ class BoxDomain:
     def M(self):
         return self.beta_lb.shape[0]
 
-    @property
-    def index_map(self):
-        return FlatIndexMap(self.K, self.M)
-
     def lb_flat(self):
         return np.concatenate([self.mu_lb, self.alpha_lb.reshape(-1), self.beta_lb])
 
@@ -372,9 +370,6 @@ class BoxDomain:
             np.all(flat >= self.lb_flat() - atol)
             and np.all(flat <= self.ub_flat() + atol)
         )
-
-    def project(self, flat):
-        return project_onto_box(self, flat)
 
 
 def project_onto_box(domain, flat):
@@ -396,31 +391,21 @@ def branching_matrix(spec, params):
     return G
 
 
-def spectral_radius(G, tol=1e-10, max_iters=10000):
+def spectral_radius(G):
     """Largest eigenvalue modulus of a nonnegative square matrix.
 
-    Power iteration on G + I: the shift makes the (real, nonnegative) Perron
-    root strictly dominant, so the iteration converges even for periodic
-    matrices such as [[0, 1], [1, 0]].
+    Taken from all eigenvalues, so it is exact also for periodic matrices
+    such as [[0, 1], [1, 0]] and defective ones such as [[a, 1], [0, a]],
+    where power iteration converges slowly or not at all.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError("G must be square")
     if np.any(G < 0):
         raise ValueError("G must be nonnegative")
-    n = G.shape[0]
-    if n == 0 or not np.any(G):
+    if G.size == 0:
         return 0.0
-    x = np.full(n, 1.0 / np.sqrt(n))
-    lam = 1.0
-    for _ in range(max_iters):
-        y = G @ x + x
-        y_norm = float(np.linalg.norm(y))
-        x = y / y_norm
-        lam = float(x @ (G @ x + x))
-        if np.linalg.norm(G @ x + x - lam * x) <= tol:
-            break
-    return max(lam - 1.0, 0.0)
+    return float(np.abs(np.linalg.eigvals(G)).max())
 
 
 def stationary_mean_intensity(spec, params):

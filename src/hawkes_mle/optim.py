@@ -10,11 +10,19 @@ alternating scheme updates the blocks in turn:
                            + gamma2 * (beta' - beta))
 
 where g_A, g_B are gradient blocks of the regularized log-likelihood and
-primes denote (current, previous) iterates.  Viewing the sweep as a fixed
-point map on the doubled state u = (theta', theta), Anderson acceleration
-extrapolates through a rank-one-updated approximate inverse Jacobian H with
-Powell damping and periodic restarts; a four-condition safeguard falls back
-to the plain sweep whenever the accelerated candidate is not provably safe.
+primes denote (current, previous) iterates.
+
+PALM, iPALM and AA-iPALM share one loop on the doubled state u = (theta', theta):
+each iteration evaluates the objective and gradient at u and takes the plain
+sweep u_hat.  With acceleration on, each iteration after the first adds a
+type-I Anderson step: the secant pair of the last step gives a Powell-damped
+rank-one update of the approximate inverse Jacobian H, and the candidate
+u - H (u - u_hat) replaces u_hat when a four-condition safeguard holds.  H
+restarts at I when the window of ``memory`` secants is full, when a secant's
+projection off the window falls below ``nu`` of its norm, when the secant is
+zero or non-finite, and (retrying once with H = I) when the update's curvature
+degenerates.  After an accepted step the secant's end point is u itself, so
+the loop reuses u_hat as its sweep.
 
 All runners are deterministic: identical inputs give identical traces.
 """
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +50,7 @@ __all__ = [
     "run_palm",
     "run_ipalm",
     "run_aa_ipalm",
+    "RUNNERS",
     "lyapunov_value",
     "residual_diagnostics",
     "estimate_lipschitz_bounds",
@@ -172,25 +181,60 @@ class TraceRecord:
 
 @dataclass
 class OptimizerState:
-    """Accelerated-loop state on the doubled iterate u = (current, previous).
+    """Anderson state of the accelerated loop on the doubled iterate u.
 
     ``h_matrix`` is the dense approximate inverse Jacobian of the fixed-point
-    residual, ``m_k`` counts the vectors in the current memory window,
-    ``s_window`` holds the orthogonalized secant directions, and
-    ``cached_sweep`` is the sweep image of the previous accepted iterate
-    (reused so each iteration performs only one extra sweep evaluation).
+    residual, ``m_k`` counts the vectors in the current memory window and
+    ``s_window`` holds the orthogonalized secant directions.  ``u_prev`` is
+    the previous iterate, ``cached_sweep`` its plain sweep, and ``u_tilde``
+    the previous extrapolated candidate, where the next secant pair ends.
     """
 
-    u: np.ndarray
     h_matrix: np.ndarray
-    m_k: int
-    s_window: list
-    cached_sweep: np.ndarray
+    m_k: int = 0
+    s_window: list = field(default_factory=list)
+    u_prev: np.ndarray | None = None
+    cached_sweep: np.ndarray | None = None
+    u_tilde: np.ndarray | None = None
 
     def reset_memory(self):
         self.m_k = 0
         self.s_window = []
         self.h_matrix = np.eye(self.h_matrix.shape[0])
+
+    def secant_update(self, problem, hp, u, u_hat):
+        """Secant pair of the last step, then the damped rank-one H update.
+
+        ``u_hat`` is the plain sweep of the iterate ``u``; it is also the sweep
+        at the candidate when the candidate was taken (always at k = 1).
+        """
+        self.m_k += 1
+        s = self.u_tilde - self.u_prev
+        sweep = u_hat if self.u_tilde is u else ipalm_map(problem, hp, self.u_tilde)
+        y = s - (sweep - self.cached_sweep)
+        s_norm = float(np.linalg.norm(s))
+        if s_norm == 0.0 or not np.isfinite(s_norm):
+            # Exact fixed point (or degenerate candidate): restart, skip update.
+            self.reset_memory()
+            return
+        s_hat = s.copy()
+        for v in self.s_window:
+            s_hat -= (v @ s) / (v @ v) * v
+        if self.m_k == hp.memory + 1 or np.linalg.norm(s_hat) < hp.nu * s_norm:
+            self.reset_memory()
+            s_hat = s
+        else:
+            self.s_window.append(s_hat)
+        r = self.u_prev - self.cached_sweep
+        h_new = _damped_update(self.h_matrix, s, s_hat, y, r, hp.omega_bar)
+        if h_new is None:
+            # Degenerate curvature: forced restart, then retry once with H = I.
+            self.reset_memory()
+            h_new = _damped_update(
+                self.h_matrix, s, s, y, r, hp.omega_bar, identity=True
+            )
+        if h_new is not None:
+            self.h_matrix = h_new
 
 
 @dataclass
@@ -250,17 +294,14 @@ def ipalm_map(problem, hp, u):
     P = problem.dim
     if u.shape != (2 * P,):
         raise ValueError(f"expected doubled state of dim {2 * P}")
-    cur, prev = u[:P], u[P:]
-    g_ma = problem.grad_flat(cur, mu_alpha=True, beta=False)[
-        problem.index_map.mu_alpha_slice
-    ]
-    return _advance(problem, hp, cur, prev, g_ma)
+    g = problem.grad_flat(u[:P], mu_alpha=True, beta=False)
+    return _advance(problem, hp, u[:P], u[P:], g[problem.index_map.mu_alpha_slice])
 
 
-def _block_sq_norms(im, a, b):
-    d = a - b
-    A, B = im.mu_alpha_slice, im.beta_slice
-    return float(d[A] @ d[A]), float(d[B] @ d[B])
+def _lyapunov(hp, im, obj, flat_k, flat_prev):
+    d = flat_k - flat_prev
+    ma, b = d[im.mu_alpha_slice], d[im.beta_slice]
+    return -obj + 0.5 * hp.delta1 * float(ma @ ma) + 0.5 * hp.delta2 * float(b @ b)
 
 
 def lyapunov_value(problem, hp, theta_k, theta_prev):
@@ -270,41 +311,92 @@ def lyapunov_value(problem, hp, theta_k, theta_prev):
     and delta relations.
     """
     flat_k = _as_flat(problem, theta_k)
-    flat_p = _as_flat(problem, theta_prev)
-    sq_ma, sq_b = _block_sq_norms(problem.index_map, flat_k, flat_p)
     obj = problem.objective_flat(flat_k)
-    return -obj + 0.5 * hp.delta1 * sq_ma + 0.5 * hp.delta2 * sq_b
+    return _lyapunov(hp, problem.index_map, obj, flat_k, _as_flat(problem, theta_prev))
 
 
-def _step_kind(hp):
-    return "PALM" if hp.gamma1 == 0.0 and hp.gamma2 == 0.0 else "iPALM"
+def _damped_update(H, s, s_hat, y, r, omega_bar, identity=False):
+    """Powell-damped rank-one update of H; None when its curvature degenerates.
+
+    With y~ = omega y - (1 - omega) r and omega = powell_phi(s_hat'Hy / s_hat's_hat),
+    returns H + (s - H y~)(H's_hat)' / (s_hat'H y~).  ``identity`` says H = I,
+    whose products are then skipped.
+    """
+    Hy = y if identity else H @ y
+    sh_sq = float(s_hat @ s_hat)
+    eta = float(s_hat @ Hy) / sh_sq if sh_sq > 0 else 0.0
+    omega = powell_phi(eta, omega_bar) if np.isfinite(eta) else 1.0
+    y_tilde = omega * y - (1.0 - omega) * r
+    Hyt = y_tilde if identity else H @ y_tilde
+    denom = float(s_hat @ Hyt)
+    if not np.isfinite(denom) or abs(denom) < 1e-300:
+        return None
+    # Built in place, so the update holds one 2P x 2P array besides H.
+    h_new = np.outer(s - Hyt, s_hat if identity else H.T @ s_hat)
+    h_new /= denom
+    h_new += H
+    return h_new
 
 
-def run_ipalm(problem, hp, theta0, keep_iterates=False):
-    """Iterate the block sweep from theta0; returns params, trace, final objective."""
+def _accept(problem, hp, u, u_hat, u_tilde, obj, grad, residual):
+    """The four safeguard conditions on the extrapolated candidate u_tilde."""
+    P = problem.dim
+    theta = u_tilde[:P]
+    if not (
+        float(np.linalg.norm(grad)) <= hp.c1 * residual
+        and problem.domain.contains(theta)
+        and float(np.linalg.norm(u_tilde[P:] - u[P:]))
+        <= hp.c2 * float(np.linalg.norm(u_hat[P:] - u[P:]))
+    ):
+        return False
+    d_theta = theta - u[:P]
+    gain = problem.objective_flat(theta) - obj
+    delta = hp.delta_eff
+    return gain >= 0.5 * (delta + hp.epsilon * delta) * float(d_theta @ d_theta)
+
+
+def _iterate(problem, hp, theta0, accelerate, keep_iterates, track_h):
+    """The optimizer loop: block sweeps, each optionally Anderson-extrapolated."""
     hp.validate()
     flat0 = _as_flat(problem, theta0)
     if not problem.domain.contains(flat0):
         raise InfeasibleInitError("initial point lies outside the box domain")
     im = problem.index_map
     P = problem.dim
-    kind = _step_kind(hp)
-    d1, d2 = hp.delta1, hp.delta2
+    kind = "PALM" if hp.gamma1 == 0.0 and hp.gamma2 == 0.0 else "iPALM"
 
     u = np.concatenate([flat0, flat0])
     theta_prev = flat0.copy()
+    state = OptimizerState(np.eye(2 * P)) if accelerate else None
     trace = []
     iterates = [flat0.copy()] if keep_iterates else None
+    h_norms = [] if track_h and accelerate else None
     t0 = time.perf_counter()
     for k in range(hp.max_iters):
         cur = u[:P]
         obj_k, grad_full = problem.objective_and_grad_flat(cur)
-        sq_ma, sq_b = _block_sq_norms(im, cur, theta_prev)
-        lyap = -obj_k + 0.5 * d1 * sq_ma + 0.5 * d2 * sq_b
-        u_next = _advance(problem, hp, cur, u[P:], grad_full[im.mu_alpha_slice])
-        residual = float(np.linalg.norm(u_next - u))
+        u_hat = _advance(problem, hp, cur, u[P:], grad_full[im.mu_alpha_slice])
+        res_hat = float(np.linalg.norm(u_hat - u))
+        step_kind, u_next = kind, u_hat
+        if state is not None:
+            u_tilde = u_hat  # iteration 0 takes the plain sweep as its candidate
+            if k > 0:
+                state.secant_update(problem, hp, u, u_hat)
+                if track_h:
+                    sv = np.linalg.svd(state.h_matrix, compute_uv=False)
+                    h_norms.append((float(sv[0]), float(1.0 / sv[-1])))
+                u_tilde = u - state.h_matrix @ (u - u_hat)
+                take_aa = _accept(
+                    problem, hp, u, u_hat, u_tilde, obj_k, grad_full, res_hat
+                )
+                step_kind = "AA-accepted" if take_aa else "AA-rejected"
+                if take_aa:
+                    u_next = u_tilde
+            state.u_prev, state.cached_sweep, state.u_tilde = u, u_hat, u_tilde
+
+        lyap = _lyapunov(hp, im, obj_k, cur, theta_prev)
         trace.append(
-            TraceRecord(k, obj_k, residual, kind, lyap, time.perf_counter() - t0)
+            TraceRecord(k, obj_k, res_hat, step_kind, lyap, time.perf_counter() - t0)
         )
         theta_prev = cur.copy()
         u = u_next
@@ -312,185 +404,40 @@ def run_ipalm(problem, hp, theta0, keep_iterates=False):
             iterates.append(u[:P].copy())
 
     final = u[:P].copy()
+    kinds = [r.step_kind for r in trace]
     return OptimResult(
         params=im.unpack(final),
         trace=trace,
         final_objective=problem.objective_flat(final),
+        accepted_aa=kinds.count("AA-accepted"),
+        rejected_aa=kinds.count("AA-rejected"),
         iterates=iterates,
+        h_norms=h_norms,
     )
+
+
+def run_ipalm(problem, hp, theta0, keep_iterates=False):
+    """Iterate the block sweep from theta0; returns params, trace, final objective."""
+    return _iterate(problem, hp, theta0, False, keep_iterates, False)
 
 
 def run_palm(problem, hp, theta0, keep_iterates=False):
     """Non-inertial variant: the block sweep with both momenta forced to zero."""
-    return run_ipalm(
-        problem, replace(hp, gamma1=0.0, gamma2=0.0), theta0, keep_iterates
-    )
+    hp0 = replace(hp, gamma1=0.0, gamma2=0.0)
+    return run_ipalm(problem, hp0, theta0, keep_iterates)
 
 
 def run_aa_ipalm(
-    problem,
-    hp,
-    theta0,
-    accept_aa=True,
-    keep_iterates=False,
-    track_h=False,
+    problem, hp, theta0, accept_aa=True, keep_iterates=False, track_h=False
 ):
-    """Anderson-accelerated block sweeps with safeguarded acceptance.
+    """Block sweeps with the safeguarded Anderson step (see the module notes).
 
-    Per iteration the doubled-state secant pair is orthogonalized against the
-    current memory window (restarting when the window is full or the
-    projection degenerates), the approximate inverse Jacobian H receives a
-    Powell-damped rank-one update, and the extrapolated candidate
-    u - H (u - sweep(u)) is accepted only if all four safeguard conditions
-    hold; otherwise the plain sweep is taken.  ``accept_aa=False`` disables
-    the acceleration entirely, reproducing :func:`run_ipalm` bit for bit.
+    ``accept_aa=False`` turns the acceleration off: :func:`run_ipalm` bit for bit.
     """
-    if not accept_aa:
-        return run_ipalm(problem, hp, theta0, keep_iterates)
-    hp.validate()
-    flat0 = _as_flat(problem, theta0)
-    if not problem.domain.contains(flat0):
-        raise InfeasibleInitError("initial point lies outside the box domain")
-    im = problem.index_map
-    P = problem.dim
-    d1, d2 = hp.delta1, hp.delta2
-    delta = hp.delta_eff
-    base_kind = _step_kind(hp)
+    return _iterate(problem, hp, theta0, accept_aa, keep_iterates, track_h)
 
-    u0 = np.concatenate([flat0, flat0])
-    trace = []
-    iterates = [flat0.copy()] if keep_iterates else None
-    h_norms = [] if track_h else None
-    t0 = time.perf_counter()
 
-    # Startup sweep: u1 = tilde_u1 = sweep(u0); its record is a plain step.
-    obj_0, grad_0 = problem.objective_and_grad_flat(flat0)
-    map_u0 = _advance(problem, hp, u0[:P], u0[P:], grad_0[im.mu_alpha_slice])
-    trace.append(
-        TraceRecord(
-            0,
-            obj_0,
-            float(np.linalg.norm(map_u0 - u0)),
-            base_kind,
-            -obj_0,
-            time.perf_counter() - t0,
-        )
-    )
-    state = OptimizerState(
-        u=map_u0.copy(),
-        h_matrix=np.eye(2 * P),
-        m_k=0,
-        s_window=[],
-        cached_sweep=map_u0,  # sweep image of u_prev
-    )
-    u_prev = u0
-    u_tilde = map_u0.copy()
-    theta_prev = flat0.copy()
-    if keep_iterates:
-        iterates.append(state.u[:P].copy())
-    accepted = rejected = 0
-
-    for k in range(1, hp.max_iters):
-        # Secant pair on the doubled state.
-        state.m_k += 1
-        s = u_tilde - u_prev
-        map_u_tilde = ipalm_map(problem, hp, u_tilde)
-        y = s - (map_u_tilde - state.cached_sweep)
-        s_norm = float(np.linalg.norm(s))
-
-        if s_norm == 0.0 or not np.isfinite(s_norm):
-            # Exact fixed point (or degenerate candidate): restart, skip update.
-            state.reset_memory()
-        else:
-            s_hat = s.copy()
-            for v in state.s_window:
-                s_hat -= (v @ s) / (v @ v) * v
-            if state.m_k == hp.memory + 1 or np.linalg.norm(s_hat) < hp.nu * s_norm:
-                state.reset_memory()
-                s_hat = s.copy()
-            else:
-                state.s_window.append(s_hat)
-            H = state.h_matrix
-            sh_sq = float(s_hat @ s_hat)
-            eta = float(s_hat @ (H @ y)) / sh_sq if sh_sq > 0 else 0.0
-            omega = powell_phi(eta, hp.omega_bar) if np.isfinite(eta) else 1.0
-            y_tilde = omega * y - (1.0 - omega) * (u_prev - state.cached_sweep)
-            Hyt = H @ y_tilde
-            denom = float(s_hat @ Hyt)
-            if not np.isfinite(denom) or abs(denom) < 1e-300:
-                # Degenerate curvature: forced restart, then retry once with H = I.
-                state.reset_memory()
-                H = state.h_matrix
-                s_hat = s.copy()
-                sh_sq = float(s_hat @ s_hat)
-                eta = float(s_hat @ y) / sh_sq if sh_sq > 0 else 0.0
-                omega = powell_phi(eta, hp.omega_bar) if np.isfinite(eta) else 1.0
-                y_tilde = omega * y - (1.0 - omega) * (u_prev - state.cached_sweep)
-                Hyt = y_tilde.copy()
-                denom = float(s_hat @ Hyt)
-            if np.isfinite(denom) and abs(denom) >= 1e-300:
-                state.h_matrix = H + np.outer(s - Hyt, H.T @ s_hat) / denom
-
-        if track_h:
-            sv = np.linalg.svd(state.h_matrix, compute_uv=False)
-            h_norms.append((float(sv[0]), float(1.0 / sv[-1])))
-
-        # Candidates: plain sweep of u, and the accelerated extrapolation.
-        u = state.u
-        cur = u[:P]
-        obj_k, grad_full = problem.objective_and_grad_flat(cur)
-        u_hat = _advance(problem, hp, cur, u[P:], grad_full[im.mu_alpha_slice])
-        u_tilde_next = u - state.h_matrix @ (u - u_hat)
-
-        res_hat = float(np.linalg.norm(u_hat - u))
-        theta_tilde = u_tilde_next[:P]
-        take_aa = (
-            float(np.linalg.norm(grad_full)) <= hp.c1 * res_hat
-            and problem.domain.contains(theta_tilde)
-            and float(np.linalg.norm(u_tilde_next[P:] - u[P:]))
-            <= hp.c2 * float(np.linalg.norm(u_hat[P:] - u[P:]))
-        )
-        if take_aa:
-            d_theta = theta_tilde - cur
-            gain = problem.objective_flat(theta_tilde) - obj_k
-            take_aa = gain >= 0.5 * (delta + hp.epsilon * delta) * float(
-                d_theta @ d_theta
-            )
-
-        sq_ma, sq_b = _block_sq_norms(im, cur, theta_prev)
-        lyap = -obj_k + 0.5 * d1 * sq_ma + 0.5 * d2 * sq_b
-        trace.append(
-            TraceRecord(
-                k,
-                obj_k,
-                res_hat,
-                "AA-accepted" if take_aa else "AA-rejected",
-                lyap,
-                time.perf_counter() - t0,
-            )
-        )
-
-        accepted += int(take_aa)
-        rejected += int(not take_aa)
-
-        theta_prev = cur.copy()
-        u_prev = u
-        state.cached_sweep = u_hat
-        u_tilde = u_tilde_next
-        state.u = u_tilde_next if take_aa else u_hat
-        if keep_iterates:
-            iterates.append(state.u[:P].copy())
-
-    final = state.u[:P].copy()
-    return OptimResult(
-        params=im.unpack(final),
-        trace=trace,
-        final_objective=problem.objective_flat(final),
-        accepted_aa=accepted,
-        rejected_aa=rejected,
-        iterates=iterates,
-        h_norms=h_norms,
-    )
+RUNNERS = {"palm": run_palm, "ipalm": run_ipalm, "aa-ipalm": run_aa_ipalm}
 
 
 @dataclass(frozen=True)

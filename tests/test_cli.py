@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hawkes_mle import experiments
 from hawkes_mle.cli import main
 from hawkes_mle.io import (
     ConfigError,
@@ -234,6 +235,16 @@ class TestCheckStationarity:
         text = capsys.readouterr().out
         assert "0.8" in text and "5" in text
 
+    @pytest.mark.parametrize("bad", ["Infinity", "NaN"])
+    def test_nonfinite_alpha_exit_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "p.json"
+        path.write_text(
+            '{"mu": [1.0], "alpha": [[[%s]]], "beta": [0.5], '
+            '"kernels": [{"family": "exponential"}], "objective": null, "meta": {}}' % bad
+        )
+        assert main(["check-stationarity", "--params", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_powerlaw_bad_beta_exit_2(self, tmp_path):
         doc = {
             "mu": [1.0],
@@ -456,6 +467,26 @@ class TestBenchmarkCommands:
         lines = (outdir / "consistency.csv").read_text().splitlines()
         assert len(lines) == 3
         assert "median relative error" in capsys.readouterr().out
+
+    def test_unknown_algorithm_exit_1_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the algorithms")
+
+        monkeypatch.setattr(experiments, "simulate_cluster", no_simulation)
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(
+            json.dumps(
+                {"recipe": "exp-k10", "K": 2, "horizon": 50.0, "iters": 2,
+                 "seeds": [0], "algorithms": ["palm", "bogus"]}
+            )
+        )
+        outdir = tmp_path / "report"
+        code = main(["benchmark", "--config", str(cfg), "--out", str(outdir)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_bad_recipe_exit_1(self, tmp_path):
         cfg = tmp_path / "bench.json"

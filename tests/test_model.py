@@ -203,6 +203,12 @@ class TestSpectralRadius:
         G = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert spectral_radius(G) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("a", [0.9999, 0.5])
+    def test_defective_matrix(self, a):
+        # One Jordan block: power iteration creeps towards a from above.
+        G = np.array([[a, 1.0], [0.0, a]])
+        assert spectral_radius(G) == pytest.approx(a, rel=1e-12)
+
     def test_matches_eig_on_random(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -230,6 +236,12 @@ class TestStationaryMean:
         lam = stationary_mean_intensity(spec, params([0.1, 0.2], alpha, 1.0))
         assert np.allclose(lam, [0.2, 0.4], atol=1e-12)
 
+    def test_defective_branching_matrix_is_stationary(self):
+        spec = exp_spec(K=2)
+        G = np.array([[0.9999, 1.0], [0.0, 0.9999]])
+        lam = stationary_mean_intensity(spec, params([0.1, 0.2], G, 1.0))
+        assert np.allclose((np.eye(2) - G) @ lam, [0.1, 0.2], rtol=1e-9)
+
     def test_nonstationary_raises(self):
         spec = exp_spec()
         with pytest.raises(NonStationaryError) as exc:
@@ -244,18 +256,18 @@ class TestBoxDomain:
         self.rng = np.random.default_rng(13)
 
     def test_interior_unchanged(self):
-        x = np.full(self.domain.index_map.dim, 0.5)
+        x = np.full(self.spec.index_map.dim, 0.5)
         assert np.array_equal(project_onto_box(self.domain, x), x)
 
     def test_clamps_low_and_high(self):
-        im = self.domain.index_map
+        im = self.spec.index_map
         lo = np.full(im.dim, -5.0)
         hi = np.full(im.dim, 1e6)
         assert np.array_equal(project_onto_box(self.domain, lo), self.domain.lb_flat())
         assert np.array_equal(project_onto_box(self.domain, hi), self.domain.ub_flat())
 
     def test_idempotent_and_nonexpansive(self):
-        dim = self.domain.index_map.dim
+        dim = self.spec.index_map.dim
         for _ in range(50):
             x = self.rng.normal(scale=50.0, size=dim)
             y = self.rng.normal(scale=50.0, size=dim)

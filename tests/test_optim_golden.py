@@ -1,0 +1,155 @@
+"""Golden traces: the optimizers reproduce recorded runs bit for bit.
+
+Each run is reduced to sha256 digests of its trace rows (iteration, objective,
+residual, step kind, Lyapunov value, floats as ``float.hex``), its iterates,
+its final parameters and, for accelerated runs, the per-iteration
+(||H||, ||H^-1||) pairs, plus the accepted/rejected counts.  The digests in
+``optim_golden.json`` were recorded from the optimizer before its runners were
+folded into one loop, so any change in arithmetic or control flow shows here.
+
+Between them the runs reach every restart of the accelerated loop: a full
+memory window (memory 2, on the K=3 stream with accepted steps and in
+``fit_stream``), a degenerate projection of the secant direction (every
+recipe stream), a zero secant (the Poisson problem, which reaches its fixed
+point exactly) and the degenerate-curvature retry with H = I (once on the
+K=5 recipe stream, where the H = I pass is degenerate as well).
+"""
+
+import hashlib
+import json
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from hawkes_mle import (
+    HyperParams,
+    LikelihoodProblem,
+    SimConfig,
+    fit_stream,
+    gen_synthetic_exponential,
+    gen_synthetic_powerlaw,
+    run_aa_ipalm,
+    run_ipalm,
+    run_palm,
+    simulate_cluster,
+)
+from test_optim import poisson_problem
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "optim_golden.json")
+
+
+def _sha(chunks):
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c if isinstance(c, bytes) else c.encode())
+    return h.hexdigest()
+
+
+def digest(prob, res):
+    """Recorded fingerprint of one optimizer run."""
+    rows = (
+        f"{r.iteration},{r.objective.hex()},{r.residual.hex()},"
+        f"{r.step_kind},{r.lyapunov.hex()}\n"
+        for r in res.trace
+    )
+    out = {
+        "trace": _sha(rows),
+        "rows": len(res.trace),
+        "accepted_aa": res.accepted_aa,
+        "rejected_aa": res.rejected_aa,
+        "params": _sha([prob.index_map.pack(res.params).tobytes()]),
+        "final_objective": float(res.final_objective).hex(),
+    }
+    if res.iterates is not None:
+        out["iterates"] = _sha(np.asarray(it).tobytes() for it in res.iterates)
+    if res.h_norms is not None:
+        out["h_norms"] = _sha(f"{a.hex()},{b.hex()}\n" for a, b in res.h_norms)
+    return out
+
+
+def _recipe_problem(inst, seed):
+    ev = simulate_cluster(inst.spec, inst.params, inst.horizon, SimConfig(seed=seed))
+    return LikelihoodProblem(inst.spec, ev, inst.domain, reg_c=inst.reg_c)
+
+
+def _k5():
+    inst = gen_synthetic_exponential(seed=1, K=5)
+    return _recipe_problem(inst, 1), inst
+
+
+def _exp3():
+    inst = gen_synthetic_exponential(seed=4, K=3, horizon=300.0)
+    return _recipe_problem(inst, 4), inst
+
+
+def _pwl():
+    inst = gen_synthetic_powerlaw(seed=2, K=3, horizon=300.0)
+    return _recipe_problem(inst, 2), inst
+
+
+def _poisson():
+    prob, _, lbar1 = poisson_problem()
+    im = prob.index_map
+    theta0 = np.zeros(prob.dim)
+    theta0[im.mu_slice] = 0.8
+    theta0[im.beta_slice] = 1.0
+    hp = HyperParams(
+        epsilon=0.05, gamma1=0.5, gamma2=0.5, lbar1=lbar1, lbar2=1.0,
+        memory=5, max_iters=300,
+    )
+    return prob, hp, theta0
+
+
+def _k5_run(runner, **kw):
+    prob, inst = _k5()
+    return prob, runner(prob, inst.hp, inst.init, **kw)
+
+
+def _poisson_run(runner, **kw):
+    prob, hp, theta0 = _poisson()
+    return prob, runner(prob, hp, theta0, **kw)
+
+
+def _exp3_m2_run():
+    prob, inst = _exp3()
+    hp = replace(inst.hp, memory=2, max_iters=300)
+    return prob, run_aa_ipalm(prob, hp, inst.init, keep_iterates=True, track_h=True)
+
+
+def _fit_stream_run(make, iters, memory):
+    prob, _ = make()
+    return prob, fit_stream(prob, iters=iters, memory=memory)
+
+
+RUNS = {
+    "k5-palm": lambda: _k5_run(run_palm, keep_iterates=True),
+    "k5-ipalm": lambda: _k5_run(run_ipalm, keep_iterates=True),
+    "k5-aa-ipalm": lambda: _k5_run(run_aa_ipalm, keep_iterates=True, track_h=True),
+    "k5-aa-off": lambda: _k5_run(run_aa_ipalm, accept_aa=False, keep_iterates=True),
+    "exp3-aa-ipalm-m2": _exp3_m2_run,
+    "poisson-palm": lambda: _poisson_run(run_palm),
+    "poisson-ipalm": lambda: _poisson_run(run_ipalm),
+    "poisson-aa-ipalm": lambda: _poisson_run(run_aa_ipalm, keep_iterates=True, track_h=True),
+    "k5-fit-stream-m10": lambda: _fit_stream_run(_k5, 200, 10),
+    "k5-fit-stream-m2": lambda: _fit_stream_run(_k5, 200, 2),
+    "pwl-fit-stream-m10": lambda: _fit_stream_run(_pwl, 150, 10),
+    "pwl-fit-stream-m2": lambda: _fit_stream_run(_pwl, 150, 2),
+}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN) as f:
+        return json.load(f)
+
+
+def test_golden_covers_every_run(golden):
+    assert sorted(golden) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden(name, golden):
+    prob, res = RUNS[name]()
+    assert digest(prob, res) == golden[name]
