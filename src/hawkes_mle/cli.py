@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -88,7 +89,9 @@ def cmd_fit(args):
         doc, allow_noncompliant=args.allow_noncompliant_hp,
         algo=args.algo, iters=args.iters,
     )
-    hp.validate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the runner warns, once per fit
+        hp.validate()  # exit on bad hyperparameters before reading events
     events = read_events(args.events, horizon=horizon)
     try:
         problem = LikelihoodProblem(spec, events, domain, reg_c=reg_c)

@@ -20,9 +20,11 @@ rank-one update of the approximate inverse Jacobian H, and the candidate
 u - H (u - u_hat) replaces u_hat when a four-condition safeguard holds.  H
 restarts at I when the window of ``memory`` secants is full, when a secant's
 projection off the window falls below ``nu`` of its norm, when the secant is
-zero or non-finite, and (retrying once with H = I) when the update's curvature
-degenerates.  After an accepted step the secant's end point is u itself, so
-the loop reuses u_hat as its sweep.
+zero or non-finite or its sweep is not finite, and (retrying once with H = I)
+when the update's curvature degenerates.  So H is I plus at most ``memory`` + 1
+rank-one factor pairs: a step costs O(memory * P) time and memory, and the
+dense H is built only for ``track_h``.  After an accepted step the secant's
+end point is u itself, so the loop reuses u_hat as its sweep.
 
 All runners are deterministic: identical inputs give identical traces.
 """
@@ -183,16 +185,20 @@ class TraceRecord:
 class OptimizerState:
     """Anderson state of the accelerated loop on the doubled iterate u.
 
-    ``h_matrix`` is the dense approximate inverse Jacobian of the fixed-point
-    residual, ``m_k`` counts the vectors in the current memory window and
+    The approximate inverse Jacobian of the fixed-point residual is
+    H = I + sum_i a_i b_i', one (a_i, b_i) pair in ``h_terms`` per rank-one
+    update since the last restart, so ``h_dot`` (H x) and ``h_t_dot`` (H'x)
+    cost O(memory * dim) and ``h_matrix`` builds the dense dim x dim form only
+    on request.  ``m_k`` counts the vectors in the current memory window and
     ``s_window`` holds the orthogonalized secant directions.  ``u_prev`` is
     the previous iterate, ``cached_sweep`` its plain sweep, and ``u_tilde``
     the previous extrapolated candidate, where the next secant pair ends.
     """
 
-    h_matrix: np.ndarray
+    dim: int
     m_k: int = 0
     s_window: list = field(default_factory=list)
+    h_terms: list = field(default_factory=list)
     u_prev: np.ndarray | None = None
     cached_sweep: np.ndarray | None = None
     u_tilde: np.ndarray | None = None
@@ -200,7 +206,44 @@ class OptimizerState:
     def reset_memory(self):
         self.m_k = 0
         self.s_window = []
-        self.h_matrix = np.eye(self.h_matrix.shape[0])
+        self.h_terms = []
+
+    def h_dot(self, x):
+        out = x.copy()
+        for a, b in self.h_terms:
+            out += (b @ x) * a
+        return out
+
+    def h_t_dot(self, x):
+        out = x.copy()
+        for a, b in self.h_terms:
+            out += (a @ x) * b
+        return out
+
+    @property
+    def h_matrix(self):
+        """Dense H, built from the factors."""
+        h = np.eye(self.dim)
+        for a, b in self.h_terms:
+            h += np.outer(a, b)
+        return h
+
+    def _damped_update(self, s, s_hat, y, r, omega_bar):
+        """Powell-damped rank-one update of H; False when its curvature degenerates.
+
+        With y~ = omega y - (1 - omega) r and omega = powell_phi(s_hat'Hy / s_hat's_hat),
+        H gains the term (s - H y~)(H's_hat)' / (s_hat'H y~).
+        """
+        Hy = self.h_dot(y)
+        sh_sq = float(s_hat @ s_hat)
+        eta = float(s_hat @ Hy) / sh_sq if sh_sq > 0 else 0.0
+        omega = powell_phi(eta, omega_bar) if np.isfinite(eta) else 1.0
+        Hyt = self.h_dot(omega * y - (1.0 - omega) * r)
+        denom = float(s_hat @ Hyt)
+        if not np.isfinite(denom) or abs(denom) < 1e-300:
+            return False
+        self.h_terms.append(((s - Hyt) / denom, self.h_t_dot(s_hat)))
+        return True
 
     def secant_update(self, problem, hp, u, u_hat):
         """Secant pair of the last step, then the damped rank-one H update.
@@ -213,8 +256,9 @@ class OptimizerState:
         sweep = u_hat if self.u_tilde is u else ipalm_map(problem, hp, self.u_tilde)
         y = s - (sweep - self.cached_sweep)
         s_norm = float(np.linalg.norm(s))
-        if s_norm == 0.0 or not np.isfinite(s_norm):
-            # Exact fixed point (or degenerate candidate): restart, skip update.
+        if s_norm == 0.0 or not np.isfinite(s_norm) or not np.isfinite(y).all():
+            # Exact fixed point, or a degenerate candidate whose sweep is not
+            # finite: restart, skip the update.
             self.reset_memory()
             return
         s_hat = s.copy()
@@ -226,15 +270,10 @@ class OptimizerState:
         else:
             self.s_window.append(s_hat)
         r = self.u_prev - self.cached_sweep
-        h_new = _damped_update(self.h_matrix, s, s_hat, y, r, hp.omega_bar)
-        if h_new is None:
+        if not self._damped_update(s, s_hat, y, r, hp.omega_bar):
             # Degenerate curvature: forced restart, then retry once with H = I.
             self.reset_memory()
-            h_new = _damped_update(
-                self.h_matrix, s, s, y, r, hp.omega_bar, identity=True
-            )
-        if h_new is not None:
-            self.h_matrix = h_new
+            self._damped_update(s, s, y, r, hp.omega_bar)
 
 
 @dataclass
@@ -315,29 +354,6 @@ def lyapunov_value(problem, hp, theta_k, theta_prev):
     return _lyapunov(hp, problem.index_map, obj, flat_k, _as_flat(problem, theta_prev))
 
 
-def _damped_update(H, s, s_hat, y, r, omega_bar, identity=False):
-    """Powell-damped rank-one update of H; None when its curvature degenerates.
-
-    With y~ = omega y - (1 - omega) r and omega = powell_phi(s_hat'Hy / s_hat's_hat),
-    returns H + (s - H y~)(H's_hat)' / (s_hat'H y~).  ``identity`` says H = I,
-    whose products are then skipped.
-    """
-    Hy = y if identity else H @ y
-    sh_sq = float(s_hat @ s_hat)
-    eta = float(s_hat @ Hy) / sh_sq if sh_sq > 0 else 0.0
-    omega = powell_phi(eta, omega_bar) if np.isfinite(eta) else 1.0
-    y_tilde = omega * y - (1.0 - omega) * r
-    Hyt = y_tilde if identity else H @ y_tilde
-    denom = float(s_hat @ Hyt)
-    if not np.isfinite(denom) or abs(denom) < 1e-300:
-        return None
-    # Built in place, so the update holds one 2P x 2P array besides H.
-    h_new = np.outer(s - Hyt, s_hat if identity else H.T @ s_hat)
-    h_new /= denom
-    h_new += H
-    return h_new
-
-
 def _accept(problem, hp, u, u_hat, u_tilde, obj, grad, residual):
     """The four safeguard conditions on the extrapolated candidate u_tilde."""
     P = problem.dim
@@ -367,7 +383,7 @@ def _iterate(problem, hp, theta0, accelerate, keep_iterates, track_h):
 
     u = np.concatenate([flat0, flat0])
     theta_prev = flat0.copy()
-    state = OptimizerState(np.eye(2 * P)) if accelerate else None
+    state = OptimizerState(2 * P) if accelerate else None
     trace = []
     iterates = [flat0.copy()] if keep_iterates else None
     h_norms = [] if track_h and accelerate else None
@@ -385,7 +401,7 @@ def _iterate(problem, hp, theta0, accelerate, keep_iterates, track_h):
                 if track_h:
                     sv = np.linalg.svd(state.h_matrix, compute_uv=False)
                     h_norms.append((float(sv[0]), float(1.0 / sv[-1])))
-                u_tilde = u - state.h_matrix @ (u - u_hat)
+                u_tilde = u - state.h_dot(u - u_hat)
                 take_aa = _accept(
                     problem, hp, u, u_hat, u_tilde, obj_k, grad_full, res_hat
                 )

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,22 @@ class TestFitCommand:
                  "--out", str(tmp_path / "p.json"), "--allow-noncompliant-hp"]
             )
         assert code == 0
+
+    @pytest.mark.parametrize("algo", ["palm", "ipalm", "aa-ipalm"])
+    def test_noncompliant_hp_warns_once_per_fit(self, tmp_path, algo):
+        doc = base_config(tau1=1.0, tau2=5.0, max_iters=5)  # both above the rule
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        events = tmp_path / "events.csv"
+        main(["simulate", "--config", cfg, "--seed", "1", "--out", str(events)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["fit", "--events", str(events), "--config", cfg, "--algo", algo,
+                 "--out", str(tmp_path / "p.json"), "--allow-noncompliant-hp"]
+            )
+        assert code == 0
+        messages = sorted(str(w.message)[:4] for w in caught)
+        assert messages == ["tau1", "tau2"]
 
 
 class TestCheckStationarity:
