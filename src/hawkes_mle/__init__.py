@@ -20,10 +20,7 @@ from .model import (
     ParamVector,
     PowerLawCutoff,
     branching_matrix,
-    kernel_antideriv_dbeta,
-    kernel_antiderivative,
-    kernel_dbeta,
-    kernel_value,
+    intensities,
     project_onto_box,
     spectral_radius,
     stationary_mean_intensity,

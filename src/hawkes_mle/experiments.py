@@ -152,17 +152,7 @@ def generate_instance(recipe):
             f"(last radius {radius:.3g})"
         )
 
-    beta_lb = recipe.beta_true / 100.0
-    if recipe.family == "powerlaw":
-        beta_lb = max(beta_lb, 1.2)
-    domain = BoxDomain(
-        mu_lb=np.full(K, truth.mu.min() / 100.0),
-        mu_ub=np.full(K, 100.0 * truth.mu.max()),
-        alpha_lb=np.zeros((M, K, K)),
-        alpha_ub=np.full((M, K, K), 100.0 * truth.alpha.max()),
-        beta_lb=np.full(M, beta_lb),
-        beta_ub=np.full(M, 100.0 * recipe.beta_true),
-    )
+    domain = _scaled_domain(spec, truth, 100.0)
     # All-ones start with beta = 3, clipped into the box (the power-law
     # alpha bound sits below 1, so the raw start can be infeasible).
     raw = ParamVector(
@@ -171,20 +161,11 @@ def generate_instance(recipe):
     im = spec.index_map
     init = im.unpack(project_onto_box(domain, im.pack(raw)))
     hp = HyperParams(
-        epsilon=0.05,
         gamma1=0.9,
         gamma2=0.9,
-        lbar1=1.0,
-        lbar2=1.0,
         tau1=1e-7,
         tau2=1e-7,
-        omega_bar=0.1,
-        nu=0.1,
         delta=0.02,
-        c1=1e8,
-        c2=1e8,
-        memory=20,
-        max_iters=500,
         allow_noncompliant=True,
     )
     return SyntheticInstance(
@@ -377,7 +358,6 @@ def fit_stream(problem, iters=400, gamma=0.5, memory=10, init=None):
     )
     l1b, l2b = estimate_lipschitz_bounds(problem, probe, safety=2.0)
     hp = HyperParams(
-        epsilon=0.05,
         gamma1=gamma,
         gamma2=gamma,
         lbar1=max(l1, l1b),

@@ -9,7 +9,8 @@ Floats are written with ``repr``, so every file parses back losslessly.
 from __future__ import annotations
 
 import json
-import os
+import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -51,6 +52,14 @@ class DataError(ValueError):
 EVENT_HEADER = "time,type"
 
 
+def _finite_time(text):
+    """float(text), or ValueError for a malformed or non-finite time stamp."""
+    t = float(text)
+    if not math.isfinite(t):
+        raise ValueError(f"non-finite time {t}")
+    return t
+
+
 def write_events(path, events):
     with open(path, "w") as f:
         f.write(EVENT_HEADER + "\n")
@@ -73,7 +82,7 @@ def read_events(path, horizon=None):
             if len(parts) != 2:
                 raise DataError(f"{path}: row {lineno}: expected 2 fields")
             try:
-                t = float(parts[0])
+                t = _finite_time(parts[0])
                 k = int(parts[1])
             except ValueError as exc:
                 raise DataError(f"{path}: row {lineno}: {exc}") from None
@@ -91,6 +100,15 @@ def read_events(path, horizon=None):
 
 
 # -- kernels and parameters ----------------------------------------------------
+
+
+def _load_json(path, error=ConfigError):
+    """Parse a JSON file; an unreadable or malformed file raises ``error``."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def kernels_to_json(kernels):
@@ -138,21 +156,14 @@ def write_params(path, spec, params, objective=None, meta=None):
 
 def read_params(path):
     """Returns (spec, params, objective, meta) from a parameter JSON file."""
-    with open(path) as f:
-        doc = json.load(f)
-    _reject_unknown(
-        doc, {"mu", "alpha", "beta", "kernels", "objective", "meta"}, "params"
-    )
+    doc = _load_json(path)
+    _reject_unknown(doc, {*_INIT_KEYS, "kernels", "objective", "meta"}, "params")
     try:
-        params = ParamVector(
-            mu=np.asarray(doc["mu"], dtype=float),
-            alpha=np.asarray(doc["alpha"], dtype=float),
-            beta=np.asarray(doc["beta"], dtype=float),
-        )
-    except (KeyError, ValueError) as exc:
+        params = ParamVector(**{k: doc[k] for k in _INIT_KEYS})
+        kernels = kernels_from_json(doc.get("kernels", []))
+        spec = ModelSpec(K=params.K, M=params.M, kernels=kernels)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    kernels = kernels_from_json(doc.get("kernels", []))
-    spec = ModelSpec(K=params.K, M=params.M, kernels=kernels)
     return spec, params, doc.get("objective"), doc.get("meta", {})
 
 
@@ -194,28 +205,18 @@ def read_trace(path):
 
 # -- config documents ----------------------------------------------------------
 
+def _field_names(cls):
+    return tuple(f.name for f in fields(cls))
+
+
 _TOP_KEYS = {"model", "domain", "init", "regularization", "optimizer", "horizon"}
 _MODEL_KEYS = {"K", "M", "kernels"}
-_DOMAIN_KEYS = {"mu_lb", "mu_ub", "alpha_lb", "alpha_ub", "beta_lb", "beta_ub"}
-_INIT_KEYS = {"mu", "alpha", "beta"}
+# The domain, init and optimizer sections are the dataclasses' own fields, in
+# field order; allow_noncompliant is a command-line flag, not a config key.
+_DOMAIN_KEYS = _field_names(BoxDomain)
+_INIT_KEYS = _field_names(ParamVector)
 _REG_KEYS = {"C"}
-_OPT_KEYS = {
-    "algorithm",
-    "epsilon",
-    "gamma1",
-    "gamma2",
-    "lbar1",
-    "lbar2",
-    "tau1",
-    "tau2",
-    "omega_bar",
-    "nu",
-    "delta",
-    "c1",
-    "c2",
-    "memory",
-    "max_iters",
-}
+_OPT_KEYS = {"algorithm", *_field_names(HyperParams)} - {"allow_noncompliant"}
 
 
 def _reject_unknown(doc, allowed, where):
@@ -225,11 +226,7 @@ def _reject_unknown(doc, allowed, where):
 
 
 def load_config(path, require=("model", "init", "horizon")):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _reject_unknown(doc, _TOP_KEYS, path)
@@ -261,15 +258,8 @@ def spec_from_config(doc):
 def domain_from_config(doc, spec):
     d = doc["domain"]
     try:
-        domain = BoxDomain(
-            mu_lb=np.asarray(d["mu_lb"], dtype=float),
-            mu_ub=np.asarray(d["mu_ub"], dtype=float),
-            alpha_lb=np.asarray(d["alpha_lb"], dtype=float),
-            alpha_ub=np.asarray(d["alpha_ub"], dtype=float),
-            beta_lb=np.asarray(d["beta_lb"], dtype=float),
-            beta_ub=np.asarray(d["beta_ub"], dtype=float),
-        )
-    except (KeyError, ValueError) as exc:
+        domain = BoxDomain(**{k: d[k] for k in _DOMAIN_KEYS})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"domain: {exc}") from None
     if (domain.K, domain.M) != (spec.K, spec.M):
         raise ConfigError("domain: bound shapes do not match the model spec")
@@ -280,12 +270,8 @@ def domain_from_config(doc, spec):
 def init_from_config(doc, spec):
     init = doc["init"]
     try:
-        pv = ParamVector(
-            mu=np.asarray(init["mu"], dtype=float),
-            alpha=np.asarray(init["alpha"], dtype=float),
-            beta=np.asarray(init["beta"], dtype=float),
-        )
-    except (KeyError, ValueError) as exc:
+        pv = ParamVector(**{k: init[k] for k in _INIT_KEYS})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"init: {exc}") from None
     if (pv.K, pv.M) != (spec.K, spec.M):
         raise ConfigError("init: parameter shapes do not match the model spec")
@@ -322,6 +308,16 @@ LOB_TYPE_INDEX = {
 }
 
 
+def _write_rebased(out_path, rows):
+    """Sort (time, type) rows, shift times to start at zero, write an event CSV."""
+    rows.sort()
+    t0 = rows[0][0] if rows else 0.0
+    times = np.asarray([t - t0 for t, _ in rows])
+    types = np.asarray([k for _, k in rows], dtype=np.int64)
+    horizon = float(times[-1]) if times.size else 0.0
+    write_events(out_path, EventSequence(times, types, horizon))
+
+
 def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01):
     """Convert an order-book message CSV to the event format.
 
@@ -331,11 +327,7 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
     dropped and counted.  Rows that fail to parse count as bad; more than
     ``max_bad_fraction`` of them aborts the ingestion.
     """
-    try:
-        with open(mapping_path) as f:
-            raw_map = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{mapping_path}: {exc}") from None
+    raw_map = _load_json(mapping_path, DataError)
     if not isinstance(raw_map, dict):
         raise DataError(f"{mapping_path}: expected an object of code -> letter")
     code_map = {}
@@ -358,7 +350,7 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
                 bad += 1
                 continue
             try:
-                t = float(parts[0])
+                t = _finite_time(parts[0])
                 code = str(int(float(parts[1])))
                 direction = int(float(parts[5]))
             except ValueError:
@@ -379,12 +371,7 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
             f"{messages_path}: {bad}/{total} rows unparseable "
             f"(threshold {max_bad_fraction})"
         )
-    rows.sort()
-    t0 = rows[0][0] if rows else 0.0
-    times = np.asarray([t - t0 for t, _ in rows])
-    types = np.asarray([k for _, k in rows], dtype=np.int64)
-    horizon = float(times[-1]) if times.size else 0.0
-    write_events(out_path, EventSequence(times, types, horizon))
+    _write_rebased(out_path, rows)
     return {
         "rows_read": total,
         "rows_written": len(rows),
@@ -399,11 +386,7 @@ def ingest_memetracker(posts_path, groups_path, out_path):
     The groups file is JSON from url (or url group) to a type index; posts
     with unmapped urls are dropped and counted.  Times are rebased to zero.
     """
-    try:
-        with open(groups_path) as f:
-            groups = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{groups_path}: {exc}") from None
+    groups = _load_json(groups_path, DataError)
     if not isinstance(groups, dict):
         raise DataError(f"{groups_path}: expected an object of url -> type index")
 
@@ -420,7 +403,7 @@ def ingest_memetracker(posts_path, groups_path, out_path):
             if len(parts) != 2:
                 raise DataError(f"{posts_path}: row {lineno}: expected 2 fields")
             try:
-                t = float(parts[0])
+                t = _finite_time(parts[0])
             except ValueError:
                 raise DataError(f"{posts_path}: row {lineno}: bad time") from None
             idx = groups.get(parts[1])
@@ -428,10 +411,5 @@ def ingest_memetracker(posts_path, groups_path, out_path):
                 unmapped += 1
                 continue
             rows.append((t, int(idx)))
-    rows.sort()
-    t0 = rows[0][0] if rows else 0.0
-    times = np.asarray([t - t0 for t, _ in rows])
-    types = np.asarray([k for _, k in rows], dtype=np.int64)
-    horizon = float(times[-1]) if times.size else 0.0
-    write_events(out_path, EventSequence(times, types, horizon))
+    _write_rebased(out_path, rows)
     return {"rows_written": len(rows), "rows_unmapped": unmapped}

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Exponential
+from .model import Exponential, intensities
 
 __all__ = [
     "LikelihoodProblem",
@@ -317,23 +317,15 @@ class LikelihoodProblem:
 def intensity_at(problem, params, t, i):
     """Intensity of type i at time t, summing strictly earlier events."""
     t = float(t)
-    if t < 0 or t > problem.T:
+    if not 0 <= t <= problem.T:
         raise ValueError(f"t={t} outside the observation window [0, {problem.T}]")
     if not 0 <= i < problem.spec.K:
         raise ValueError(f"type index {i} out of range")
     times, types = problem.events.times, problem.events.types
-    mask = times < t
     if problem.truncation is not None:
-        mask &= (t - times) <= problem.truncation
-    lam = float(params.mu[i])
-    if np.any(mask):
-        dt = t - times[mask]
-        src = types[mask]
-        for m, kern in enumerate(problem.spec.kernels):
-            phi = kern.value(dt, float(params.beta[m]))
-            per_src = np.bincount(src, weights=phi, minlength=problem.spec.K)
-            lam += float(params.alpha[m, i] @ per_src)
-    return lam
+        keep = (t - times) <= problem.truncation
+        times, types = times[keep], types[keep]
+    return float(intensities(problem.spec, params, times, types, t)[i])
 
 
 def log_likelihood(problem, params):

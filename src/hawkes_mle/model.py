@@ -28,13 +28,10 @@ __all__ = [
     "ParamVector",
     "BoxDomain",
     "FlatIndexMap",
-    "kernel_value",
-    "kernel_antiderivative",
-    "kernel_dbeta",
-    "kernel_antideriv_dbeta",
     "branching_matrix",
     "spectral_radius",
     "stationary_mean_intensity",
+    "intensities",
     "project_onto_box",
 ]
 
@@ -173,34 +170,6 @@ class PowerLawCutoff:
         return np.power(q, 1.0 / (1.0 - beta)) - c
 
 
-def kernel_value(family, t, beta):
-    """Evaluate phi(t; beta) >= 0 for t >= 0 and admissible beta."""
-    family.validate_beta(beta)
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("kernel argument t must be nonnegative")
-    return family.value(t, beta)
-
-
-def kernel_antiderivative(family, u, beta):
-    """Evaluate Phi(u; beta) = integral of phi over [0, u] in closed form."""
-    family.validate_beta(beta)
-    if np.any(np.asarray(u) < 0):
-        raise ValueError("kernel argument u must be nonnegative")
-    return family.antiderivative(u, beta)
-
-
-def kernel_dbeta(family, t, beta):
-    """Exact partial derivative of phi(t; beta) with respect to beta."""
-    family.validate_beta(beta)
-    return family.dbeta(t, beta)
-
-
-def kernel_antideriv_dbeta(family, u, beta):
-    """Exact partial derivative of Phi(u; beta) with respect to beta."""
-    family.validate_beta(beta)
-    return family.antideriv_dbeta(u, beta)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Number of event types K, number of base kernels M, and the kernels."""
@@ -215,10 +184,6 @@ class ModelSpec:
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if len(self.kernels) != self.M:
             raise ValueError(f"expected {self.M} kernels, got {len(self.kernels)}")
-
-    @property
-    def dim(self):
-        return self.K + self.M * self.K**2 + self.M
 
     @property
     def index_map(self):
@@ -408,14 +373,40 @@ def spectral_radius(G):
     return float(np.abs(np.linalg.eigvals(G)).max())
 
 
+def _stationary_branching_matrix(spec, params):
+    """G of admissible parameters; NonStationaryError unless its radius is below one."""
+    G = branching_matrix(spec, params)
+    radius = spectral_radius(G)
+    if radius >= 1.0:
+        raise NonStationaryError(radius)
+    return G
+
+
 def stationary_mean_intensity(spec, params):
     """Stationary mean rates: solve (I - G) lambda_bar = mu.
 
     Requires spectral radius of G below one; the solution is then positive.
     """
-    G = branching_matrix(spec, params)
-    radius = spectral_radius(G)
-    if radius >= 1.0:
-        raise NonStationaryError(radius)
+    G = _stationary_branching_matrix(spec, params)
     lam_bar = np.linalg.solve(np.eye(spec.K) - G, params.mu)
     return lam_bar
+
+
+def intensities(spec, params, times, types, t, strict=True):
+    """Per-type intensities lam(t) given a history (times, types).
+
+    The excitation sums over s < t when ``strict``, else over s <= t.  The
+    inputs are not validated: the thinning sampler calls this twice per
+    candidate.
+    """
+    lam = params.mu.copy()
+    mask = times < t if strict else times <= t
+    if not np.any(mask):
+        return lam
+    dt = t - times[mask]
+    src = types[mask]
+    for m, kern in enumerate(spec.kernels):
+        phi = kern.value(dt, float(params.beta[m]))
+        per_src = np.bincount(src, weights=phi, minlength=spec.K)
+        lam += params.alpha[m] @ per_src
+    return lam

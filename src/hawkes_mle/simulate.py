@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NonStationaryError, branching_matrix, spectral_radius
+from .model import _stationary_branching_matrix, intensities
 
 __all__ = [
     "EventSequence",
@@ -43,6 +43,14 @@ class SimulationCapError(RuntimeError):
         super().__init__(
             f"simulation exceeded max_events={max_events} (generated {n_events})"
         )
+
+
+def _finite_horizon(horizon):
+    """float(horizon), or ValueError unless it is finite and nonnegative."""
+    horizon = float(horizon)
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    return horizon
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,11 @@ class EventSequence:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.types = np.asarray(self.types, dtype=np.int64)
-        self.horizon = float(self.horizon)
+        self.horizon = _finite_horizon(self.horizon)
         if self.times.shape != self.types.shape or self.times.ndim != 1:
             raise ValueError("times and types must be 1-d arrays of equal length")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("times must be finite")
         if self.times.size:
             if np.any(np.diff(self.times) < 0):
                 raise ValueError("times must be nondecreasing")
@@ -118,6 +126,12 @@ def _finalize(times, gens, types, horizon):
     return EventSequence(times[order], types[order], horizon)
 
 
+def _check_inputs(spec, params, horizon):
+    """Both samplers' guard: admissible, stationary parameters and a finite horizon >= 0."""
+    _stationary_branching_matrix(spec, params)
+    return _finite_horizon(horizon)
+
+
 def simulate_cluster(spec, params, horizon, config):
     """Sample a path on [0, horizon] by the branching construction.
 
@@ -127,13 +141,7 @@ def simulate_cluster(spec, params, horizon, config):
     processed breadth first; output ties are ordered by (time, generation,
     type) for reproducibility.
     """
-    params.validate(spec)
-    radius = spectral_radius(branching_matrix(spec, params))
-    if radius >= 1.0:
-        raise NonStationaryError(radius)
-    horizon = float(horizon)
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    horizon = _check_inputs(spec, params, horizon)
 
     rng_imm, rng_off, _ = _spawn_generators(config.seed)
     K, M = spec.K, spec.M
@@ -178,23 +186,6 @@ def simulate_cluster(spec, params, horizon, config):
     return _finalize(all_times, all_gens, all_types, horizon)
 
 
-def _intensities(spec, params, hist_times, hist_types, t, strict):
-    """Per-type intensity at t given history (strict: sum over s < t, else s <= t)."""
-    lam = params.mu.copy()
-    if hist_times.size == 0:
-        return lam
-    mask = hist_times < t if strict else hist_times <= t
-    if not np.any(mask):
-        return lam
-    dt = t - hist_times[mask]
-    src = hist_types[mask]
-    for m, kern in enumerate(spec.kernels):
-        phi = kern.value(dt, float(params.beta[m]))
-        per_src = np.bincount(src, weights=phi, minlength=spec.K)
-        lam += params.alpha[m] @ per_src
-    return lam
-
-
 def simulate_thinning(spec, params, horizon, config):
     """Sample a path on [0, horizon] by Ogata thinning.
 
@@ -203,13 +194,7 @@ def simulate_thinning(spec, params, horizon, config):
     kernel families are nonincreasing; accepted candidates are typed
     proportionally to the per-type intensities.
     """
-    params.validate(spec)
-    radius = spectral_radius(branching_matrix(spec, params))
-    if radius >= 1.0:
-        raise NonStationaryError(radius)
-    horizon = float(horizon)
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    horizon = _check_inputs(spec, params, horizon)
 
     _, _, rng = _spawn_generators(config.seed)
     times, types = [], []
@@ -217,12 +202,12 @@ def simulate_thinning(spec, params, horizon, config):
     hist_types = np.empty(0, dtype=np.int64)
     t = 0.0
     while True:
-        lam_dom = _intensities(spec, params, hist_times, hist_types, t, strict=False)
+        lam_dom = intensities(spec, params, hist_times, hist_types, t, strict=False)
         big_lambda = float(lam_dom.sum())
         t = t + rng.exponential(1.0 / big_lambda)
         if t > horizon:
             break
-        lam = _intensities(spec, params, hist_times, hist_types, t, strict=True)
+        lam = intensities(spec, params, hist_times, hist_types, t, strict=True)
         lam_tot = float(lam.sum())
         if rng.uniform() * big_lambda <= lam_tot:
             u = rng.uniform() * lam_tot

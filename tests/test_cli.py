@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from hawkes_mle.cli import main
 from hawkes_mle.io import (
     ConfigError,
     DataError,
+    domain_from_config,
+    hyperparams_from_config,
     load_config,
     read_events,
     read_params,
     read_trace,
+    spec_from_config,
     write_events,
 )
+from hawkes_mle.optim import HyperParams
 from hawkes_mle.simulate import EventSequence
 
 
@@ -416,6 +421,84 @@ class TestFitDataErrors:
         assert code == 3
 
 
+class TestNonFiniteOrNegativeInputs:
+    def fit(self, tmp_path, events_text, **config):
+        cfg = write_config(tmp_path / "cfg.json", base_config(**config))
+        events = tmp_path / "e.csv"
+        events.write_text(events_text)
+        return main(
+            ["fit", "--events", str(events), "--config", cfg,
+             "--out", str(tmp_path / "p.json")]
+        )
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_fit_nonfinite_event_time_exit_3(self, tmp_path, capsys, bad):
+        code = self.fit(tmp_path, f"time,type\n1.0,0\n{bad},0\n")
+        assert code == 3
+        assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_fit_nonfinite_config_horizon_exit_1(self, tmp_path, capsys, horizon):
+        code = self.fit(tmp_path, "time,type\n1.0,0\n", horizon=horizon)
+        assert code == 1
+        assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("events_text", ["time,type\n", "time,type\n1.0,0\n"])
+    def test_fit_negative_config_horizon_exit_1(self, tmp_path, capsys, events_text):
+        # Checked before the events are read, so a non-empty file is not a
+        # data error either.
+        assert self.fit(tmp_path, events_text, horizon=-1.0) == 1
+        assert "horizon" in capsys.readouterr().err
+
+    def test_fit_zero_horizon_stays_data_error(self, tmp_path):
+        assert self.fit(tmp_path, "time,type\n", horizon=0.0) == 3
+
+    @pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
+    def test_simulate_bad_horizon_flag_exit_1(self, tmp_path, capsys, horizon):
+        cfg = write_config(tmp_path / "cfg.json", base_config())
+        out = tmp_path / "e.csv"
+        code = main(
+            ["simulate", "--config", cfg, "--horizon", horizon, "--out", str(out)]
+        )
+        assert code == 1
+        assert "horizon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_negative_config_horizon_exit_1(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", base_config(horizon=-5.0))
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+
+    def test_check_stationarity_malformed_json_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text('{"mu": [1.0],')
+        assert main(["check-stationarity", "--params", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_check_stationarity_kernel_count_mismatch_exit_1(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"mu": [1.0], "alpha": [[[0.1]]], "beta": [1.0]}))
+        assert main(["check-stationarity", "--params", str(path)]) == 1
+
+    def test_ingest_nonfinite_times(self, tmp_path):
+        msg = tmp_path / "msg.csv"
+        msg.write_text("".join(f"{t},1,1,1,1,1\n" for t in range(200)) + "nan,1,1,1,1,1\n")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"1": "L"}))
+        out = tmp_path / "e.csv"
+        code = main(["ingest-lobster", "--messages", str(msg), "--types", str(mapping),
+                     "--out", str(out)])
+        assert code == 0  # the nan row is one bad row among 201
+        assert len(read_events(str(out))) == 200
+        posts = tmp_path / "posts.csv"
+        posts.write_text("time,url\n1.0,a\ninf,a\n")
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"a": 0}))
+        code = main(["ingest-memetracker", "--posts", str(posts), "--groups", str(groups),
+                     "--out", str(out)])
+        assert code == 3
+
+
 class TestEventFileRoundTrip:
     def test_write_read_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -513,12 +596,41 @@ class TestBenchmarkCommands:
 
 
 class TestConfigValidation:
-    def test_unknown_section_key(self, tmp_path):
+    @pytest.mark.parametrize("section", ["optimizer", "domain", "init", "model"])
+    def test_unknown_section_key(self, tmp_path, section):
         doc = base_config()
-        doc["optimizer"]["bogus"] = 1
+        doc[section]["bogus"] = 1
         cfg = write_config(tmp_path / "c.json", doc)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="bogus"):
             load_config(cfg)
+
+    def test_allow_noncompliant_is_not_a_config_key(self, tmp_path):
+        doc = base_config(allow_noncompliant=True)
+        cfg = write_config(tmp_path / "c.json", doc)
+        with pytest.raises(ConfigError, match="allow_noncompliant"):
+            load_config(cfg)
+
+    def test_every_hyperparameter_field_loads(self, tmp_path):
+        values = {
+            "epsilon": 0.1, "gamma1": 0.3, "gamma2": 0.2, "lbar1": 50.0,
+            "lbar2": 3.0, "tau1": 1e-3, "tau2": 2e-3, "omega_bar": 0.2,
+            "nu": 0.3, "delta": 40.0, "c1": 10.0, "c2": 20.0, "memory": 4,
+            "max_iters": 7,
+        }
+        assert set(values) == {f.name for f in fields(HyperParams)} - {
+            "allow_noncompliant"
+        }
+        cfg = write_config(tmp_path / "c.json", base_config(**values))
+        hp, algorithm = hyperparams_from_config(load_config(cfg))
+        assert algorithm == "palm"
+        assert {k: getattr(hp, k) for k in values} == values
+
+    def test_missing_domain_key_named(self, tmp_path):
+        doc = base_config()
+        del doc["domain"]["mu_ub"], doc["domain"]["beta_ub"]
+        cfg = write_config(tmp_path / "c.json", doc)
+        with pytest.raises(ConfigError, match="'mu_ub'"):
+            domain_from_config(load_config(cfg), spec_from_config(load_config(cfg)))
 
     def test_missing_required_section(self, tmp_path):
         doc = base_config()

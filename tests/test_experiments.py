@@ -103,7 +103,7 @@ class TestFullScaleRecipes:
         # three optimizers for a few iterations.
         inst = gen_synthetic_exponential(seed=2, horizon=300.0)
         assert inst.spec.K == 10
-        assert inst.spec.dim == 10 + 100 + 1
+        assert inst.spec.index_map.dim == 10 + 100 + 1
         rep = run_benchmark(inst, iters=12, seeds=(0,))
         for algo in rep.algorithms:
             obj = rep.objectives[(algo, 0)]

