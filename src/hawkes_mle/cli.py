@@ -56,6 +56,10 @@ def _config_horizon(value):
 
 
 def cmd_simulate(args):
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    if args.max_events < 1:
+        raise ConfigError("--max-events must be positive")
     doc = load_config(args.config, require=("model", "init", "horizon"))
     spec = spec_from_config(doc)
     params = init_from_config(doc, spec)

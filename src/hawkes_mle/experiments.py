@@ -336,21 +336,23 @@ def _fit_init(prob, domain):
     return project_onto_box(domain, flat)
 
 
-def fit_stream(problem, iters=400, gamma=0.5, memory=10, init=None):
+# Momentum and Anderson memory of fit_stream; the consistency manifest
+# records them.
+FIT_GAMMA = 0.5
+FIT_MEMORY = 10
+
+
+def fit_stream(problem, iters=400, memory=FIT_MEMORY):
     """Fit one event stream with the safeguarded accelerated optimizer.
 
-    Builds a data-driven starting point (unless ``init`` is given), estimates
-    block curvature bounds both there and at a more excited probe point (the
-    larger bound wins), and runs the accelerated scheme with rule-based step
+    Builds a data-driven starting point, estimates block curvature bounds both
+    there and at a more excited probe point (the larger bound wins), and runs
+    the accelerated scheme with momentum ``FIT_GAMMA`` and rule-based step
     sizes.
     """
     im = problem.index_map
     domain = problem.domain
-    flat0 = (
-        _fit_init(problem, domain)
-        if init is None
-        else np.asarray(init, dtype=float).copy()
-    )
+    flat0 = _fit_init(problem, domain)
     l1, l2 = estimate_lipschitz_bounds(problem, flat0, safety=2.0)
     probe = flat0.copy()
     probe[im.alpha_slice] = np.minimum(
@@ -358,8 +360,8 @@ def fit_stream(problem, iters=400, gamma=0.5, memory=10, init=None):
     )
     l1b, l2b = estimate_lipschitz_bounds(problem, probe, safety=2.0)
     hp = HyperParams(
-        gamma1=gamma,
-        gamma2=gamma,
+        gamma1=FIT_GAMMA,
+        gamma2=FIT_GAMMA,
         lbar1=max(l1, l1b),
         lbar2=max(l2, l2b),
         memory=memory,
@@ -385,9 +387,7 @@ def _scaled_domain(spec, truth, scale):
     )
 
 
-def run_consistency_study(
-    recipe, T_grid, seeds_per_T, iters=300, gamma=0.5, memory=10, box_scale=10.0
-):
+def run_consistency_study(recipe, T_grid, seeds_per_T, iters=300, box_scale=10.0):
     """Fit accelerated runs to streams of growing horizon; report error vs T.
 
     For each horizon and stream, the relative parameter error
@@ -425,7 +425,7 @@ def run_consistency_study(
         prob = LikelihoodProblem(
             instance.spec, ev, instance.domain, reg_c=instance.reg_c
         )
-        res = fit_stream(prob, iters=iters, gamma=gamma, memory=memory)
+        res = fit_stream(prob, iters=iters)
         err = float(
             np.linalg.norm(im.pack(res.params) - truth_flat) / truth_norm
         )
@@ -449,8 +449,8 @@ def run_consistency_study(
         "T_grid": [float(T) for T in T_grid],
         "seeds_per_T": int(seeds_per_T),
         "iters": int(iters),
-        "gamma": gamma,
-        "memory": memory,
+        "gamma": FIT_GAMMA,
+        "memory": FIT_MEMORY,
         "medians": {str(k): v for k, v in medians.items()},
     }
     return ConsistencyReport(rows=rows, medians=medians, manifest=manifest)

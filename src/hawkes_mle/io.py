@@ -383,12 +383,17 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
 def ingest_memetracker(posts_path, groups_path, out_path):
     """Convert a ``time,url`` posting log to the event format.
 
-    The groups file is JSON from url (or url group) to a type index; posts
-    with unmapped urls are dropped and counted.  Times are rebased to zero.
+    The groups file is JSON from url (or url group) to a type index, a
+    nonnegative integer; posts with unmapped urls are dropped and counted.
+    Times are rebased to zero.
     """
     groups = _load_json(groups_path, DataError)
     if not isinstance(groups, dict):
         raise DataError(f"{groups_path}: expected an object of url -> type index")
+    for url, idx in groups.items():
+        if type(idx) is not int or idx < 0:
+            raise DataError(f"{groups_path}: url {url!r} maps to {idx!r}, "
+                            "expected a nonnegative integer")
 
     rows, unmapped = [], 0
     with open(posts_path) as f:
@@ -410,6 +415,6 @@ def ingest_memetracker(posts_path, groups_path, out_path):
             if idx is None:
                 unmapped += 1
                 continue
-            rows.append((t, int(idx)))
+            rows.append((t, idx))
     _write_rebased(out_path, rows)
     return {"rows_written": len(rows), "rows_unmapped": unmapped}

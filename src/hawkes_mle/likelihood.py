@@ -19,12 +19,11 @@ Every evaluation reduces to the kernel sums R[a, j] = sum_{s < t_a, type j}
 phi(t_a - s) and their beta-derivatives, computed exactly and without any
 n x n array:
 
-* an exponential kernel with no truncation uses the linear recursion over
-  distinct time stamps (Ozaki 1979), O(n K) time and memory per kernel;
-* every other kernel (power-law, or any kernel under a truncation horizon,
-  which drops contributions with t - s > truncation) is summed over the list
-  of strictly earlier (source, destination) pairs built once at construction:
-  O(#pairs) time and 16 bytes per pair, at most n^2 / 2 pairs.
+* an exponential kernel uses the linear recursion over distinct time stamps
+  (Ozaki 1979), O(n K) time and memory per kernel;
+* a power-law kernel is summed over the list of strictly earlier (source,
+  destination) pairs built once at construction: O(#pairs) time and 16
+  bytes per pair, at most n^2 / 2 pairs.
 
 All functions here are pure; a ``LikelihoodProblem`` is immutable after
 construction and safe to share across threads.  Sums are reduced in fixed
@@ -53,39 +52,23 @@ __all__ = [
 _CHUNK_SPAN = 30.0
 
 
-def _pair_list(times, types, K, truncation):
+def _pair_list(times, types, K):
     """Elapsed times and flat cells ``dst * K + type_src`` of all kernel pairs.
 
-    A pair (source b, destination a) enters the sums when t_b < t_a and, with a
-    truncation horizon, t_a - t_b <= truncation.  Pairs are ordered by
-    destination, then source time, so the scatter sums in a fixed order.
+    A pair (source b, destination a) enters the sums when t_b < t_a.  Pairs
+    are ordered by destination, then source time, so the scatter sums in a
+    fixed order.
     """
-    n = times.size
     hi = np.searchsorted(times, times, side="left")  # sources strictly earlier
-    lo = np.zeros(n, dtype=np.intp)
-    if truncation is not None and n:
-        lo = np.searchsorted(times, times - truncation, side="left")
-        # t_a - truncation is rounded, so settle the window edge with the exact
-        # predicate t_a - t_b <= truncation (monotone in b).
-        while True:
-            back = (lo > 0) & (times - times[np.maximum(lo - 1, 0)] <= truncation)
-            if not back.any():
-                break
-            lo -= back
-        while True:
-            ahead = (lo < hi) & (times - times[np.minimum(lo, n - 1)] > truncation)
-            if not ahead.any():
-                break
-            lo += ahead
-    dt = np.empty(int(np.maximum(hi - lo, 0).sum()))
+    dt = np.empty(int(hi.sum()))
     cell = np.empty(dt.size, dtype=np.intp)
     # One destination row at a time: no pair-sized scratch.
     o = 0
-    for a, (b0, b1) in enumerate(zip(lo.tolist(), hi.tolist())):
-        if b1 > b0:
-            e = o + b1 - b0
-            np.subtract(times[a], times[b0:b1], out=dt[o:e])
-            np.add(types[b0:b1], a * K, out=cell[o:e])
+    for a, b in enumerate(hi.tolist()):
+        if b:
+            e = o + b
+            np.subtract(times[a], times[:b], out=dt[o:e])
+            np.add(types[:b], a * K, out=cell[o:e])
             o = e
     return dt, cell
 
@@ -138,7 +121,7 @@ class LikelihoodProblem:
     pairs.  No array of size n x n is built.
     """
 
-    def __init__(self, spec, events, domain, reg_c=0.0, truncation=None):
+    def __init__(self, spec, events, domain, reg_c=0.0):
         if events.horizon <= 0:
             raise ValueError("observation horizon T must be positive")
         if reg_c < 0:
@@ -150,7 +133,6 @@ class LikelihoodProblem:
         self.events = events
         self.domain = domain
         self.reg_c = float(reg_c)
-        self.truncation = None if truncation is None else float(truncation)
         self.T = float(events.horizon)
         self.index_map = spec.index_map
         self.dim = self.index_map.dim
@@ -176,16 +158,12 @@ class LikelihoodProblem:
         self._counts = np.bincount(
             self._stamp_of * K + types, minlength=G * K
         ).reshape(G, K).astype(float)
-        # Exponential kernels without truncation take the recursion; the rest
-        # sum over the pair list.
-        self._recursive = tuple(
-            isinstance(kern, Exponential) and self.truncation is None
-            for kern in spec.kernels
-        )
-        if all(self._recursive):
+        # Exponential kernels take the recursion; power-law kernels sum over
+        # the pair list.
+        if all(isinstance(kern, Exponential) for kern in spec.kernels):
             self._pair_dt = self._pair_cell = None
         else:
-            self._pair_dt, self._pair_cell = _pair_list(times, types, K, self.truncation)
+            self._pair_dt, self._pair_cell = _pair_list(times, types, K)
 
     # -- kernel sums ----------------------------------------------------------
 
@@ -194,11 +172,11 @@ class LikelihoodProblem:
 
         Returns (R, D), both n x K: R[a, j] = sum_{s < t_a, type j}
         phi_m(t_a - s) and D the same sum of d phi_m / d beta (None unless
-        ``want_dbeta``).  Sums stay within the truncation horizon if set.
+        ``want_dbeta``).
         """
         n, K = self.n, self.spec.K
         kern = self.spec.kernels[m]
-        if self._recursive[m]:
+        if isinstance(kern, Exponential):
             # Ozaki's recursion over stamps, with W_g the type counts at u_g:
             # R_g = c_g (R_{g-1} + W_{g-1}) and D_g = c_g D_{g-1} + gap_g R_g
             # with c_g = e^{-beta gap_g}, where D_g = sum (u_g - s)
@@ -321,11 +299,8 @@ def intensity_at(problem, params, t, i):
         raise ValueError(f"t={t} outside the observation window [0, {problem.T}]")
     if not 0 <= i < problem.spec.K:
         raise ValueError(f"type index {i} out of range")
-    times, types = problem.events.times, problem.events.types
-    if problem.truncation is not None:
-        keep = (t - times) <= problem.truncation
-        times, types = times[keep], types[keep]
-    return float(intensities(problem.spec, params, times, types, t)[i])
+    events = problem.events
+    return float(intensities(problem.spec, params, events.times, events.types, t)[i])
 
 
 def log_likelihood(problem, params):

@@ -329,11 +329,10 @@ class BoxDomain:
     def ub_flat(self):
         return np.concatenate([self.mu_ub, self.alpha_ub.reshape(-1), self.beta_ub])
 
-    def contains(self, flat, atol=0.0):
+    def contains(self, flat):
         flat = np.asarray(flat, dtype=float)
         return bool(
-            np.all(flat >= self.lb_flat() - atol)
-            and np.all(flat <= self.ub_flat() + atol)
+            np.all(flat >= self.lb_flat()) and np.all(flat <= self.ub_flat())
         )
 
 

@@ -189,14 +189,13 @@ class OptimizerState:
     H = I + sum_i a_i b_i', one (a_i, b_i) pair in ``h_terms`` per rank-one
     update since the last restart, so ``h_dot`` (H x) and ``h_t_dot`` (H'x)
     cost O(memory * dim) and ``h_matrix`` builds the dense dim x dim form only
-    on request.  ``m_k`` counts the vectors in the current memory window and
-    ``s_window`` holds the orthogonalized secant directions.  ``u_prev`` is
-    the previous iterate, ``cached_sweep`` its plain sweep, and ``u_tilde``
-    the previous extrapolated candidate, where the next secant pair ends.
+    on request.  ``s_window`` holds the orthogonalized secant directions of
+    the current memory window.  ``u_prev`` is the previous iterate,
+    ``cached_sweep`` its plain sweep, and ``u_tilde`` the previous
+    extrapolated candidate, where the next secant pair ends.
     """
 
     dim: int
-    m_k: int = 0
     s_window: list = field(default_factory=list)
     h_terms: list = field(default_factory=list)
     u_prev: np.ndarray | None = None
@@ -204,7 +203,6 @@ class OptimizerState:
     u_tilde: np.ndarray | None = None
 
     def reset_memory(self):
-        self.m_k = 0
         self.s_window = []
         self.h_terms = []
 
@@ -251,7 +249,6 @@ class OptimizerState:
         ``u_hat`` is the plain sweep of the iterate ``u``; it is also the sweep
         at the candidate when the candidate was taken (always at k = 1).
         """
-        self.m_k += 1
         s = self.u_tilde - self.u_prev
         sweep = u_hat if self.u_tilde is u else ipalm_map(problem, hp, self.u_tilde)
         y = s - (sweep - self.cached_sweep)
@@ -264,7 +261,7 @@ class OptimizerState:
         s_hat = s.copy()
         for v in self.s_window:
             s_hat -= (v @ s) / (v @ v) * v
-        if self.m_k == hp.memory + 1 or np.linalg.norm(s_hat) < hp.nu * s_norm:
+        if len(self.s_window) == hp.memory or np.linalg.norm(s_hat) < hp.nu * s_norm:
             self.reset_memory()
             s_hat = s
         else:
@@ -481,7 +478,14 @@ def residual_diagnostics(trace, base_checkpoint=None):
     return ResidualSummary(cps, vals, rates)
 
 
-def estimate_lipschitz_bounds(problem, theta0, safety=2.0, iters=20, step=1e-5, seed=0):
+# Power-iteration steps, finite-difference step and start seed of
+# estimate_lipschitz_bounds.
+_LIPSCHITZ_ITERS = 20
+_LIPSCHITZ_STEP = 1e-5
+_LIPSCHITZ_SEED = 0
+
+
+def estimate_lipschitz_bounds(problem, theta0, safety=2.0):
     """Estimate block curvature bounds (lbar1, lbar2) at the initial point.
 
     Power iteration on Hessian-vector products approximated by central finite
@@ -490,17 +494,17 @@ def estimate_lipschitz_bounds(problem, theta0, safety=2.0, iters=20, step=1e-5, 
     """
     flat0 = _as_flat(problem, theta0)
     im = problem.index_map
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_LIPSCHITZ_SEED)
 
     def block_bound(sl):
         v = np.zeros(problem.dim)
         v[sl] = rng.standard_normal(flat0[sl].size)
         v[sl] /= np.linalg.norm(v[sl])
         lam = 0.0
-        for _ in range(iters):
-            gp = problem.grad_flat(flat0 + step * v)
-            gm = problem.grad_flat(flat0 - step * v)
-            hv = (gp - gm) / (2.0 * step)
+        for _ in range(_LIPSCHITZ_ITERS):
+            gp = problem.grad_flat(flat0 + _LIPSCHITZ_STEP * v)
+            gm = problem.grad_flat(flat0 - _LIPSCHITZ_STEP * v)
+            hv = (gp - gm) / (2.0 * _LIPSCHITZ_STEP)
             lam_new = float(np.linalg.norm(hv[sl]))
             if lam_new == 0.0:
                 break

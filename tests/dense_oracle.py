@@ -17,7 +17,6 @@ class DenseProblem:
 
     def __init__(self, problem):
         spec, events = problem.spec, problem.events
-        truncation = problem.truncation
         self.spec = spec
         self.reg_c = problem.reg_c
         self.T = problem.T
@@ -38,8 +37,6 @@ class DenseProblem:
         # harmless positive placeholder and are masked out of every sum.
         dt = times[:, None] - times[None, :]
         valid = dt > 0
-        if truncation is not None:
-            valid &= dt <= float(truncation)
         self._dt = np.where(valid, dt, 1.0)
         self._valid = valid
         self._comp_dt = self.T - times  # elapsed time entering the compensator

@@ -373,6 +373,23 @@ class TestIngestMemetracker:
         assert len(ev) == 2
         assert ev.times[0] == 0.0 and ev.times[1] == 1.5
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, "x", True, None, [0]])
+    def test_bad_group_index_exit_3(self, tmp_path, capsys, bad):
+        # The map is checked up front, so a url with no posts fails too.
+        posts = tmp_path / "posts.csv"
+        posts.write_text("time,url\n1.0,a.example\n")
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"a.example": 0, "unposted.example": bad}))
+        out = tmp_path / "events.csv"
+        code = main(
+            ["ingest-memetracker", "--posts", str(posts), "--groups", str(groups),
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "unposted.example" in err
+        assert not out.exists()
+
 
 class TestParamsJsonRoundTrip:
     def test_powerlaw_cutoff_preserved(self, tmp_path):
@@ -462,6 +479,18 @@ class TestNonFiniteOrNegativeInputs:
         )
         assert code == 1
         assert "horizon" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-events", "0"), ("--max-events", "-3"), ("--seed", "-1")]
+    )
+    def test_simulate_bad_count_flag_exit_1(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path / "cfg.json", base_config())
+        out = tmp_path / "e.csv"
+        code = main(["simulate", "--config", cfg, flag, value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err
         assert not out.exists()
 
     def test_simulate_negative_config_horizon_exit_1(self, tmp_path):

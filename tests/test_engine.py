@@ -3,7 +3,7 @@
 ``dense_oracle.DenseProblem`` sums every kernel pair of an explicit n x n
 matrix; ``LikelihoodProblem`` uses the exponential recursion over time stamps
 or a list of pairs.  Property tests draw streams (with ties, empty types,
-n = 0, mixed kernels, truncation and beta at the box edges) and require the
+n = 0, mixed kernels and beta at the box edges) and require the
 objective and both gradient blocks to agree to 1e-12 relative.
 """
 
@@ -38,7 +38,7 @@ KERNELS = {"exp": Exponential(), "pwl": PowerLawCutoff(0.05), "pwl-wide": PowerL
 
 
 @st.composite
-def cases(draw, kernels=None, truncated=None, ties=None, chunked=False):
+def cases(draw, kernels=None, ties=None, chunked=False):
     """A problem and a point of its box: (LikelihoodProblem, flat).
 
     ``chunked`` draws dense streams with beta * T in [30, 300], so the
@@ -56,13 +56,9 @@ def cases(draw, kernels=None, truncated=None, ties=None, chunked=False):
     # Types come from a drawn subset, so some types may have no events.
     used = draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=K, unique=True))
     types = np.array([draw(st.sampled_from(used)) for _ in range(n)], dtype=np.int64)
-    truncation = None
-    if truncated if truncated is not None else draw(st.booleans()):
-        truncation = draw(st.floats(0.05, T))
     reg_c = draw(st.sampled_from([0.0, 0.1]))
     domain = wide_domain(spec, mu_hi=5.0, alpha_hi=5.0, beta_hi=40.0)
-    prob = LikelihoodProblem(spec, events(times, types, horizon=T), domain,
-                             reg_c=reg_c, truncation=truncation)
+    prob = LikelihoodProblem(spec, events(times, types, horizon=T), domain, reg_c=reg_c)
     lb, ub = domain.lb_flat(), domain.ub_flat()
     u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=lb.size, max_size=lb.size)))
     flat = lb + u * (ub - lb)
@@ -114,28 +110,20 @@ def test_mixed_kernels_match_oracle(case):
 
 
 @PROPERTY
-@given(cases(truncated=True))
-def test_truncation_matches_oracle(case):
-    assert_agrees(*case)
-
-
-@PROPERTY
-@given(cases(kernels=["exp"], truncated=False))
+@given(cases(kernels=["exp"]))
 def test_exponential_recursion_matches_oracle(case):
     assert_agrees(*case)
 
 
 @PROPERTY
-@given(cases(kernels=["exp"], truncated=False, chunked=True))
+@given(cases(kernels=["exp"], chunked=True))
 def test_exponential_scan_carries_match_oracle(case):
     assert_agrees(*case)
 
 
-@pytest.mark.parametrize("truncation", [None, 2.0])
-def test_empty_stream_matches_oracle(truncation):
+def test_empty_stream_matches_oracle():
     spec = ModelSpec(K=2, M=2, kernels=[Exponential(), PowerLawCutoff(0.05)])
-    prob = LikelihoodProblem(spec, events([], horizon=10.0), wide_domain(spec), reg_c=0.1,
-                             truncation=truncation)
+    prob = LikelihoodProblem(spec, events([], horizon=10.0), wide_domain(spec), reg_c=0.1)
     assert_agrees(prob, prob.index_map.pack(params([0.3, 0.2], np.full((2, 2, 2), 0.1), [2.0, 1.5])))
 
 
@@ -167,13 +155,12 @@ def objective_outcome(problem, flat):
 
 
 @pytest.mark.parametrize("kernel", ["exp", "pwl"])
-@pytest.mark.parametrize("truncation", [None, 1.0])
 @pytest.mark.parametrize("beta", [0.0, -1.0, 1e6, math.nan])
-def test_out_of_box_beta_returns_like_oracle(kernel, truncation, beta):
+def test_out_of_box_beta_returns_like_oracle(kernel, beta):
     """Extrapolated AA candidates can carry any beta; evaluation must return."""
     spec = ModelSpec(K=3, M=1, kernels=[KERNELS[kernel]])
     ev = events([0.0, 0.5, 0.5, 1.25, 2.0, 3.5], [2, 1, 0, 1, 0, 0], horizon=5.0)
-    prob = LikelihoodProblem(spec, ev, wide_domain(spec), reg_c=0.1, truncation=truncation)
+    prob = LikelihoodProblem(spec, ev, wide_domain(spec), reg_c=0.1)
     oracle = DenseProblem(prob)
     flat = prob.index_map.pack(params([0.3, 0.2, 0.4], np.full((3, 3), 0.1), beta))
     for blocks in ((True, True), (True, False), (False, True)):
@@ -185,17 +172,15 @@ def test_out_of_box_beta_returns_like_oracle(kernel, truncation, beta):
 # -- intensities from the kernel sums vs intensity_at --------------------------
 
 
-@pytest.mark.parametrize("truncation", [None, 1.5])
 @pytest.mark.parametrize("kernels", [["exp"], ["pwl"], ["exp", "pwl-wide"]])
-def test_event_intensities_match_intensity_at(kernels, truncation):
+def test_event_intensities_match_intensity_at(kernels):
     """lam at each event from the engine's sums equals the direct scan."""
     K = 3
     spec = ModelSpec(K=K, M=len(kernels), kernels=[KERNELS[k] for k in kernels])
     rng = np.random.default_rng(5)
     times = np.sort(np.floor(rng.uniform(0.0, 12.0, 80) * 4.0) / 4.0)  # many ties
     types = rng.integers(0, K, times.size)
-    prob = LikelihoodProblem(spec, events(times, types, horizon=12.0), wide_domain(spec),
-                             truncation=truncation)
+    prob = LikelihoodProblem(spec, events(times, types, horizon=12.0), wide_domain(spec))
     pv = params(rng.uniform(0.1, 1.0, K), rng.uniform(0.0, 0.5, (spec.M, K, K)),
                 [1.3, 2.0][: spec.M])
     lam = pv.mu[types].copy()

@@ -204,19 +204,6 @@ class TestStructuralProperties:
                         assert np.isfinite(val)
                         assert np.all(np.isfinite(g))
 
-    def test_truncation_horizon_drops_far_contributions(self):
-        spec = exp_spec()
-        ev = events([1.0, 50.0], horizon=60.0)
-        dom = wide_domain(spec)
-        full = LikelihoodProblem(spec, ev, dom)
-        trunc = LikelihoodProblem(spec, ev, dom, truncation=10.0)
-        pv = params(0.5, 0.4, 0.05)  # slow kernel: the 49-apart pair matters
-        assert log_likelihood(full, pv) != pytest.approx(
-            log_likelihood(trunc, pv), rel=1e-12
-        )
-        # With truncation the second event sees no excitation.
-        assert intensity_at(trunc, pv, 50.0, 0) != intensity_at(full, pv, 50.0, 0)
-
     def test_event_type_out_of_range(self):
         spec = exp_spec(K=1)
         with pytest.raises(ValueError):

@@ -48,16 +48,16 @@ def test_factored_h_matches_dense_oracle_on_random_secants(seed):
         u_hat = rng.standard_normal(dim)
         if k % 20 == 13:
             u_hat[3] = np.inf  # non-finite sweep
-        m_before = fact.m_k
+        window_before = len(fact.s_window)
         for state in (fact, dense):
             _secant_step(state, hp, u_prev, sweep_prev, u, u_hat)
         u_prev, sweep_prev = u, u_hat
 
-        assert (fact.m_k, len(fact.s_window)) == (dense.m_k, len(dense.s_window))
+        assert len(fact.s_window) == len(dense.s_window)
         assert len(fact.h_terms) <= hp.memory + 1
-        if fact.m_k == 0:
+        if not fact.s_window:
             kind = "skip" if not fact.h_terms else (
-                "window" if m_before == hp.memory else "projection"
+                "window" if window_before == hp.memory else "projection"
             )
             restarts[kind] += 1
         H = dense.h_matrix
@@ -109,7 +109,7 @@ def test_curvature_retry_with_identity_updates_h():
     assert fact.h_t_dot(u) @ (u_prev - sweep_prev) == 0.0
     for state in (fact, dense):
         _secant_step(state, hp, u_prev, sweep_prev, u, u_hat)
-    assert fact.m_k == 0 and len(fact.h_terms) == 1
+    assert fact.s_window == [] and len(fact.h_terms) == 1
     expected = np.eye(4)
     expected[:2, :2] = [[-2.0, 0.0], [-2.0, 1.0]]  # I + (s + r / 2) s' / (-1/2)
     np.testing.assert_array_equal(fact.h_matrix, expected)
@@ -122,10 +122,10 @@ def test_nonfinite_sweep_restarts_before_update(monkeypatch):
 
     monkeypatch.setattr(OptimizerState, "_damped_update", no_update)
     state = _one_term_state(OptimizerState)
-    state.m_k, state.s_window = 1, [np.ones(4)]
+    state.s_window = [np.ones(4)]
     u_hat = np.array([0.0, np.nan, 0.0, 0.0])
     _secant_step(state, HyperParams(), np.zeros(4), np.zeros(4), np.ones(4), u_hat)
-    assert (state.m_k, state.s_window, state.h_terms) == (0, [], [])
+    assert (state.s_window, state.h_terms) == ([], [])
 
 
 def test_factored_h_memory_guard():

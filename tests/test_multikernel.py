@@ -174,5 +174,5 @@ class TestMixedOptimization:
         lyap = np.array([r.lyapunov for r in res.trace])
         assert np.all(np.diff(lyap) <= 1e-9)
         for it in res.iterates:
-            assert dom.contains(it, atol=1e-12)
+            assert dom.contains(it)
         assert np.isfinite(res.final_objective)

@@ -260,7 +260,7 @@ class TestRunners:
         theta0 = 0.5 * (prob.domain.lb_flat() + prob.domain.ub_flat())
         res = run_aa_ipalm(prob, hp, theta0, keep_iterates=True)
         for it in res.iterates:
-            assert prob.domain.contains(it, atol=1e-12)
+            assert prob.domain.contains(it)
 
     def test_residual_decreases_over_run(self):
         prob = k2_problem()
