@@ -68,7 +68,6 @@ from .experiments import (
     generate_instance,
     run_benchmark,
     run_consistency_study,
-    worker_count,
 )
 
 __version__ = "0.1.0"

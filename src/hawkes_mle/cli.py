@@ -7,6 +7,7 @@ parameters, infeasible initialization), 3 data error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -17,7 +18,7 @@ from . import experiments
 from .io import (
     ConfigError,
     DataError,
-    _load_json,
+    _load_json_object,
     domain_from_config,
     hyperparams_from_config,
     ingest_lobster,
@@ -146,10 +147,36 @@ def cmd_check_stationarity(args):
     return EXIT_OK
 
 
+def _is_count(value, low=1):
+    """A JSON integer (bool excluded) of at least ``low``."""
+    return type(value) is int and value >= low
+
+
+def _is_positive(value):
+    """A finite JSON number above zero."""
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
+def _checked(doc, key, ok, expected, default=None):
+    """doc[key], or ``default`` when absent, if ``ok`` holds for it; else a ConfigError."""
+    value = doc.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+    return value
+
+
+def _checked_iters(doc, default):
+    """The iteration budget: a positive integer; null or absent gives ``default``."""
+    iters = _checked(doc, "iters", lambda v: v is None or _is_count(v),
+                     "a positive integer or null")
+    return default if iters is None else iters
+
+
 def _recipe_from_config(doc, default, **kw):
     """A built-in recipe by name or a custom one as a dict, seeded; ``kw`` overrides."""
     recipe_field = doc.get("recipe", default)
-    seed = int(doc.get("recipe_seed", 0))
+    seed = _checked(doc, "recipe_seed", lambda v: _is_count(v, 0),
+                    "a non-negative integer", 0)
     if isinstance(recipe_field, dict):
         try:
             return experiments.SyntheticRecipe(**{"seed": seed, **recipe_field, **kw})
@@ -163,24 +190,30 @@ def _recipe_from_config(doc, default, **kw):
 def _instance_from_config(doc):
     kw = {}
     if "K" in doc:
-        kw["K"] = int(doc["K"])
+        kw["K"] = _checked(doc, "K", _is_count, "a positive integer")
     if "horizon" in doc:
-        kw["horizon"] = float(doc["horizon"])
+        kw["horizon"] = float(
+            _checked(doc, "horizon", _is_positive, "a finite number > 0")
+        )
     return experiments.generate_instance(_recipe_from_config(doc, "exp-k10", **kw))
 
 
 def cmd_benchmark(args):
-    doc = _load_json(args.config)
-    algorithms = tuple(doc.get("algorithms", experiments.ALGORITHMS))
+    doc = _load_json_object(args.config)
+    algorithms = _checked(doc, "algorithms", lambda v: isinstance(v, list) and v,
+                          "a non-empty list", list(experiments.ALGORITHMS))
     unknown = [a for a in algorithms if a not in experiments.ALGORITHMS]
     if unknown:
         raise ConfigError(f"algorithms: unknown {', '.join(map(repr, unknown))}")
+    iters = _checked_iters(doc, None)  # None: the recipe's own budget
+    seeds = _checked(
+        doc, "seeds",
+        lambda v: isinstance(v, list) and v and all(_is_count(s, 0) for s in v),
+        "a non-empty list of non-negative integers", [0, 1, 2, 3, 4],
+    )
     instance = _instance_from_config(doc)
     report = experiments.run_benchmark(
-        instance,
-        algorithms=algorithms,
-        iters=doc.get("iters"),
-        seeds=tuple(doc.get("seeds", (0, 1, 2, 3, 4))),
+        instance, algorithms=tuple(algorithms), iters=iters, seeds=tuple(seeds)
     )
     report.write(args.out)
     for algo in report.algorithms:
@@ -190,14 +223,19 @@ def cmd_benchmark(args):
 
 
 def cmd_consistency(args):
-    doc = _load_json(args.config)
+    doc = _load_json_object(args.config)
+    T_grid = _checked(
+        doc, "T_grid",
+        lambda v: isinstance(v, list) and v and all(map(_is_positive, v)),
+        "a non-empty list of finite numbers > 0", [200.0, 2000.0],
+    )
+    seeds_per_T = _checked(doc, "seeds_per_T", _is_count, "a positive integer", 10)
+    iters = _checked_iters(doc, 300)
+    box_scale = _checked(doc, "box_scale", lambda v: v is None or _is_positive(v),
+                         "a finite number > 0 or null", 10.0)
     recipe = _recipe_from_config(doc, {})
     report = experiments.run_consistency_study(
-        recipe,
-        doc.get("T_grid", [200.0, 2000.0]),
-        seeds_per_T=int(doc.get("seeds_per_T", 10)),
-        iters=int(doc.get("iters", 300)),
-        box_scale=doc.get("box_scale", 10.0),
+        recipe, T_grid, seeds_per_T=seeds_per_T, iters=iters, box_scale=box_scale
     )
     report.write(args.out)
     for T, med in sorted(report.medians.items()):

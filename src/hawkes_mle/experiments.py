@@ -8,17 +8,15 @@ all-ones initialization with beta = 3, step sizes 1e-7 and momentum 0.9 for
 500 iterations.
 
 Benchmark cells (one simulated stream per seed, three algorithms from a
-shared initial point) are independent; they may run on a small thread pool
-capped by the ``HAWKES_MLE_THREADS`` environment variable.  Results are
-reduced in submission order, so reports are deterministic.
+shared initial point) and consistency cells run in order in the calling
+thread, so each run's ``seconds`` are its own wall-clock time.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -48,30 +46,10 @@ __all__ = [
     "fit_stream",
     "run_benchmark",
     "run_consistency_study",
-    "worker_count",
 ]
 
 REGRET_FLOOR = 1e-12
 ALGORITHMS = tuple(RUNNERS)
-
-
-def worker_count():
-    """Worker cap from HAWKES_MLE_THREADS; defaults to the core count."""
-    env = os.environ.get("HAWKES_MLE_THREADS", "").strip()
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError("HAWKES_MLE_THREADS must be a positive integer")
-        return n
-    return os.cpu_count() or 1
-
-
-def _map_cells(fn, cells):
-    workers = min(worker_count(), max(len(cells), 1))
-    if workers <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, cells))
 
 
 @dataclass(frozen=True)
@@ -212,8 +190,9 @@ class BenchmarkReport:
         return float(np.median(self.final_objectives(algo)))
 
     def write(self, outdir):
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "regret_iter.csv"), "w") as f:
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        with open(outdir / "regret_iter.csv", "w") as f:
             f.write("algorithm,seed,iter,objective,log_regret\n")
             for algo in self.algorithms:
                 for seed in self.seeds:
@@ -221,7 +200,7 @@ class BenchmarkReport:
                     reg = self.regrets[(algo, seed)]
                     for k in range(obj.size):
                         f.write(f"{algo},{seed},{k},{obj[k]!r},{reg[k]!r}\n")
-        with open(os.path.join(outdir, "regret_time.csv"), "w") as f:
+        with open(outdir / "regret_time.csv", "w") as f:
             f.write("algorithm,seed,seconds,log_regret\n")
             for algo in self.algorithms:
                 for seed in self.seeds:
@@ -229,7 +208,7 @@ class BenchmarkReport:
                     reg = self.regrets[(algo, seed)]
                     for k in range(sec.size):
                         f.write(f"{algo},{seed},{sec[k]!r},{reg[k]!r}\n")
-        with open(os.path.join(outdir, "manifest.json"), "w") as f:
+        with open(outdir / "manifest.json", "w") as f:
             json.dump(self.manifest, f, indent=2, sort_keys=True)
             f.write("\n")
 
@@ -246,37 +225,29 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     runners = {algo: RUNNERS[algo] for algo in algorithms}  # KeyError before any work
     seeds = tuple(int(s) for s in seeds)
 
-    def run_seed(seed):
+    objectives, seconds, regrets, best, n_events = {}, {}, {}, {}, {}
+    for seed in seeds:
         ev = simulate_cluster(
             instance.spec, instance.params, instance.horizon, SimConfig(seed=seed)
         )
         prob = LikelihoodProblem(
             instance.spec, ev, instance.domain, reg_c=instance.reg_c
         )
-        out = {}
+        n_events[seed] = len(ev)
         for algo in algorithms:
             res = runners[algo](prob, hp, instance.init)
-            obj = np.array([r.objective for r in res.trace] + [res.final_objective])
-            sec = np.array(
+            objectives[(algo, seed)] = np.array(
+                [r.objective for r in res.trace] + [res.final_objective]
+            )
+            seconds[(algo, seed)] = np.array(
                 [r.seconds for r in res.trace]
                 + [res.trace[-1].seconds if res.trace else 0.0]
             )
-            out[algo] = (obj, sec, len(ev))
-        return out
-
-    per_seed = _map_cells(run_seed, seeds)
-
-    objectives, seconds, regrets, best = {}, {}, {}, {}
-    n_events = {}
-    for seed, out in zip(seeds, per_seed):
-        best[seed] = max(float(out[a][0].max()) for a in algorithms)
-        n_events[seed] = int(next(iter(out.values()))[2])
+        best[seed] = max(float(objectives[(a, seed)].max()) for a in algorithms)
         for algo in algorithms:
-            obj, sec, _ = out[algo]
+            obj = objectives[(algo, seed)]
             gap = (best[seed] - obj) + REGRET_FLOOR  # exact floor at the best iterate
             assert np.all(gap > 0)
-            objectives[(algo, seed)] = obj
-            seconds[(algo, seed)] = sec
             regrets[(algo, seed)] = np.log(gap)
 
     manifest = {
@@ -308,15 +279,16 @@ class ConsistencyReport:
     manifest: dict
 
     def write(self, outdir):
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "consistency.csv"), "w") as f:
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        with open(outdir / "consistency.csv", "w") as f:
             f.write("horizon,seed,n_events,rel_error,final_objective\n")
             for r in self.rows:
                 f.write(
                     f"{r['horizon']!r},{r['seed']},{r['n_events']},"
                     f"{r['rel_error']!r},{r['final_objective']!r}\n"
                 )
-        with open(os.path.join(outdir, "manifest.json"), "w") as f:
+        with open(outdir / "manifest.json", "w") as f:
             json.dump(self.manifest, f, indent=2, sort_keys=True)
             f.write("\n")
 
@@ -410,34 +382,29 @@ def run_consistency_study(recipe, T_grid, seeds_per_T, iters=300, box_scale=10.0
     truth_norm = float(np.linalg.norm(truth_flat))
 
     T_grid = [float(T) for T in T_grid]
-    cells = [
-        (ti, T, rep)
-        for ti, T in enumerate(T_grid)
-        for rep in range(int(seeds_per_T))
-    ]
-
-    def run_cell(cell):
-        ti, T, rep = cell
-        sim_seed = recipe.seed * 1_000_003 + ti * 10_007 + rep
-        ev = simulate_cluster(
-            instance.spec, instance.params, T, SimConfig(seed=sim_seed)
-        )
-        prob = LikelihoodProblem(
-            instance.spec, ev, instance.domain, reg_c=instance.reg_c
-        )
-        res = fit_stream(prob, iters=iters)
-        err = float(
-            np.linalg.norm(im.pack(res.params) - truth_flat) / truth_norm
-        )
-        return {
-            "horizon": T,
-            "seed": sim_seed,
-            "n_events": len(ev),
-            "rel_error": err,
-            "final_objective": res.final_objective,
-        }
-
-    rows = _map_cells(run_cell, cells)
+    rows = []
+    for ti, T in enumerate(T_grid):
+        for rep in range(int(seeds_per_T)):
+            sim_seed = recipe.seed * 1_000_003 + ti * 10_007 + rep
+            ev = simulate_cluster(
+                instance.spec, instance.params, T, SimConfig(seed=sim_seed)
+            )
+            prob = LikelihoodProblem(
+                instance.spec, ev, instance.domain, reg_c=instance.reg_c
+            )
+            res = fit_stream(prob, iters=iters)
+            err = float(
+                np.linalg.norm(im.pack(res.params) - truth_flat) / truth_norm
+            )
+            rows.append(
+                {
+                    "horizon": T,
+                    "seed": sim_seed,
+                    "n_events": len(ev),
+                    "rel_error": err,
+                    "final_objective": res.final_objective,
+                }
+            )
     medians = {
         T: float(
             np.median([r["rel_error"] for r in rows if r["horizon"] == T])

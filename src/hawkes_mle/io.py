@@ -225,10 +225,16 @@ def _reject_unknown(doc, allowed, where):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def load_config(path, require=("model", "init", "horizon")):
+def _load_json_object(path):
+    """A config file's top-level JSON object, or a ConfigError."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    return doc
+
+
+def load_config(path, require=("model", "init", "horizon")):
+    doc = _load_json_object(path)
     _reject_unknown(doc, _TOP_KEYS, path)
     for section in require:
         if section not in doc:

@@ -553,6 +553,10 @@ class TestEventFileRoundTrip:
             read_events(str(path))
 
 
+def no_simulation(*args, **kwargs):
+    raise AssertionError("simulated before checking the config")
+
+
 class TestBenchmarkCommands:
     def test_benchmark_builtin_recipe(self, tmp_path, capsys):
         cfg = tmp_path / "bench.json"
@@ -600,9 +604,6 @@ class TestBenchmarkCommands:
     def test_unknown_algorithm_exit_1_before_simulating(
         self, tmp_path, capsys, monkeypatch
     ):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before checking the algorithms")
-
         monkeypatch.setattr(experiments, "simulate_cluster", no_simulation)
         cfg = tmp_path / "bench.json"
         cfg.write_text(
@@ -622,6 +623,66 @@ class TestBenchmarkCommands:
         cfg.write_text(json.dumps({"recipe": "nope"}))
         assert main(["benchmark", "--config", str(cfg),
                      "--out", str(tmp_path / "r")]) == 1
+
+
+EXPERIMENT_CONFIGS = {
+    "benchmark": {"recipe": "exp-k10", "K": 2, "horizon": 50.0, "iters": 2,
+                  "seeds": [0]},
+    "consistency": {"recipe": "exp-k10", "T_grid": [40.0], "seeds_per_T": 1,
+                    "iters": 2},
+}
+
+# (command, key, malformed value): each exits 1 naming the key.
+BAD_KEYS = [
+    ("benchmark", "seeds", [-1]),
+    ("benchmark", "recipe_seed", -1),
+    ("consistency", "recipe_seed", -1),
+    ("benchmark", "iters", "x"),
+    ("benchmark", "iters", 2.5),
+    ("benchmark", "K", "x"),
+    ("benchmark", "seeds", "ab"),
+    ("consistency", "seeds_per_T", "x"),
+    ("consistency", "box_scale", "x"),
+    ("benchmark", "K", 0),
+    ("benchmark", "horizon", -5),
+    ("consistency", "T_grid", [-5]),
+    ("benchmark", "seeds", [0.5]),
+    ("benchmark", "seeds", [True]),
+    ("benchmark", "seeds", []),
+    ("consistency", "seeds_per_T", 0),
+    ("benchmark", "algorithms", []),
+]
+
+
+class TestExperimentConfigErrors:
+    """Malformed benchmark/consistency keys exit 1 before any stream is simulated."""
+
+    def run(self, tmp_path, monkeypatch, command, doc):
+        monkeypatch.setattr(experiments, "simulate_cluster", no_simulation)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        outdir = tmp_path / "report"
+        code = main([command, "--config", str(cfg), "--out", str(outdir)])
+        assert not outdir.exists()
+        return code
+
+    @pytest.mark.parametrize(
+        "command, key, value", BAD_KEYS,
+        ids=[f"{c}-{k}={json.dumps(v)}" for c, k, v in BAD_KEYS],
+    )
+    def test_bad_key_exit_1(self, tmp_path, capsys, monkeypatch, command, key, value):
+        doc = {**EXPERIMENT_CONFIGS[command], key: value}
+        assert self.run(tmp_path, monkeypatch, command, doc) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["benchmark", "consistency"])
+    def test_top_level_array_exit_1(self, tmp_path, capsys, monkeypatch, command):
+        assert self.run(tmp_path, monkeypatch, command, [1, 2]) == 1
+        err = capsys.readouterr().err
+        assert "top level must be an object" in err
+        assert "Traceback" not in err
 
 
 class TestConfigValidation:

@@ -45,3 +45,4 @@ def test_readme_python_example_runs(tmp_path):
 )
 def test_demo_runs(demo, tmp_path):
     assert run_script(ROOT / "demos" / demo, tmp_path)
+    assert not list(tmp_path.glob("hawkes_demo_*"))  # temp dirs are cleaned up

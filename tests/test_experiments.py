@@ -1,5 +1,5 @@
 import json
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from hawkes_mle import (
     run_consistency_study,
     spectral_radius,
     branching_matrix,
-    worker_count,
 )
 from hawkes_mle.experiments import REGRET_FLOOR, _scaled_domain
 
@@ -219,26 +218,17 @@ class TestConsistencyStudy:
         assert medians[2000.0] < medians[200.0]
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HAWKES_MLE_THREADS", "3")
-        assert worker_count() == 3
+class TestCallingThread:
+    def test_cells_start_no_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a benchmark or consistency cell started a thread")
 
-    def test_pool_size_does_not_change_results(self, monkeypatch):
-        inst = small_instance()
-        monkeypatch.setenv("HAWKES_MLE_THREADS", "1")
-        serial = run_benchmark(inst, iters=10, seeds=(0, 1, 2))
-        monkeypatch.setenv("HAWKES_MLE_THREADS", "3")
-        pooled = run_benchmark(inst, iters=10, seeds=(0, 1, 2))
-        for key in serial.objectives:
-            assert np.array_equal(serial.objectives[key], pooled.objectives[key])
-            assert np.array_equal(serial.regrets[key], pooled.regrets[key])
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("HAWKES_MLE_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("HAWKES_MLE_THREADS", raising=False)
-        assert worker_count() >= 1
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        bench = run_benchmark(small_instance(), iters=3, seeds=(0, 1))
+        assert set(bench.objectives) == {
+            (a, s) for a in bench.algorithms for s in (0, 1)
+        }
+        cons = run_consistency_study(
+            small_instance().recipe, [60.0], seeds_per_T=2, iters=3
+        )
+        assert len(cons.rows) == 2
