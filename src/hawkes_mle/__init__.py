@@ -61,6 +61,7 @@ from .experiments import (
     fit_stream,
     BenchmarkReport,
     ConsistencyReport,
+    NoStationaryDrawError,
     SyntheticInstance,
     SyntheticRecipe,
     gen_synthetic_exponential,

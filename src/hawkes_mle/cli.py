@@ -1,7 +1,8 @@
 """Command line: simulate, fit, benchmark, consistency, stationarity, ingestion.
 
 Exit codes: 0 success, 1 usage/config error, 2 domain error (non-stationary
-parameters, infeasible initialization), 3 data error.
+parameters, infeasible initialization, a recipe with no stationary draw), 3
+data error.
 """
 
 from __future__ import annotations
@@ -187,6 +188,15 @@ def _recipe_from_config(doc, default, **kw):
     raise ConfigError(f"unknown recipe {recipe_field!r}")
 
 
+def _instance_from_recipe(recipe):
+    """The recipe's instance; a recipe its fields make unusable is a ConfigError."""
+    try:
+        _finite_horizon(recipe.horizon)
+        return experiments.generate_instance(recipe)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"recipe: {exc}") from None
+
+
 def _instance_from_config(doc):
     kw = {}
     if "K" in doc:
@@ -195,7 +205,7 @@ def _instance_from_config(doc):
         kw["horizon"] = float(
             _checked(doc, "horizon", _is_positive, "a finite number > 0")
         )
-    return experiments.generate_instance(_recipe_from_config(doc, "exp-k10", **kw))
+    return _instance_from_recipe(_recipe_from_config(doc, "exp-k10", **kw))
 
 
 def cmd_benchmark(args):
@@ -234,6 +244,7 @@ def cmd_consistency(args):
     box_scale = _checked(doc, "box_scale", lambda v: v is None or _is_positive(v),
                          "a finite number > 0 or null", 10.0)
     recipe = _recipe_from_config(doc, {})
+    _instance_from_recipe(recipe)  # reject a bad recipe before any stream
     report = experiments.run_consistency_study(
         recipe, T_grid, seeds_per_T=seeds_per_T, iters=iters, box_scale=box_scale
     )
@@ -333,7 +344,7 @@ def main(argv=None):
     except (ConfigError, HyperParamsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, InfeasibleInitError) as exc:
+    except (DomainError, InfeasibleInitError, experiments.NoStationaryDrawError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except DataError as exc:

@@ -35,6 +35,7 @@ from .optim import RUNNERS, HyperParams, estimate_lipschitz_bounds, run_aa_ipalm
 from .simulate import SimConfig, simulate_cluster
 
 __all__ = [
+    "NoStationaryDrawError",
     "SyntheticRecipe",
     "RECIPES",
     "SyntheticInstance",
@@ -50,6 +51,10 @@ __all__ = [
 
 REGRET_FLOOR = 1e-12
 ALGORITHMS = tuple(RUNNERS)
+
+
+class NoStationaryDrawError(RuntimeError):
+    """A recipe drew no stationary ground truth within its ``max_attempts``."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ def generate_instance(recipe):
         if radius < 1.0:
             break
     else:
-        raise RuntimeError(
+        raise NoStationaryDrawError(
             f"no stationary draw after {recipe.max_attempts} attempts "
             f"(last radius {radius:.3g})"
         )

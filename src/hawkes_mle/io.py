@@ -156,7 +156,7 @@ def write_params(path, spec, params, objective=None, meta=None):
 
 def read_params(path):
     """Returns (spec, params, objective, meta) from a parameter JSON file."""
-    doc = _load_json(path)
+    doc = _load_json_object(path)
     _reject_unknown(doc, {*_INIT_KEYS, "kernels", "objective", "meta"}, "params")
     try:
         params = ParamVector(**{k: doc[k] for k in _INIT_KEYS})
@@ -226,7 +226,7 @@ def _reject_unknown(doc, allowed, where):
 
 
 def _load_json_object(path):
-    """A config file's top-level JSON object, or a ConfigError."""
+    """A JSON file's top-level object (config or params), or a ConfigError."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")

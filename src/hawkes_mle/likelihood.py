@@ -23,11 +23,21 @@ n x n array:
   (Ozaki 1979), O(n K) time and memory per kernel;
 * a power-law kernel is summed over the list of strictly earlier (source,
   destination) pairs built once at construction: O(#pairs) time and 16
-  bytes per pair, at most n^2 / 2 pairs.
+  bytes per pair (8 more per further distinct cutoff), at most n^2 / 2
+  pairs.  The list keeps L = log(dt + c) rather than the elapsed time dt,
+  one array per distinct cutoff c (one of them in dt's own storage), so
+  phi = exp(-beta L) and d phi / d beta = -L phi take no power or logarithm
+  per pass.
 
-All functions here are pure; a ``LikelihoodProblem`` is immutable after
-construction and safe to share across threads.  Sums are reduced in fixed
-order, so objective values reproduce bit for bit.
+R, D and the compensator sums S depend on beta alone, and the optimizer's
+block steps ask for several evaluations at one beta.  A ``LikelihoodProblem``
+therefore keeps the sums of the last two distinct beta vectors (keyed on
+their exact bytes) and computes them once per miss; ``kernel_passes`` counts
+the misses.  Apart from this memo a problem is immutable after construction.
+Its slots are replaced whole and hold read-only arrays, so a problem may be
+shared across threads: concurrent callers at worst repeat a pass (and the
+count may then be off).  Sums are reduced in fixed order, so objective values
+reproduce bit for bit, with or without a memo hit.
 """
 
 from __future__ import annotations
@@ -71,6 +81,15 @@ def _pair_list(times, types, K):
             np.add(types[:b], a * K, out=cell[o:e])
             o = e
     return dt, cell
+
+
+def _pair_logs(dt, cutoffs):
+    """{c: log(dt + c)} for each distinct cutoff; the last one overwrites dt."""
+    *others, last = dict.fromkeys(cutoffs)
+    logs = {c: np.log(dt + c) for c in others}
+    np.add(dt, last, out=dt)
+    logs[last] = np.log(dt, out=dt)
+    return logs
 
 
 class _DecayScan:
@@ -118,7 +137,9 @@ class LikelihoodProblem:
     Precomputes what every evaluation shares: the per-type indicator, the
     distinct time stamps with their per-type event counts (for the
     exponential recursion), and, when some kernel needs it, the list of kernel
-    pairs.  No array of size n x n is built.
+    pairs.  No array of size n x n is built.  The kernel sums of the last two
+    distinct beta vectors are kept; ``kernel_passes`` counts how often they
+    were computed.
     """
 
     def __init__(self, spec, events, domain, reg_c=0.0):
@@ -160,10 +181,14 @@ class LikelihoodProblem:
         ).reshape(G, K).astype(float)
         # Exponential kernels take the recursion; power-law kernels sum over
         # the pair list.
-        if all(isinstance(kern, Exponential) for kern in spec.kernels):
-            self._pair_dt = self._pair_cell = None
+        cutoffs = [k.c for k in spec.kernels if not isinstance(k, Exponential)]
+        if cutoffs:
+            dt, self._pair_cell = _pair_list(times, types, K)
+            self._pair_logs = _pair_logs(dt, cutoffs)
         else:
-            self._pair_dt, self._pair_cell = _pair_list(times, types, K)
+            self._pair_logs = self._pair_cell = None
+        self.kernel_passes = 0
+        self._memo = ()  # at most two (beta bytes, per-kernel sums), newest first
 
     # -- kernel sums ----------------------------------------------------------
 
@@ -199,10 +224,46 @@ class LikelihoodProblem:
                 S[bad] = np.nan
             return S
 
+        # phi = (dt + c)^-beta = exp(-beta L); the buffer then holds L phi, and
+        # d phi / d beta = -L phi sums to the negated scatter of it.
+        L = self._pair_logs[kern.c]
+        phi = np.multiply(L, -beta)
+        np.exp(phi, out=phi)
+        R = scatter(phi)
         if not want_dbeta:
-            return scatter(kern.value(self._pair_dt, beta)), None
-        phi, dphi = kern.value_and_dbeta(self._pair_dt, beta)
-        return scatter(phi), scatter(dphi)
+            return R, None
+        return R, -scatter(np.multiply(phi, L, out=phi))
+
+    def _sums(self, beta):
+        """Per kernel (R, D, S, Sd) at the beta vector ``beta``, from the memo.
+
+        S[j] = sum_{s: type j} Phi_m(T - s) and Sd the same sum of
+        d Phi_m / d beta.  A miss computes every kernel's sums and evicts the
+        less recently used slot.
+        """
+        key = beta.tobytes()
+        for i, (k, sums) in enumerate(self._memo):
+            if k == key:
+                if i:  # the hit becomes the newer slot
+                    self._memo = self._memo[::-1]
+                return sums
+        Z = self._Z
+        sums = []
+        # Extrapolated candidates can land far outside the box where kernel
+        # values overflow; the resulting non-finite gradients are rejected by
+        # the optimizer's safeguard, so the noise is silenced here.
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for m, kern in enumerate(self.spec.kernels):
+                b = float(beta[m])
+                R, D = self._kernel_sums(m, b, True)
+                S = Z.T @ kern.antiderivative(self._comp_dt, b)
+                Sd = Z.T @ kern.antideriv_dbeta(self._comp_dt, b)
+                for a in (R, D, S, Sd):
+                    a.flags.writeable = False
+                sums.append((R, D, S, Sd))
+        self.kernel_passes += 1
+        self._memo = ((key, sums), *self._memo[:1])
+        return sums
 
     # -- internal fused evaluation ------------------------------------------
 
@@ -217,29 +278,15 @@ class LikelihoodProblem:
         K, M = spec.K, spec.M
         mu = flat[im.mu_slice]
         alpha = flat[im.alpha_slice].reshape(M, K, K)
-        beta = flat[im.beta_slice]
+        sums = self._sums(flat[im.beta_slice])
         n = self.n
         types = self._types
         Z = self._Z
 
-        # Per-kernel building blocks.
-        R = []       # R[m][a, j] = sum_{s < t_a, type j} phi_m(t_a - s)
-        D = []       # D[m][a, j] = the same sum of d phi_m / d beta
-        S = []       # S[m][j]    = sum_{s: type j} Phi_m(T - s)
-        # Extrapolated candidates can land far outside the box where kernel
-        # values overflow; the resulting non-finite gradients are rejected by
-        # the optimizer's safeguard, so the noise is silenced here.
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for m in range(M):
-                kern = spec.kernels[m]
-                b = float(beta[m])
-                Rm, Dm = self._kernel_sums(m, b, want_grad_beta)
-                R.append(Rm)
-                D.append(Dm)
-                S.append(Z.T @ kern.antiderivative(self._comp_dt, b))
             lam = mu[types].copy() if n else np.empty(0)
-            for m in range(M):
-                lam += np.einsum("aj,aj->a", alpha[m][types], R[m])
+            for m, (R, _, _, _) in enumerate(sums):
+                lam += np.einsum("aj,aj->a", alpha[m][types], R)
 
         obj = None
         if want_obj:
@@ -247,7 +294,7 @@ class LikelihoodProblem:
                 raise RuntimeError(
                     "internal invariant violated: nonpositive intensity at an event"
                 )
-            comp = sum(alpha[m].sum(axis=0) @ S[m] for m in range(M))
+            comp = sum(alpha[m].sum(axis=0) @ S for m, (_, _, S, _) in enumerate(sums))
             logterm = float(np.log(lam).sum()) if n else 0.0
             obj = float(-self.T * mu.sum() - comp + logterm)
             obj -= self.reg_c * float(flat @ flat)
@@ -261,16 +308,13 @@ class LikelihoodProblem:
                     g_mu = np.bincount(types, weights=inv_lam, minlength=K) - self.T
                     grad[im.mu_slice] = g_mu
                     g_alpha = np.empty((M, K, K))
-                    for m in range(M):
-                        g_alpha[m] = Z.T @ (R[m] * inv_lam[:, None]) - S[m][None, :]
+                    for m, (R, _, S, _) in enumerate(sums):
+                        g_alpha[m] = Z.T @ (R * inv_lam[:, None]) - S[None, :]
                     grad[im.alpha_slice] = g_alpha.reshape(-1)
                 if want_grad_beta:
                     g_beta = np.empty(M)
-                    for m in range(M):
-                        kern = spec.kernels[m]
-                        b = float(beta[m])
-                        Sd = Z.T @ kern.antideriv_dbeta(self._comp_dt, b)
-                        excite = np.einsum("aj,aj,a->", alpha[m][types], D[m], inv_lam)
+                    for m, (_, D, _, Sd) in enumerate(sums):
+                        excite = np.einsum("aj,aj,a->", alpha[m][types], D, inv_lam)
                         g_beta[m] = -(alpha[m].sum(axis=0) @ Sd) + excite
                     grad[im.beta_slice] = g_beta
             if want_grad_ma:

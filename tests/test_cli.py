@@ -504,6 +504,13 @@ class TestNonFiniteOrNegativeInputs:
         assert main(["check-stationarity", "--params", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_check_stationarity_params_not_an_object_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([{"mu": 1}]))
+        assert main(["check-stationarity", "--params", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "top level must be an object" in err
+
     def test_check_stationarity_kernel_count_mismatch_exit_1(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"mu": [1.0], "alpha": [[[0.1]]], "beta": [1.0]}))
@@ -683,6 +690,32 @@ class TestExperimentConfigErrors:
         err = capsys.readouterr().err
         assert "top level must be an object" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def with_recipe(command, recipe):
+        """The command's config with a dict recipe; no top-level K or horizon overrides it."""
+        doc = {k: v for k, v in EXPERIMENT_CONFIGS[command].items()
+               if k not in ("K", "horizon")}
+        return {**doc, "recipe": recipe}
+
+    @pytest.mark.parametrize("command", ["benchmark", "consistency"])
+    @pytest.mark.parametrize(
+        "recipe", [{"K": 0}, {"K": 2.5}, {"horizon": -5}, {"family": "gamma"}, {"seed": -1}],
+        ids=["K=0", "K=2.5", "horizon=-5", "family=gamma", "seed=-1"],
+    )
+    def test_bad_dict_recipe_exit_1(self, tmp_path, capsys, monkeypatch, command, recipe):
+        doc = self.with_recipe(command, recipe)
+        assert self.run(tmp_path, monkeypatch, command, doc) == 1
+        assert capsys.readouterr().err.startswith("config error: recipe: ")
+
+    @pytest.mark.parametrize("command", ["benchmark", "consistency"])
+    def test_recipe_without_stationary_draw_exit_2(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        recipe = {"kind": "custom", "K": 4, "alpha_divisor": 0.1, "max_attempts": 5}
+        doc = self.with_recipe(command, recipe)
+        assert self.run(tmp_path, monkeypatch, command, doc) == 2
+        assert "domain error: no stationary draw after 5 attempts" in capsys.readouterr().err
 
 
 class TestConfigValidation:

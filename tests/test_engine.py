@@ -226,8 +226,8 @@ def test_pair_list_stays_below_dense_storage():
     ev = events(np.sort(rng.uniform(0.0, 500.0, n)), rng.integers(0, K, n), horizon=500.0)
     flat = spec.index_map.pack(params([0.5, 0.5], np.full((K, K), 0.2), 1.5))
     prob = LikelihoodProblem(spec, ev, wide_domain(spec))
-    assert prob._pair_dt.size == n * (n - 1) // 2
-    assert prob._pair_dt.nbytes + prob._pair_cell.nbytes <= 8 * n * n
+    assert prob._pair_logs[0.05].size == n * (n - 1) // 2
+    assert prob._pair_logs[0.05].nbytes + prob._pair_cell.nbytes <= 8 * n * n
 
     new = traced_peak(lambda: LikelihoodProblem(spec, ev, wide_domain(spec)).grad_flat(flat))
     assert new < traced_peak(lambda: DenseProblem(prob).grad_flat(flat))
