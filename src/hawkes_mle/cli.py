@@ -41,7 +41,13 @@ from .model import (
     stationary_mean_intensity,
 )
 from .optim import RUNNERS, HyperParamsError, InfeasibleInitError
-from .simulate import SimConfig, _finite_horizon, simulate_cluster, simulate_thinning
+from .simulate import (
+    SimConfig,
+    SimulationCapError,
+    _finite_horizon,
+    simulate_cluster,
+    simulate_thinning,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -341,7 +347,7 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, HyperParamsError) as exc:
+    except (ConfigError, HyperParamsError, SimulationCapError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, InfeasibleInitError, experiments.NoStationaryDrawError) as exc:

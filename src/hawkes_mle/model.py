@@ -394,9 +394,9 @@ def stationary_mean_intensity(spec, params):
 def intensities(spec, params, times, types, t, strict=True):
     """Per-type intensities lam(t) given a history (times, types).
 
-    The excitation sums over s < t when ``strict``, else over s <= t.  The
-    inputs are not validated: the thinning sampler calls this twice per
-    candidate.
+    The excitation sums over s < t when ``strict``, else over s <= t, with
+    one kernel evaluation per earlier event.  The inputs are not validated;
+    ``likelihood.intensity_at`` checks t and the type before calling this.
     """
     lam = params.mu.copy()
     mask = times < t if strict else times <= t

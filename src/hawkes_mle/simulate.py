@@ -5,9 +5,15 @@ Two independent samplers are shipped:
 * :func:`simulate_cluster` -- the branching construction: homogeneous Poisson
   immigrants on [0, T], each event spawning Poisson-many offspring per type
   with offsets drawn by exact inverse-CDF sampling of the truncated kernel.
+  An event computes its kernel masses once and then makes one Poisson draw
+  per nonzero weight of its type.
 * :func:`simulate_thinning` -- Ogata-style rejection sampling under a
   piecewise-constant dominating rate (valid because both shipped kernel
-  families are nonincreasing in elapsed time).
+  families are nonincreasing in elapsed time).  The rate is reused, not
+  evaluated anew: it is the intensity at the last candidate, plus the jump of
+  the event if that candidate was accepted.  Exponential kernels keep a
+  decayed state per (kernel, type), so a candidate costs O(M K); power-law
+  kernels sum over the history.
 
 Both use numpy's PCG64 generator.  Child streams for immigrants, offspring,
 and thinning are derived from the master seed via ``SeedSequence.spawn``, so
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _stationary_branching_matrix, intensities
+from .model import Exponential, _stationary_branching_matrix
 
 __all__ = [
     "EventSequence",
@@ -109,7 +115,17 @@ def offspring_offsets(family, alpha_total, beta, window, rng):
     n = int(rng.poisson(alpha_total * mass))
     if n == 0:
         return np.empty(0)
-    p = rng.uniform(size=n)
+    return _inverse_cdf_offsets(family, beta, mass, n, rng)
+
+
+def _inverse_cdf_offsets(family, beta, mass, n, rng):
+    """n offsets from the kernel truncated to a window of antiderivative ``mass``.
+
+    Each offset inverts the CDF u -> Phi(u)/mass at one uniform draw.
+    ``rng.random`` is ``rng.uniform`` without its argument handling: the same
+    draws, bit for bit.
+    """
+    p = rng.random(n)
     return family.inverse_antiderivative(p * mass, beta)
 
 
@@ -140,11 +156,24 @@ def simulate_cluster(spec, params, horizon, config):
     Poisson(alpha[m,i,j] * Phi_m(T - s)) number of offspring.  Generations are
     processed breadth first; output ties are ordered by (time, generation,
     type) for reproducibility.
+
+    The checks run once per call: each event computes its kernel masses
+    Phi_m(T - s) once, then makes one Poisson draw per nonzero weight of its
+    type, so a draw costs about one generator call.  The draws and their order
+    are those of calling :func:`offspring_offsets` per (event, i, m).
     """
     horizon = _check_inputs(spec, params, horizon)
 
     rng_imm, rng_off, _ = _spawn_generators(config.seed)
     K, M = spec.K, spec.M
+    kernels = [(kern, float(b)) for kern, b in zip(spec.kernels, params.beta)]
+    # Per source type j: (target type i, kernel m, alpha[m, i, j]) in (i, m)
+    # order, zero weights left out.
+    targets = [
+        [(i, m, float(params.alpha[m, i, j]))
+         for i in range(K) for m in range(M) if params.alpha[m, i, j] != 0.0]
+        for j in range(K)
+    ]
 
     all_times, all_gens, all_types = [], [], []
     current = []  # (time, type), deterministic processing order
@@ -168,16 +197,14 @@ def simulate_cluster(spec, params, horizon, config):
         nxt = []
         for s, j in current:
             window = horizon - s
-            if window <= 0:
+            if window <= 0 or not targets[j]:
                 continue
-            for i in range(K):
-                for m in range(M):
-                    a = float(params.alpha[m, i, j])
-                    if a == 0.0:
-                        continue
-                    offs = offspring_offsets(
-                        spec.kernels[m], a, float(params.beta[m]), window, rng_off
-                    )
+            masses = [float(kern.antiderivative(window, b)) for kern, b in kernels]
+            for i, m, a in targets[j]:
+                n = int(rng_off.poisson(a * masses[m]))
+                if n:
+                    kern, b = kernels[m]
+                    offs = _inverse_cdf_offsets(kern, b, masses[m], n, rng_off)
                     nxt.extend((s + float(d), i) for d in offs)
         nxt.sort()
         current = nxt
@@ -189,35 +216,68 @@ def simulate_cluster(spec, params, horizon, config):
 def simulate_thinning(spec, params, horizon, config):
     """Sample a path on [0, horizon] by Ogata thinning.
 
-    Candidates are proposed at the total intensity evaluated just after the
-    previous time point, which dominates the future intensity because both
-    kernel families are nonincreasing; accepted candidates are typed
-    proportionally to the per-type intensities.
+    Candidates are proposed at the total intensity just after the previous
+    candidate, which dominates the future intensity because both kernel
+    families are nonincreasing; accepted candidates are typed proportionally
+    to the per-type intensities.  That dominating rate is not evaluated anew:
+    after a rejection it is the intensity just computed at the candidate,
+    after an acceptance of type k that intensity plus the jump
+    sum_m alpha[m][:, k] * phi_m(0).
+
+    Exponential kernels keep a decayed state per (kernel, type): each one's
+    term of the intensity at the last acceptance.  It is carried to a
+    candidate by one factor exp(-beta dt) and raised by alpha[m][:, k] at an
+    acceptance of type k, so a candidate costs O(M K) whatever the history's
+    length.  Power-law kernels sum directly over the history, kept in arrays
+    that grow geometrically.
     """
     horizon = _check_inputs(spec, params, horizon)
 
     _, _, rng = _spawn_generators(config.seed)
-    times, types = [], []
-    hist_times = np.empty(0)
-    hist_types = np.empty(0, dtype=np.int64)
-    t = 0.0
+    K = spec.K
+    exp_ms = [m for m, kern in enumerate(spec.kernels) if isinstance(kern, Exponential)]
+    pwl_ms = [m for m in range(spec.M) if m not in exp_ms]
+    power_laws = [(spec.kernels[m], float(params.beta[m])) for m in pwl_ms]
+    columns = params.alpha.transpose(0, 2, 1)  # columns[m, k] = alpha[m][:, k]
+    # jump_total[k]: the rise of the total intensity at an event of type k.
+    jump_total = sum(columns[m].sum(axis=1) * float(kern.value(0.0, float(b)))
+                     for m, (kern, b) in enumerate(zip(spec.kernels, params.beta)))
+    neg_betas = -params.beta[exp_ms]
+    exp_columns, pwl_columns = columns[exp_ms], columns[pwl_ms]
+    excite = np.zeros((len(exp_ms), K))  # exponential terms of lam at t_last
+    times = np.empty(64)
+    # hist[p, s]: the column of power-law kernel p for the type of event s.
+    hist = np.empty((len(pwl_ms), times.size, K))
+    types = []
+    t = t_last = 0.0
+    big_lambda = float(params.mu.sum())
     while True:
-        lam_dom = intensities(spec, params, hist_times, hist_types, t, strict=False)
-        big_lambda = float(lam_dom.sum())
         t = t + rng.exponential(1.0 / big_lambda)
         if t > horizon:
             break
-        lam = intensities(spec, params, hist_times, hist_types, t, strict=True)
+        n = len(types)
+        decay = np.exp(neg_betas * (t - t_last))
+        lam = params.mu + decay @ excite
+        for p, (kern, beta) in enumerate(power_laws):
+            lam += kern.value(t - times[:n], beta) @ hist[p, :n]
         lam_tot = float(lam.sum())
-        if rng.uniform() * big_lambda <= lam_tot:
-            u = rng.uniform() * lam_tot
-            k = int(np.searchsorted(np.cumsum(lam), u, side="right"))
-            k = min(k, spec.K - 1)
-            times.append(t)
+        # rng.random() is rng.uniform() without its argument handling.
+        accept = rng.random() * big_lambda <= lam_tot
+        big_lambda = lam_tot
+        if accept:
+            u = rng.random() * lam_tot
+            k = min(int(lam.cumsum().searchsorted(u, side="right")), K - 1)
             types.append(k)
-            if len(times) > config.max_events:
-                raise SimulationCapError(len(times), config.max_events)
-            hist_times = np.asarray(times)
-            hist_types = np.asarray(types, dtype=np.int64)
+            if len(types) > config.max_events:
+                raise SimulationCapError(len(types), config.max_events)
+            if n == times.size:
+                times = np.concatenate([times, np.empty_like(times)])
+                hist = np.concatenate([hist, np.empty_like(hist)], axis=1)
+            times[n] = t
+            hist[:, n] = pwl_columns[:, k]
+            excite = decay[:, None] * excite + exp_columns[:, k]
+            t_last = t
+            big_lambda += jump_total[k]
 
-    return EventSequence(np.asarray(times), np.asarray(types, dtype=np.int64), horizon)
+    n = len(types)
+    return EventSequence(times[:n].copy(), np.asarray(types, dtype=np.int64), horizon)

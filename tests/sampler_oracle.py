@@ -1,0 +1,136 @@
+"""Per-draw samplers: the oracle for the samplers' precomputed inner loops.
+
+``simulate_cluster``, ``simulate_thinning`` and ``offspring_offsets`` below
+are the package's samplers as they were written before the per-call set-up
+was hoisted out of their loops.  The cluster sampler calls
+``offspring_offsets`` once per (event, target type, kernel), with its checks;
+the thinning sampler evaluates ``intensities`` over the whole history twice
+per candidate and rebuilds the history arrays on every acceptance.  That
+costs O(n) per candidate, so they are only for small test streams; each
+quantity is computed directly from its definition, which is what makes them
+a trustworthy reference.  They use the same generators and draw in the same
+order as the package's samplers.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hawkes_mle.model import intensities
+from hawkes_mle.simulate import (
+    EventSequence,
+    SimulationCapError,
+    _check_inputs,
+    _finalize,
+    _spawn_generators,
+)
+
+
+def offspring_offsets(family, alpha_total, beta, window, rng):
+    """Offsets of one event's offspring of a single kernel within ``window``.
+
+    The count is Poisson(alpha_total * Phi(window; beta)); each offset is the
+    analytic inverse of the truncated antiderivative CDF u -> Phi(u)/Phi(window).
+    """
+    if alpha_total < 0:
+        raise ValueError("alpha_total must be nonnegative")
+    if not window > 0:
+        raise ValueError("window must be positive")
+    family.validate_beta(beta)
+    mass = float(family.antiderivative(window, beta))
+    n = int(rng.poisson(alpha_total * mass))
+    if n == 0:
+        return np.empty(0)
+    p = rng.uniform(size=n)
+    return family.inverse_antiderivative(p * mass, beta)
+
+
+def simulate_cluster(spec, params, horizon, config):
+    """Sample a path on [0, horizon] by the branching construction.
+
+    Immigrants of type k arrive as Poisson(mu_k) on [0, T]; every event of
+    type j at time s spawns, per target type i and kernel m, a
+    Poisson(alpha[m,i,j] * Phi_m(T - s)) number of offspring.  Generations are
+    processed breadth first; output ties are ordered by (time, generation,
+    type) for reproducibility.
+    """
+    horizon = _check_inputs(spec, params, horizon)
+
+    rng_imm, rng_off, _ = _spawn_generators(config.seed)
+    K, M = spec.K, spec.M
+
+    all_times, all_gens, all_types = [], [], []
+    current = []  # (time, type), deterministic processing order
+    for k in range(K):
+        n_k = rng_imm.poisson(params.mu[k] * horizon)
+        t_k = np.sort(rng_imm.uniform(0.0, horizon, size=n_k))
+        current.extend((float(t), k) for t in t_k)
+    current.sort()
+
+    total = 0
+    gen = 0
+    while current:
+        for t, k in current:
+            all_times.append(t)
+            all_gens.append(gen)
+            all_types.append(k)
+        total += len(current)
+        if total > config.max_events:
+            raise SimulationCapError(total, config.max_events)
+
+        nxt = []
+        for s, j in current:
+            window = horizon - s
+            if window <= 0:
+                continue
+            for i in range(K):
+                for m in range(M):
+                    a = float(params.alpha[m, i, j])
+                    if a == 0.0:
+                        continue
+                    offs = offspring_offsets(
+                        spec.kernels[m], a, float(params.beta[m]), window, rng_off
+                    )
+                    nxt.extend((s + float(d), i) for d in offs)
+        nxt.sort()
+        current = nxt
+        gen += 1
+
+    return _finalize(all_times, all_gens, all_types, horizon)
+
+
+def simulate_thinning(spec, params, horizon, config):
+    """Sample a path on [0, horizon] by Ogata thinning.
+
+    Candidates are proposed at the total intensity evaluated just after the
+    previous time point, which dominates the future intensity because both
+    kernel families are nonincreasing; accepted candidates are typed
+    proportionally to the per-type intensities.
+    """
+    horizon = _check_inputs(spec, params, horizon)
+
+    _, _, rng = _spawn_generators(config.seed)
+    times, types = [], []
+    hist_times = np.empty(0)
+    hist_types = np.empty(0, dtype=np.int64)
+    t = 0.0
+    while True:
+        lam_dom = intensities(spec, params, hist_times, hist_types, t, strict=False)
+        big_lambda = float(lam_dom.sum())
+        t = t + rng.exponential(1.0 / big_lambda)
+        if t > horizon:
+            break
+        lam = intensities(spec, params, hist_times, hist_types, t, strict=True)
+        lam_tot = float(lam.sum())
+        if rng.uniform() * big_lambda <= lam_tot:
+            u = rng.uniform() * lam_tot
+            k = int(np.searchsorted(np.cumsum(lam), u, side="right"))
+            k = min(k, spec.K - 1)
+            times.append(t)
+            types.append(k)
+            if len(times) > config.max_events:
+                raise SimulationCapError(len(times), config.max_events)
+            hist_times = np.asarray(times)
+            hist_types = np.asarray(types, dtype=np.int64)
+
+    return EventSequence(np.asarray(times), np.asarray(types, dtype=np.int64), horizon)

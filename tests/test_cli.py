@@ -100,6 +100,18 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("method", ["cluster", "thinning"])
+    def test_event_cap_exit_1(self, tmp_path, capsys, method):
+        cfg = write_config(tmp_path / "cfg.json", base_config(alpha=0.3))
+        out = tmp_path / "e.csv"
+        code = main(["simulate", "--config", cfg, "--out", str(out),
+                     "--max-events", "5", "--method", method])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: simulation exceeded max_events=5 (generated ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_poisson_fit_recovers_rate(self, tmp_path):

@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import sampler_oracle
 from common import exp_spec, params, pwl_spec
 from hawkes_mle import (
     DomainError,
     EventSequence,
     Exponential,
+    ModelSpec,
     NonStationaryError,
     PowerLawCutoff,
     SimConfig,
     SimulationCapError,
+    branching_matrix,
+    intensities,
     offspring_offsets,
     simulate_cluster,
-    intensities,
     simulate_thinning,
+    spectral_radius,
     stationary_mean_intensity,
 )
 
@@ -164,6 +168,75 @@ class TestThinningSimulator:
         spec = exp_spec()
         with pytest.raises(NonStationaryError):
             simulate_thinning(spec, params(1.0, 1.2, 1.0), 10.0, SimConfig(seed=0))
+
+
+def _oracle_case(name):
+    """(spec, params) of a K=3 exp, K=3 power-law, mixed M=2 or sparse-alpha case."""
+    kernels = {
+        "exp": [Exponential()],
+        "pwl": [PowerLawCutoff(0.5)],
+        "mixed": [Exponential(), PowerLawCutoff(0.5)],
+        "sparse": [Exponential()],
+    }[name]
+    spec = ModelSpec(K=3, M=len(kernels), kernels=kernels)
+    rng = np.random.default_rng(11)
+    alpha = rng.uniform(0.0, 1.0, (spec.M, 3, 3))
+    if name == "sparse":
+        alpha[0, :, 2] = 0.0  # type 2 excites nothing
+        alpha[0, 1, 1] = alpha[0, 2, 0] = 0.0
+    beta = [1.5 if k.name == "exponential" else 1.8 for k in kernels]
+    # Scale alpha to a branching ratio near 0.5.
+    pv = params(rng.uniform(0.2, 0.6, 3), alpha, beta)
+    radius = spectral_radius(branching_matrix(spec, pv))
+    return spec, params(pv.mu, 0.5 * alpha / radius, beta)
+
+
+@pytest.mark.parametrize("case", ["exp", "pwl", "mixed", "sparse"])
+class TestAgainstOracle:
+    """The samplers against their per-draw versions in ``sampler_oracle``."""
+
+    SEEDS = range(6)
+
+    def test_cluster_bit_identical(self, case):
+        spec, pv = _oracle_case(case)
+        for seed in self.SEEDS:
+            got = simulate_cluster(spec, pv, 150.0, SimConfig(seed=seed))
+            want = sampler_oracle.simulate_cluster(spec, pv, 150.0, SimConfig(seed=seed))
+            assert len(want) > 50
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.types.tobytes() == want.types.tobytes()
+
+    def test_thinning_same_events(self, case):
+        spec, pv = _oracle_case(case)
+        for seed in self.SEEDS:
+            got = simulate_thinning(spec, pv, 150.0, SimConfig(seed=seed))
+            want = sampler_oracle.simulate_thinning(spec, pv, 150.0, SimConfig(seed=seed))
+            assert len(want) > 50
+            assert np.array_equal(got.types, want.types)
+            np.testing.assert_allclose(got.times, want.times, rtol=1e-12, atol=0)
+
+
+def test_thinning_exponential_never_scans_history(monkeypatch):
+    """With exponential kernels only, a candidate costs O(M K), not O(history)."""
+    from hawkes_mle import model, simulate
+
+    def history_scan(*args, **kwargs):
+        raise AssertionError("thinning evaluated the intensity over the history")
+
+    value = Exponential.value
+
+    def scalar_value(self, t, beta):
+        if np.size(t) > 1:
+            raise AssertionError("thinning evaluated the kernel over the history")
+        return value(self, t, beta)
+
+    monkeypatch.setattr(model, "intensities", history_scan)
+    monkeypatch.setattr(simulate, "intensities", history_scan, raising=False)
+    monkeypatch.setattr(Exponential, "value", scalar_value)
+    spec = exp_spec(K=2, M=2)
+    pv = params([0.3, 0.2], np.full((2, 2, 2), 0.1), [1.0, 3.0])
+    out = simulate_thinning(spec, pv, 300.0, SimConfig(seed=0))
+    assert len(out) > 100
 
 
 @pytest.mark.parametrize("sim", [simulate_cluster, simulate_thinning])
