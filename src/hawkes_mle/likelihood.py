@@ -22,25 +22,37 @@ n x n array:
 * an exponential kernel uses the linear recursion over distinct time stamps
   (Ozaki 1979), O(n K) time and memory per kernel;
 * a power-law kernel is summed over the list of strictly earlier (source,
-  destination) pairs built once at construction: O(#pairs) time and 16
-  bytes per pair (8 more per further distinct cutoff), at most n^2 / 2
-  pairs.  The list keeps L = log(dt + c) rather than the elapsed time dt,
-  one array per distinct cutoff c (one of them in dt's own storage), so
-  phi = exp(-beta L) and d phi / d beta = -L phi take no power or logarithm
-  per pass.
+  destination) pairs built once at construction: O(#pairs) time and 8 bytes
+  per pair (8 more per further distinct cutoff), at most n^2 / 2 pairs,
+  plus O(n K) cell bounds.  The pairs are grouped by cell (destination,
+  source type), sources in time order inside a cell, and the list keeps
+  L = log(dt + c) rather than the elapsed time dt, one array per distinct
+  cutoff c (one of them in dt's own storage).  A pass computes
+  phi = exp(-beta L) and d phi / d beta = -L phi, with no power or
+  logarithm, and sums each cell's segment.  It goes through the segments
+  in parts of a fixed number of pairs, cut at cell starts, so its scratch
+  stays in cache.  Above a larger fixed number of pairs, helper threads,
+  up to one per usable core, take parts from the same queue as the calling
+  thread.  A cell is never split, so the sums carry the same bits for any
+  number of parts or threads.
 
 R, D and the compensator sums S depend on beta alone, and the optimizer's
 block steps ask for several evaluations at one beta.  A ``LikelihoodProblem``
 therefore keeps the sums of the last two distinct beta vectors (keyed on
 their exact bytes) and computes them once per miss; ``kernel_passes`` counts
 the misses.  Apart from this memo a problem is immutable after construction.
-Its slots are replaced whole and hold read-only arrays, so a problem may be
-shared across threads: concurrent callers at worst repeat a pass (and the
-count may then be off).  Sums are reduced in fixed order, so objective values
-reproduce bit for bit, with or without a memo hit.
+Its slots are replaced whole and hold read-only arrays, and each pass writes
+only arrays of its own, so a problem may be shared across threads:
+concurrent callers at worst repeat a pass (and the count may then be off),
+and their split passes share the one pool of helper threads.  Sums are
+reduced in fixed order, so objective values reproduce bit for bit, with or
+without a memo hit, on any number of cores.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -63,24 +75,35 @@ _CHUNK_SPAN = 30.0
 
 
 def _pair_list(times, types, K):
-    """Elapsed times and flat cells ``dst * K + type_src`` of all kernel pairs.
+    """Elapsed times of all kernel pairs, grouped into cells, and the cells.
 
-    A pair (source b, destination a) enters the sums when t_b < t_a.  Pairs
-    are ordered by destination, then source time, so the scatter sums in a
-    fixed order.
+    A pair (source b, destination a) enters the sums when t_b < t_a; it
+    belongs to the cell ``a * K + types[b]``.  Pairs are ordered by cell and,
+    inside a cell, by source time, so each cell is one contiguous segment.
+    Returns (dt, starts, cells): ``starts`` are the segments' first positions
+    and ``cells`` their flat cells, nonempty cells only, in order.
     """
     hi = np.searchsorted(times, times, side="left")  # sources strictly earlier
+    # The sources of row a are the first hi[a] events; grouped by type they
+    # are a prefix of each type's events, so a stable sort by type once puts
+    # every row's pairs in cell order.
+    by_type = np.argsort(types, kind="stable")
+    type_times = times[by_type]
+    prefix = np.zeros((times.size + 1, K), dtype=np.intp)
+    if times.size:
+        np.cumsum(np.eye(K, dtype=np.intp)[types], axis=0, out=prefix[1:])
+    sizes = prefix[hi].ravel()  # pairs per cell (a, j)
+    cells = np.flatnonzero(sizes)
+    starts = np.cumsum(sizes) - sizes
     dt = np.empty(int(hi.sum()))
-    cell = np.empty(dt.size, dtype=np.intp)
     # One destination row at a time: no pair-sized scratch.
     o = 0
     for a, b in enumerate(hi.tolist()):
         if b:
             e = o + b
-            np.subtract(times[a], times[:b], out=dt[o:e])
-            np.add(types[:b], a * K, out=cell[o:e])
+            np.subtract(times[a], type_times[by_type < b], out=dt[o:e])
             o = e
-    return dt, cell
+    return dt, starts[cells], cells
 
 
 def _pair_logs(dt, cutoffs):
@@ -90,6 +113,59 @@ def _pair_logs(dt, cutoffs):
     np.add(dt, last, out=dt)
     logs[last] = np.log(dt, out=dt)
     return logs
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def _split(starts, pairs, parts):
+    """Cut the cell segments into ``parts`` runs of about equal pair counts.
+
+    Returns the (first cell, first pair) of each run, then (len(starts),
+    pairs).  Cuts fall on cell starts, so no cell is split, and only a list
+    without pairs has an empty run.
+    """
+    cuts = np.unique(np.searchsorted(starts, np.arange(1, parts) * (pairs / parts)))
+    cells = [0, *cuts[(cuts > 0) & (cuts < starts.size)].tolist(), starts.size]
+    firsts = np.append(starts, pairs)
+    return [(c, int(firsts[c])) for c in cells]
+
+
+# A power-law pass sums its cells in parts of about this many pairs, cut at
+# cell starts, so that a part's scratch (512 KB) stays in cache.
+_PART_PAIRS = 1 << 16
+# A pass runs on one thread per this many pairs (rounded up), at most one per
+# usable core.  2^20 pairs take about 5 ms on one core.  On a shared two-vCPU
+# host a helper thread takes about 0.1 ms to start and stalls for
+# milliseconds when the host preempts its CPU, so on smaller passes the
+# stalls cost about what the second thread saves.
+_THREAD_PAIRS = 1 << 20
+
+_pool = _pool_pid = None
+_pool_lock = threading.Lock()
+
+
+def _helpers():
+    """The helper threads of split passes, created on first use.
+
+    A pool inherited through ``fork`` keeps its thread objects but not the
+    threads, and work handed to it never runs, so a child process makes its
+    own.
+    """
+    global _pool, _pool_pid
+    # Imported here, so a process that never splits a pass does not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1))
+            _pool_pid = os.getpid()
+        return _pool
 
 
 class _DecayScan:
@@ -183,10 +259,13 @@ class LikelihoodProblem:
         # the pair list.
         cutoffs = [k.c for k in spec.kernels if not isinstance(k, Exponential)]
         if cutoffs:
-            dt, self._pair_cell = _pair_list(times, types, K)
+            dt, self._cell_start, self._cell_index = _pair_list(times, types, K)
             self._pair_logs = _pair_logs(dt, cutoffs)
+            pairs = dt.size
+            self._parts = _split(self._cell_start, pairs, max(1, -(-pairs // _PART_PAIRS)))
+            self._threads = min(_usable_cpus(), max(1, -(-pairs // _THREAD_PAIRS)))
         else:
-            self._pair_logs = self._pair_cell = None
+            self._pair_logs = None
         self.kernel_passes = 0
         self._memo = ()  # at most two (beta bytes, per-kernel sums), newest first
 
@@ -212,27 +291,59 @@ class LikelihoodProblem:
             D = -scan(gaps[:, None] * R)[self._stamp_of] if want_dbeta else None
             return R[self._stamp_of], D
 
-        def scatter(values):
-            S = np.bincount(self._pair_cell, weights=values, minlength=n * K)
+        # phi = (dt + c)^-beta = exp(-beta L), summed over each cell's segment;
+        # the scratch then holds L phi, and d phi / d beta = -L phi sums to -D.
+        L = self._pair_logs[kern.c]
+        starts, cells, parts = self._cell_start, self._cell_index, self._parts
+        size = max(q - p for (_, p), (_, q) in zip(parts, parts[1:]))
+        r = np.empty(cells.size)
+        d = np.empty(cells.size) if want_dbeta else None
+
+        def run(k, scratch):
+            (c0, p0), (c1, p1) = parts[k], parts[k + 1]
+            seg, x = starts[c0:c1] - p0, scratch[: p1 - p0]
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                np.multiply(L[p0:p1], -beta, out=x)
+                np.exp(x, out=x)
+                # reduceat into ``out=`` holds the interpreter lock; this
+                # form releases it, so threads run their parts at once.
+                r[c0:c1] = np.add.reduceat(x, seg)
+                if want_dbeta:
+                    np.multiply(x, L[p0:p1], out=x)
+                    d[c0:c1] = np.add.reduceat(x, seg)
+
+        # Each cell is summed by one reduceat, so the bits depend neither on
+        # the number of parts nor on the thread that runs a part.  Every
+        # thread takes parts from one queue, so the calling thread also runs
+        # the parts that a helper has not started.
+        todo = iter(range(len(parts) - 1))
+
+        def work():
+            scratch = np.empty(size)
+            for k in todo:
+                run(k, scratch)
+
+        pool = _helpers() if self._threads > 1 else None
+        helpers = [pool.submit(work) for _ in range(self._threads - 1)]
+        work()
+        for h in helpers:
+            h.result()
+
+        def rows(sums):
+            S = np.zeros(n * K)
+            S[cells] = sums
             S = S.reshape(n, K)
-            if not np.all(np.isfinite(S)):
-                # A non-finite kernel value makes its whole row non-finite, as
-                # in the dense product E @ Z, so a bad extrapolated candidate
-                # fails the same way whichever way its sums are taken.
-                bad = np.bincount(self._pair_cell // K, minlength=n,
-                                  weights=~np.isfinite(values)) > 0
-                S[bad] = np.nan
+            # A non-finite kernel value makes its whole row non-finite, as in
+            # the dense product E @ Z, so a bad extrapolated candidate fails
+            # the same way whichever way its sums are taken.  Every finite phi
+            # is >= 0, so a cell sum is finite unless a value in it is not
+            # (or a finite sum overflows).
+            bad = ~np.isfinite(sums)
+            if bad.any():
+                S[cells[bad] // K] = np.nan
             return S
 
-        # phi = (dt + c)^-beta = exp(-beta L); the buffer then holds L phi, and
-        # d phi / d beta = -L phi sums to the negated scatter of it.
-        L = self._pair_logs[kern.c]
-        phi = np.multiply(L, -beta)
-        np.exp(phi, out=phi)
-        R = scatter(phi)
-        if not want_dbeta:
-            return R, None
-        return R, -scatter(np.multiply(phi, L, out=phi))
+        return rows(r), (-rows(d) if want_dbeta else None)
 
     def _sums(self, beta):
         """Per kernel (R, D, S, Sd) at the beta vector ``beta``, from the memo.
