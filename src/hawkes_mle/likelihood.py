@@ -31,10 +31,8 @@ n x n array:
   phi = exp(-beta L) and d phi / d beta = -L phi, with no power or
   logarithm, and sums each cell's segment.  It goes through the segments
   in parts of a fixed number of pairs, cut at cell starts, so its scratch
-  stays in cache.  Above a larger fixed number of pairs, helper threads,
-  up to one per usable core, take parts from the same queue as the calling
-  thread.  A cell is never split, so the sums carry the same bits for any
-  number of parts or threads.
+  stays in cache.  A cell is never split, so the sums carry the same bits
+  for any number of parts.
 
 R, D and the compensator sums S depend on beta alone, and the optimizer's
 block steps ask for several evaluations at one beta.  A ``LikelihoodProblem``
@@ -43,16 +41,12 @@ their exact bytes) and computes them once per miss; ``kernel_passes`` counts
 the misses.  Apart from this memo a problem is immutable after construction.
 Its slots are replaced whole and hold read-only arrays, and each pass writes
 only arrays of its own, so a problem may be shared across threads:
-concurrent callers at worst repeat a pass (and the count may then be off),
-and their split passes share the one pool of helper threads.  Sums are
-reduced in fixed order, so objective values reproduce bit for bit, with or
-without a memo hit, on any number of cores.
+concurrent callers at worst repeat a pass (and the count may then be off).
+Sums are reduced in fixed order, so objective values reproduce bit for bit,
+with or without a memo hit.
 """
 
 from __future__ import annotations
-
-import os
-import threading
 
 import numpy as np
 
@@ -115,14 +109,6 @@ def _pair_logs(dt, cutoffs):
     return logs
 
 
-def _usable_cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has affinity masks
-        return os.cpu_count() or 1
-
-
 def _split(starts, pairs, parts):
     """Cut the cell segments into ``parts`` runs of about equal pair counts.
 
@@ -139,33 +125,6 @@ def _split(starts, pairs, parts):
 # A power-law pass sums its cells in parts of about this many pairs, cut at
 # cell starts, so that a part's scratch (512 KB) stays in cache.
 _PART_PAIRS = 1 << 16
-# A pass runs on one thread per this many pairs (rounded up), at most one per
-# usable core.  2^20 pairs take about 5 ms on one core.  On a shared two-vCPU
-# host a helper thread takes about 0.1 ms to start and stalls for
-# milliseconds when the host preempts its CPU, so on smaller passes the
-# stalls cost about what the second thread saves.
-_THREAD_PAIRS = 1 << 20
-
-_pool = _pool_pid = None
-_pool_lock = threading.Lock()
-
-
-def _helpers():
-    """The helper threads of split passes, created on first use.
-
-    A pool inherited through ``fork`` keeps its thread objects but not the
-    threads, and work handed to it never runs, so a child process makes its
-    own.
-    """
-    global _pool, _pool_pid
-    # Imported here, so a process that never splits a pass does not load it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _pool_lock:
-        if _pool_pid != os.getpid():
-            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1))
-            _pool_pid = os.getpid()
-        return _pool
 
 
 class _DecayScan:
@@ -263,7 +222,6 @@ class LikelihoodProblem:
             self._pair_logs = _pair_logs(dt, cutoffs)
             pairs = dt.size
             self._parts = _split(self._cell_start, pairs, max(1, -(-pairs // _PART_PAIRS)))
-            self._threads = min(_usable_cpus(), max(1, -(-pairs // _THREAD_PAIRS)))
         else:
             self._pair_logs = None
         self.kernel_passes = 0
@@ -298,36 +256,18 @@ class LikelihoodProblem:
         size = max(q - p for (_, p), (_, q) in zip(parts, parts[1:]))
         r = np.empty(cells.size)
         d = np.empty(cells.size) if want_dbeta else None
-
-        def run(k, scratch):
-            (c0, p0), (c1, p1) = parts[k], parts[k + 1]
-            seg, x = starts[c0:c1] - p0, scratch[: p1 - p0]
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scratch = np.empty(size)
+        # Each cell is summed by one reduceat, so the bits do not depend on
+        # the number of parts.
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for (c0, p0), (c1, p1) in zip(parts, parts[1:]):
+                seg, x = starts[c0:c1] - p0, scratch[: p1 - p0]
                 np.multiply(L[p0:p1], -beta, out=x)
                 np.exp(x, out=x)
-                # reduceat into ``out=`` holds the interpreter lock; this
-                # form releases it, so threads run their parts at once.
-                r[c0:c1] = np.add.reduceat(x, seg)
+                np.add.reduceat(x, seg, out=r[c0:c1])
                 if want_dbeta:
                     np.multiply(x, L[p0:p1], out=x)
-                    d[c0:c1] = np.add.reduceat(x, seg)
-
-        # Each cell is summed by one reduceat, so the bits depend neither on
-        # the number of parts nor on the thread that runs a part.  Every
-        # thread takes parts from one queue, so the calling thread also runs
-        # the parts that a helper has not started.
-        todo = iter(range(len(parts) - 1))
-
-        def work():
-            scratch = np.empty(size)
-            for k in todo:
-                run(k, scratch)
-
-        pool = _helpers() if self._threads > 1 else None
-        helpers = [pool.submit(work) for _ in range(self._threads - 1)]
-        work()
-        for h in helpers:
-            h.result()
+                    np.add.reduceat(x, seg, out=d[c0:c1])
 
         def rows(sums):
             S = np.zeros(n * K)

@@ -8,9 +8,6 @@ objective and both gradient blocks to agree to 1e-12 relative.
 """
 
 import math
-import multiprocessing
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -232,15 +229,14 @@ def test_pair_list_stays_below_dense_storage():
     flat = spec.index_map.pack(params([0.5, 0.5], np.full((K, K), 0.2), 1.5))
     prob = LikelihoodProblem(spec, ev, wide_domain(spec))
     logs, starts, cells = prob._pair_logs[0.05], prob._cell_start, prob._cell_index
-    assert logs.size == n * (n - 1) // 2 and logs.nbytes == 8 * logs.size
-    assert starts.size + cells.size <= 2 * n * K
-    assert logs.nbytes + starts.nbytes + cells.nbytes <= 8 * n * n
+    assert logs.size == n * (n - 1) // 2 and starts.size + cells.size <= 2 * n * K
+    assert logs.nbytes + starts.nbytes + cells.nbytes <= 8 * n * (n - 1) // 2 + 16 * n * K
 
     new = traced_peak(lambda: LikelihoodProblem(spec, ev, wide_domain(spec)).grad_flat(flat))
     assert new < traced_peak(lambda: DenseProblem(prob).grad_flat(flat))
 
 
-# -- power-law passes split across threads -------------------------------------
+# -- power-law passes split into parts ------------------------------------------
 
 SPLIT_CASES = {
     "pwl-k3": (["pwl"], 3, None, (0, 1, 2)),
@@ -267,12 +263,10 @@ def split_case(name, n=150):
     return prob, flat
 
 
-def force_parts(prob, parts, threads=2):
-    """Run ``prob``'s power-law passes in ``parts`` parts on ``threads``
-    threads; drop its memo."""
+def force_parts(prob, parts):
+    """Run ``prob``'s power-law passes in ``parts`` parts; drop its memo."""
     pairs = next(iter(prob._pair_logs.values())).size
     prob._parts = likelihood._split(prob._cell_start, pairs, parts)
-    prob._threads = threads
     assert len(prob._parts) == parts + 1
     prob._memo = ()
 
@@ -287,13 +281,13 @@ def split_pass(prob, flat):
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_passes_give_identical_bits(case):
-    """Each cell is summed inside one part, so any count of parts or threads
-    gives the same bits."""
+    """Each cell is summed inside one part, so any count of parts gives the
+    same bits."""
     prob, flat = split_case(case)
-    force_parts(prob, 1, threads=1)
+    force_parts(prob, 1)
     (sums, (obj, grad)) = split_pass(prob, flat)
-    for parts, threads in ((1, 2), (2, 1), (2, 2), (3, 2), (4, 1), (4, 2), (4, 4)):
-        force_parts(prob, parts, threads)
+    for parts in (2, 3, 4):
+        force_parts(prob, parts)
         sums_k, (obj_k, grad_k) = split_pass(prob, flat)
         for (R, D), (R_k, D_k) in zip(sums, sums_k):
             np.testing.assert_array_equal(R_k, R)
@@ -302,93 +296,7 @@ def test_split_passes_give_identical_bits(case):
         np.testing.assert_array_equal(grad_k, grad)
 
 
-def test_part_and_thread_counts_follow_pairs_and_host():
+def test_part_count_follows_pairs():
     prob, _ = split_case("pwl-k3", n=1500)
     pairs = prob._pair_logs[0.05].size
-    threads = min(likelihood._usable_cpus(), -(-pairs // likelihood._THREAD_PAIRS))
-    assert pairs > likelihood._THREAD_PAIRS and prob._threads == threads
-    assert len(prob._parts) == -(-pairs // likelihood._PART_PAIRS) + 1
-
-
-def _child_pass(prob, beta, conn):
-    conn.send(prob._kernel_sums(0, beta, True))
-    conn.close()
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork start method")
-def test_forked_child_runs_split_passes():
-    """A child forked after a split pass makes its own helper threads."""
-    prob, _ = split_case("pwl-k3")
-    force_parts(prob, 2)
-    R, D = prob._kernel_sums(0, 1.7, True)  # the parent's pool now has a thread
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_child_pass, args=(prob, 1.7, send))
-    child.start()
-    try:
-        assert recv.poll(60), "the forked child's split pass did not return"
-        R_c, D_c = recv.recv()
-    finally:
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
-    np.testing.assert_array_equal(R_c, R)
-    np.testing.assert_array_equal(D_c, D)
-
-
-def test_concurrent_callers_get_serial_bits(monkeypatch):
-    """More threads than cores share one problem and make the pool at once."""
-    prob, flat = split_case("two-cutoffs")
-    force_parts(prob, 3)
-    betas = [1.3 + 0.1 * i for i in range(8)]
-    want = [prob._kernel_sums(1, b, True) for b in betas]
-    want_eval = prob.objective_and_grad_flat(flat)
-    monkeypatch.setattr(likelihood, "_pool", None)
-    monkeypatch.setattr(likelihood, "_pool_pid", None)
-    got = {}
-
-    def caller(i):
-        for _ in range(20):
-            sums = [prob._kernel_sums(1, b, True) for b in betas[i % 2::2]]
-            got.setdefault(i, []).append((sums, prob.objective_and_grad_flat(flat)))
-
-    threads = [threading.Thread(target=caller, args=(i,))
-               for i in range(2 * likelihood._usable_cpus() + 2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and len(got) == len(threads)
-    for i, rounds in got.items():
-        for sums, (obj, grad) in rounds:
-            for (R, D), (R0, D0) in zip(sums, want[i % 2::2]):
-                np.testing.assert_array_equal(R, R0)
-                np.testing.assert_array_equal(D, D0)
-            assert obj == want_eval[0]
-            np.testing.assert_array_equal(grad, want_eval[1])
-
-
-class TestCallingThread:
-    def test_pass_below_the_thread_size_starts_no_thread(self, monkeypatch):
-        def no_thread(self):
-            raise AssertionError("a power-law pass started a thread")
-
-        # A fresh pool, so a split pass below would have to start a thread.
-        monkeypatch.setattr(likelihood, "_pool", None)
-        monkeypatch.setattr(likelihood, "_pool_pid", None)
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        prob, flat = split_case("pwl-k3", n=1448)
-        assert prob._pair_logs[0.05].size <= likelihood._THREAD_PAIRS
-        obj, grad = prob.objective_and_grad_flat(flat)
-        assert np.isfinite(obj) and np.all(np.isfinite(grad))
-        # The check can fail: the same problem on two threads does start one.
-        force_parts(prob, 2)
-        with pytest.raises(AssertionError, match="started a thread"):
-            prob.objective_and_grad_flat(flat)
+    assert len(prob._parts) == -(-pairs // likelihood._PART_PAIRS) + 1 > 2
