@@ -44,7 +44,8 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """Malformed data file (event CSV, message CSV, mapping)."""
+    """Malformed data file (event CSV, message CSV, mapping), or a stream
+    whose power-law pair list would exceed ``likelihood._PAIR_BUDGET``."""
 
 
 # -- event files --------------------------------------------------------------

@@ -32,7 +32,9 @@ n x n array:
   logarithm, and sums each cell's segment.  It goes through the segments
   in parts of a fixed number of pairs, cut at cell starts, so its scratch
   stays in cache.  A cell is never split, so the sums carry the same bits
-  for any number of parts.
+  for any number of parts.  A list over ``_PAIR_BUDGET`` pairs times
+  distinct cutoffs (2 GiB) is refused with a ``DataError`` before anything
+  pair-sized is allocated.
 
 R, D and the compensator sums S depend on beta alone, and the optimizer's
 block steps ask for several evaluations at one beta.  A ``LikelihoodProblem``
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .io import DataError
 from .model import Exponential, intensities
 
 __all__ = [
@@ -67,8 +70,13 @@ __all__ = [
 # finite and each term within a few dozen ulp of the direct value.
 _CHUNK_SPAN = 30.0
 
+# Most pairs times distinct cutoffs a pair list may hold: 2 GiB at 8 bytes
+# each.  A fixed constant, not read from the host, so a stream is accepted or
+# refused the same way on every machine.
+_PAIR_BUDGET = 1 << 28
 
-def _pair_list(times, types, K):
+
+def _pair_list(times, types, K, cutoffs):
     """Elapsed times of all kernel pairs, grouped into cells, and the cells.
 
     A pair (source b, destination a) enters the sums when t_b < t_a; it
@@ -76,8 +84,20 @@ def _pair_list(times, types, K):
     inside a cell, by source time, so each cell is one contiguous segment.
     Returns (dt, starts, cells): ``starts`` are the segments' first positions
     and ``cells`` their flat cells, nonempty cells only, in order.
+
+    Each of the ``cutoffs`` distinct cutoffs keeps one array of the pairs.
+    Over ``_PAIR_BUDGET`` pairs times cutoffs this raises ``DataError``,
+    naming n, the pairs and the bytes, before any pair-sized allocation.
     """
     hi = np.searchsorted(times, times, side="left")  # sources strictly earlier
+    pairs = int(hi.sum())
+    if pairs * cutoffs > _PAIR_BUDGET:
+        raise DataError(
+            f"{times.size} events make {pairs} power-law kernel pairs; with "
+            f"{cutoffs} distinct cutoff(s) the pair list would take "
+            f"{8 * pairs * cutoffs} bytes, over its budget of "
+            f"{8 * _PAIR_BUDGET} bytes"
+        )
     # The sources of row a are the first hi[a] events; grouped by type they
     # are a prefix of each type's events, so a stable sort by type once puts
     # every row's pairs in cell order.
@@ -89,7 +109,7 @@ def _pair_list(times, types, K):
     sizes = prefix[hi].ravel()  # pairs per cell (a, j)
     cells = np.flatnonzero(sizes)
     starts = np.cumsum(sizes) - sizes
-    dt = np.empty(int(hi.sum()))
+    dt = np.empty(pairs)
     # One destination row at a time: no pair-sized scratch.
     o = 0
     for a, b in enumerate(hi.tolist()):
@@ -101,9 +121,16 @@ def _pair_list(times, types, K):
 
 
 def _pair_logs(dt, cutoffs):
-    """{c: log(dt + c)} for each distinct cutoff; the last one overwrites dt."""
+    """{c: log(dt + c)} for each distinct cutoff; the last one overwrites dt.
+
+    Each log is taken in place, so the lists hold one pair-sized array per
+    cutoff and no temporary: the peak is what ``_pair_list`` budgets.
+    """
     *others, last = dict.fromkeys(cutoffs)
-    logs = {c: np.log(dt + c) for c in others}
+    logs = {}
+    for c in others:
+        shifted = dt + c
+        logs[c] = np.log(shifted, out=shifted)
     np.add(dt, last, out=dt)
     logs[last] = np.log(dt, out=dt)
     return logs
@@ -218,7 +245,8 @@ class LikelihoodProblem:
         # the pair list.
         cutoffs = [k.c for k in spec.kernels if not isinstance(k, Exponential)]
         if cutoffs:
-            dt, self._cell_start, self._cell_index = _pair_list(times, types, K)
+            dt, self._cell_start, self._cell_index = _pair_list(
+                times, types, K, len(set(cutoffs)))
             self._pair_logs = _pair_logs(dt, cutoffs)
             pairs = dt.size
             self._parts = _split(self._cell_start, pairs, max(1, -(-pairs // _PART_PAIRS)))

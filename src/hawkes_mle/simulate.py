@@ -5,8 +5,10 @@ Two independent samplers are shipped:
 * :func:`simulate_cluster` -- the branching construction: homogeneous Poisson
   immigrants on [0, T], each event spawning Poisson-many offspring per type
   with offsets drawn by exact inverse-CDF sampling of the truncated kernel.
-  An event computes its kernel masses once and then makes one Poisson draw
-  per nonzero weight of its type.
+  A generation is held as sorted arrays: its kernel masses, and after the
+  draws its offsets, take one array call per kernel.  The Poisson draws keep
+  their per-(event, target) order, so the streams are byte-identical to
+  those of one :func:`offspring_offsets` call per (event, target, kernel).
 * :func:`simulate_thinning` -- Ogata-style rejection sampling under a
   piecewise-constant dominating rate (valid because both shipped kernel
   families are nonincreasing in elapsed time).  The rate is reused, not
@@ -105,6 +107,8 @@ def offspring_offsets(family, alpha_total, beta, window, rng):
 
     The count is Poisson(alpha_total * Phi(window; beta)); each offset is the
     analytic inverse of the truncated antiderivative CDF u -> Phi(u)/Phi(window).
+    ``rng.random`` is ``rng.uniform`` without its argument handling: the same
+    draws, bit for bit.
     """
     if alpha_total < 0:
         raise ValueError("alpha_total must be nonnegative")
@@ -115,16 +119,6 @@ def offspring_offsets(family, alpha_total, beta, window, rng):
     n = int(rng.poisson(alpha_total * mass))
     if n == 0:
         return np.empty(0)
-    return _inverse_cdf_offsets(family, beta, mass, n, rng)
-
-
-def _inverse_cdf_offsets(family, beta, mass, n, rng):
-    """n offsets from the kernel truncated to a window of antiderivative ``mass``.
-
-    Each offset inverts the CDF u -> Phi(u)/mass at one uniform draw.
-    ``rng.random`` is ``rng.uniform`` without its argument handling: the same
-    draws, bit for bit.
-    """
     p = rng.random(n)
     return family.inverse_antiderivative(p * mass, beta)
 
@@ -148,6 +142,52 @@ def _check_inputs(spec, params, horizon):
     return _finite_horizon(horizon)
 
 
+def _by_time_type(times, types):
+    order = np.lexsort((types, times))
+    return times[order], types[order]
+
+
+def _offspring(times, types, horizon, kernels, targets, rng):
+    """The next generation of (times, types), ordered by (time, type).
+
+    ``targets`` = (weight, target, kernel, first, count) lists every nonzero
+    alpha[m, i, j] as (j, i, m) in C order: source type j's weights are the
+    ``count[j]`` rows from ``first[j]``.  An event at s < T draws, per row of
+    its type, c ~ Poisson(weight * Phi_m(T - s)) and then, if c > 0, the c
+    uniforms of its offsets.  Only these draws run one at a time; the masses
+    and the offsets take one call per kernel.
+    """
+    weight, target, kernel, first, count = targets
+    windows = horizon - times
+    masses = np.array([kern.antiderivative(windows, b) for kern, b in kernels])
+    # One table row per (live event, nonzero weight of its type), in draw order.
+    per_event = np.where(windows > 0, count[types], 0)
+    owner = np.repeat(np.arange(times.size), per_event)
+    row = first[types[owner]] + np.arange(owner.size) - (np.cumsum(per_event) - per_event)[owner]
+    means = (weight[row] * masses[kernel[row], owner]).tolist()
+
+    poisson, uniform = rng.poisson, rng.random
+    hits, counts, uniforms = [], [], []
+    for r, lam in enumerate(means):
+        c = poisson(lam)
+        if c:
+            hits.append(r)
+            counts.append(c)
+            uniforms.append(uniform(c))
+    if not hits:
+        return np.empty(0), np.empty(0, dtype=np.int64)
+
+    draw = np.repeat(hits, counts)
+    owner, row = owner[draw], row[draw]
+    m_of = kernel[row]
+    y = np.concatenate(uniforms) * masses[m_of, owner]
+    offsets = np.empty(y.size)
+    for m, (kern, b) in enumerate(kernels):
+        sel = m_of == m
+        offsets[sel] = kern.inverse_antiderivative(y[sel], b)
+    return _by_time_type(times[owner] + offsets, target[row])
+
+
 def simulate_cluster(spec, params, horizon, config):
     """Sample a path on [0, horizon] by the branching construction.
 
@@ -157,60 +197,44 @@ def simulate_cluster(spec, params, horizon, config):
     processed breadth first; output ties are ordered by (time, generation,
     type) for reproducibility.
 
-    The checks run once per call: each event computes its kernel masses
-    Phi_m(T - s) once, then makes one Poisson draw per nonzero weight of its
-    type, so a draw costs about one generator call.  The draws and their order
-    are those of calling :func:`offspring_offsets` per (event, i, m).
+    The checks run once per call.  A generation is a pair of arrays sorted by
+    (time, type): its masses Phi_m(T - s) take one call per kernel, and after
+    the draws its offsets take one more.  The Poisson draws stay one per
+    (event, i, m) with a nonzero weight, in the generation's order, each
+    followed by its offsets' uniforms, so the output is byte-identical to
+    calling :func:`offspring_offsets` per (event, i, m).
     """
     horizon = _check_inputs(spec, params, horizon)
 
     rng_imm, rng_off, _ = _spawn_generators(config.seed)
-    K, M = spec.K, spec.M
+    K = spec.K
     kernels = [(kern, float(b)) for kern, b in zip(spec.kernels, params.beta)]
-    # Per source type j: (target type i, kernel m, alpha[m, i, j]) in (i, m)
-    # order, zero weights left out.
-    targets = [
-        [(i, m, float(params.alpha[m, i, j]))
-         for i in range(K) for m in range(M) if params.alpha[m, i, j] != 0.0]
-        for j in range(K)
-    ]
+    by_source = params.alpha.transpose(2, 1, 0)  # [j, i, m]
+    j, i, m = np.nonzero(by_source)
+    count = np.bincount(j, minlength=K)
+    targets = (by_source[j, i, m], i, m, np.cumsum(count) - count, count)
 
-    all_times, all_gens, all_types = [], [], []
-    current = []  # (time, type), deterministic processing order
+    times, types = [], []
     for k in range(K):
         n_k = rng_imm.poisson(params.mu[k] * horizon)
-        t_k = np.sort(rng_imm.uniform(0.0, horizon, size=n_k))
-        current.extend((float(t), k) for t in t_k)
-    current.sort()
+        times.append(np.sort(rng_imm.uniform(0.0, horizon, size=n_k)))
+        types.append(np.full(n_k, k, dtype=np.int64))
+    times, types = _by_time_type(np.concatenate(times), np.concatenate(types))
 
+    gen_times, gen_types = [], []
     total = 0
-    gen = 0
-    while current:
-        for t, k in current:
-            all_times.append(t)
-            all_gens.append(gen)
-            all_types.append(k)
-        total += len(current)
+    while True:
+        gen_times.append(times)
+        gen_types.append(types)
+        total += times.size
         if total > config.max_events:
             raise SimulationCapError(total, config.max_events)
+        if not times.size:
+            break
+        times, types = _offspring(times, types, horizon, kernels, targets, rng_off)
 
-        nxt = []
-        for s, j in current:
-            window = horizon - s
-            if window <= 0 or not targets[j]:
-                continue
-            masses = [float(kern.antiderivative(window, b)) for kern, b in kernels]
-            for i, m, a in targets[j]:
-                n = int(rng_off.poisson(a * masses[m]))
-                if n:
-                    kern, b = kernels[m]
-                    offs = _inverse_cdf_offsets(kern, b, masses[m], n, rng_off)
-                    nxt.extend((s + float(d), i) for d in offs)
-        nxt.sort()
-        current = nxt
-        gen += 1
-
-    return _finalize(all_times, all_gens, all_types, horizon)
+    gens = np.repeat(np.arange(len(gen_times)), [t.size for t in gen_times])
+    return _finalize(np.concatenate(gen_times), gens, np.concatenate(gen_types), horizon)
 
 
 def simulate_thinning(spec, params, horizon, config):

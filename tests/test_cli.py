@@ -449,6 +449,26 @@ class TestFitDataErrors:
         )
         assert code == 3
 
+    def test_pair_budget_exit_3_naming_the_sizes(self, tmp_path, capsys, monkeypatch):
+        from hawkes_mle import likelihood
+
+        doc = base_config(beta=1.5)
+        doc["model"]["kernels"] = [{"family": "powerlaw", "c": 0.05}]
+        doc["domain"].update(beta_lb=[1.2], beta_ub=[3.0])
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        stream = tmp_path / "e.csv"
+        stream.write_text("time,type\n" + "".join(f"{t}.5,0\n" for t in range(50)))
+        monkeypatch.setattr(likelihood, "_PAIR_BUDGET", 1000)
+        code = main(
+            ["fit", "--events", str(stream), "--config", cfg,
+             "--out", str(tmp_path / "p.json")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "50 events" in err and "1225 power-law kernel pairs" in err
+        assert "9800 bytes" in err
+        assert not (tmp_path / "p.json").exists()
+
 
 class TestNonFiniteOrNegativeInputs:
     def fit(self, tmp_path, events_text, **config):

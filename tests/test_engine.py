@@ -25,6 +25,7 @@ from hawkes_mle import (
     intensity_at,
 )
 from hawkes_mle import likelihood
+from hawkes_mle.io import DataError
 
 RTOL = 1e-12
 PROPERTY = settings(
@@ -234,6 +235,33 @@ def test_pair_list_stays_below_dense_storage():
 
     new = traced_peak(lambda: LikelihoodProblem(spec, ev, wide_domain(spec)).grad_flat(flat))
     assert new < traced_peak(lambda: DenseProblem(prob).grad_flat(flat))
+
+
+def test_pair_budget_refuses_before_allocating(monkeypatch):
+    """Over the budget of pairs times distinct cutoffs, construction raises
+    DataError naming n, the pairs and the bytes, with no pair-sized allocation."""
+    n, K = 2000, 2
+    pairs = n * (n - 1) // 2
+    rng = np.random.default_rng(5)
+    ev = events(np.sort(rng.uniform(0.0, 500.0, n)), rng.integers(0, K, n), horizon=500.0)
+    one = ModelSpec(K=K, M=1, kernels=[KERNELS["pwl"]])
+    two = ModelSpec(K=K, M=2, kernels=[KERNELS["pwl"], KERNELS["pwl-wide"]])
+    monkeypatch.setattr(likelihood, "_PAIR_BUDGET", pairs)
+    # One cutoff fills the budget exactly; a second one passes it.
+    assert LikelihoodProblem(one, ev, wide_domain(one))._pair_logs[0.05].size == pairs
+
+    def refused():
+        with pytest.raises(DataError) as exc:
+            LikelihoodProblem(two, ev, wide_domain(two))
+        message = str(exc.value)
+        assert f"{n} events" in message and f"{pairs} power-law kernel pairs" in message
+        assert f"{16 * pairs} bytes" in message
+
+    assert traced_peak(refused) < 8 * pairs / 20
+
+    # At a budget that admits both cutoffs, building takes what it names.
+    monkeypatch.setattr(likelihood, "_PAIR_BUDGET", 2 * pairs)
+    assert traced_peak(lambda: LikelihoodProblem(two, ev, wide_domain(two))) < 1.1 * 16 * pairs
 
 
 # -- power-law passes split into parts ------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -214,6 +216,92 @@ class TestAgainstOracle:
             assert len(want) > 50
             assert np.array_equal(got.types, want.types)
             np.testing.assert_allclose(got.times, want.times, rtol=1e-12, atol=0)
+
+
+def _recipe_case(name, horizon):
+    """(spec, params) of a built-in K=10 recipe, recipe seed 0, on a short horizon."""
+    from hawkes_mle import experiments
+
+    inst = experiments.generate_instance(
+        replace(experiments.RECIPES[name], seed=0, horizon=horizon)
+    )
+    return inst.spec, inst.params
+
+
+class TestClusterBookkeeping:
+    """Generation-at-a-time bookkeeping against ``sampler_oracle``, byte for byte."""
+
+    @pytest.mark.parametrize("name,horizon", [("exp-k10", 100.0), ("pwl-k10", 300.0)])
+    def test_paper_recipes_bit_identical(self, name, horizon):
+        spec, pv = _recipe_case(name, horizon)
+        if name == "exp-k10":
+            assert spectral_radius(branching_matrix(spec, pv)) > 0.95
+        for seed in range(3):
+            got = simulate_cluster(spec, pv, horizon, SimConfig(seed=seed))
+            want = sampler_oracle.simulate_cluster(spec, pv, horizon, SimConfig(seed=seed))
+            assert len(want) > 50
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.types.tobytes() == want.types.tobytes()
+
+    def test_cap_inside_a_generation_counts_like_oracle(self):
+        spec, pv = _oracle_case("mixed")
+        for cap in (10, 60, 200):
+            config = SimConfig(seed=3, max_events=cap)
+            with pytest.raises(SimulationCapError) as want:
+                sampler_oracle.simulate_cluster(spec, pv, 150.0, config)
+            with pytest.raises(SimulationCapError) as got:
+                simulate_cluster(spec, pv, 150.0, config)
+            # The cap trips after a whole generation, so it overshoots.
+            assert want.value.n_events > cap + 1
+            assert got.value.n_events == want.value.n_events
+            assert got.value.max_events == cap
+
+    @pytest.mark.parametrize("mu,horizon", [(0.5, 0.0), (1e-6, 1.0)])
+    def test_empty_result_dtypes(self, mu, horizon):
+        spec = exp_spec(K=2)
+        pv = params([mu, mu], 0.2 * np.ones((1, 2, 2)), 1.0)
+        out = simulate_cluster(spec, pv, horizon, SimConfig(seed=0))
+        want = sampler_oracle.simulate_cluster(spec, pv, horizon, SimConfig(seed=0))
+        assert len(out) == len(want) == 0
+        assert out.times.dtype == np.float64 and out.types.dtype == np.int64
+        assert out.times.shape == out.types.shape == (0,)
+
+
+def test_cluster_kernel_math_once_per_generation(monkeypatch):
+    """Masses and offsets take one kernel call per generation, not per event."""
+    from hawkes_mle import simulate
+
+    calls = {}
+
+    def counted(cls, method):
+        inner = getattr(cls, method)
+
+        def wrapper(self, *args):
+            calls[cls, method] = calls.get((cls, method), 0) + 1
+            return inner(self, *args)
+
+        monkeypatch.setattr(cls, method, wrapper)
+
+    for cls in (Exponential, PowerLawCutoff):
+        for method in ("antiderivative", "inverse_antiderivative"):
+            counted(cls, method)
+    finalize, seen = simulate._finalize, []
+
+    def recording_finalize(times, gens, types, horizon):
+        seen.append(np.asarray(gens))
+        return finalize(times, gens, types, horizon)
+
+    monkeypatch.setattr(simulate, "_finalize", recording_finalize)
+    spec, pv = _oracle_case("mixed")
+    out = simulate_cluster(spec, pv, 150.0, SimConfig(seed=0))
+    generations = int(seen[0].max()) + 1
+    assert len(out) > 20 * generations
+    assert set(calls) == {
+        (cls, method)
+        for cls in (Exponential, PowerLawCutoff)
+        for method in ("antiderivative", "inverse_antiderivative")
+    }
+    assert all(0 < n <= generations for n in calls.values()), (calls, generations)
 
 
 def test_thinning_exponential_never_scans_history(monkeypatch):
