@@ -20,6 +20,7 @@ from .io import (
     ConfigError,
     DataError,
     _load_json_object,
+    _reject_unknown,
     domain_from_config,
     hyperparams_from_config,
     ingest_lobster,
@@ -214,8 +215,14 @@ def _instance_from_config(doc):
     return _instance_from_recipe(_recipe_from_config(doc, "exp-k10", **kw))
 
 
+# The top-level keys each experiment command reads; any other is a config error.
+_BENCHMARK_KEYS = ("recipe", "recipe_seed", "K", "horizon", "algorithms", "iters", "seeds")
+_CONSISTENCY_KEYS = ("recipe", "recipe_seed", "T_grid", "seeds_per_T", "iters", "box_scale")
+
+
 def cmd_benchmark(args):
     doc = _load_json_object(args.config)
+    _reject_unknown(doc, _BENCHMARK_KEYS, args.config)
     algorithms = _checked(doc, "algorithms", lambda v: isinstance(v, list) and v,
                           "a non-empty list", list(experiments.ALGORITHMS))
     unknown = [a for a in algorithms if a not in experiments.ALGORITHMS]
@@ -240,6 +247,7 @@ def cmd_benchmark(args):
 
 def cmd_consistency(args):
     doc = _load_json_object(args.config)
+    _reject_unknown(doc, _CONSISTENCY_KEYS, args.config)
     T_grid = _checked(
         doc, "T_grid",
         lambda v: isinstance(v, list) and v and all(map(_is_positive, v)),

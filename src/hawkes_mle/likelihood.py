@@ -20,7 +20,8 @@ phi(t_a - s) and their beta-derivatives, computed exactly and without any
 n x n array:
 
 * an exponential kernel uses the linear recursion over distinct time stamps
-  (Ozaki 1979), O(n K) time and memory per kernel;
+  (Ozaki 1979), run as a blocked scan whose cost depends on the stamp count
+  alone: O(n K) time and memory per kernel, whatever beta;
 * a power-law kernel is summed over the list of strictly earlier (source,
   destination) pairs built once at construction: O(#pairs) time and 8 bytes
   per pair (8 more per further distinct cutoff), at most n^2 / 2 pairs,
@@ -64,11 +65,8 @@ __all__ = [
     "grad_regularized",
 ]
 
-# Largest |beta| * (time span) of one chunk of the exponential scan.  Inside a
-# chunk each term is e^{beta (u_h - tau)} e^{-beta (u_g - tau)} instead of
-# e^{-beta (u_g - u_h)}; keeping the exponents this small keeps every factor
-# finite and each term within a few dozen ulp of the direct value.
-_CHUNK_SPAN = 30.0
+# Rows per block of the exponential scan (see ``_decay_scan``).
+_SCAN_BLOCK = 16
 
 # Most pairs times distinct cutoffs a pair list may hold: 2 GiB at 8 bytes
 # each.  A fixed constant, not read from the host, so a stream is accepted or
@@ -154,43 +152,49 @@ def _split(starts, pairs, parts):
 _PART_PAIRS = 1 << 16
 
 
-class _DecayScan:
-    """Y[g] = sum_{h <= g} exp(-beta (u[g] - u[h])) x[h] over sorted stamps u.
+def _blocked(rows):
+    """Rows padded with zeros to whole blocks of B = ``_SCAN_BLOCK``, with row
+    b * B + i at [i, b], so that each step of ``_decay_scan`` is one slice."""
+    nb = -(-len(rows) // _SCAN_BLOCK)
+    out = np.zeros((nb * _SCAN_BLOCK, *rows.shape[1:]))
+    out[: len(rows)] = rows
+    return out.reshape(nb, _SCAN_BLOCK, *rows.shape[1:]).swapaxes(0, 1).copy()
 
-    Equivalent to the recursion Y[g] = e^{-beta (u[g] - u[g-1])} Y[g-1] + x[g],
-    vectorised as anchored cumulative sums: in a chunk starting at stamp s,
-    Y[g] = e^{-beta (u[g] - u[s])} (carry + sum_{s <= h <= g} e^{beta (u[h] -
-    u[s])} x[h]), and the carry into the next chunk is the previous chunk's
-    last sum moved to the new anchor.  Chunks span |beta| * time <=
-    _CHUNK_SPAN; for x >= 0 every term is nonnegative, so nothing cancels.
-    Any beta returns: zero or non-finite beta makes one chunk, and no chunk is
-    empty, so there are at most len(u) chunks.
+
+def _decay_scan(a, Y):
+    """Y[g] = a[g] Y[g-1] + Y[g] down the rows, in place, from Y[-1] = 0.
+
+    ``a`` and ``Y`` hold the rows as ``_blocked`` lays them out.  The
+    recursion runs down all blocks at once, one row position per step, while
+    A keeps each block's running products of its factors; the block totals
+    are then scanned by doubling (Blelloch 1990), and each block adds its
+    carry.  Only products of the factors are formed, so for factors in [0, 1]
+    nothing overflows, and the steps taken depend on the shape alone.
     """
+    A = a.copy()
+    for i in range(1, _SCAN_BLOCK):
+        Y[i] += A[i, :, None] * Y[i - 1]
+        A[i] *= A[i - 1]
+    C, P = Y[-1], A[-1]  # block totals and products; scanned in place, final
+    s = 1
+    while s < P.size:
+        C[s:] += P[s:, None] * C[:-s]
+        P[s:] *= P[:-s]
+        s *= 2
+    for i in range(_SCAN_BLOCK - 1):
+        Y[i, 1:] += A[i, 1:, None] * C[:-1]
+    return Y
 
-    def __init__(self, u, beta):
-        G = u.size
-        if np.isfinite(beta) and G:
-            key = np.floor(abs(beta) * (u - u[0]) * (1.0 / _CHUNK_SPAN))
-            starts = np.concatenate(([0], np.flatnonzero(np.diff(key) != 0) + 1))
-        else:
-            starts = np.zeros(min(G, 1), dtype=np.intp)
-        anchor = u[starts]
-        z = beta * (u - np.repeat(anchor, np.diff(starts, append=G)))
-        self._up, self._down = np.exp(z)[:, None], np.exp(-z)[:, None]
-        self._hop = np.exp(-beta * np.diff(anchor))  # carry factor between anchors
-        self._bounds = starts.tolist() + [G]
 
-    def __call__(self, x):
-        Y = self._up * x
-        bounds = self._bounds
-        for k in range(len(bounds) - 1):
-            s, e = bounds[k], bounds[k + 1]
-            if k:
-                Y[s] += self._hop[k - 1] * Y[s - 1]
-            if e - s > 1:
-                np.cumsum(Y[s:e], axis=0, out=Y[s:e])
-        Y *= self._down
-        return Y
+def _nan_rows(S):
+    """S, with each row whose sum is not finite set to NaN in place.
+
+    One non-finite kernel value makes its row non-finite in the dense product
+    E @ Z; both engines keep that rule, so a bad extrapolated candidate fails
+    the same way whichever way its sums are taken.
+    """
+    S[~np.isfinite(S @ np.ones(S.shape[1]))] = np.nan
+    return S
 
 
 class LikelihoodProblem:
@@ -231,16 +235,14 @@ class LikelihoodProblem:
             Z[np.arange(n), types] = 1.0
         self._Z = Z
         self._comp_dt = self.T - times  # elapsed time entering the compensator
-        # Distinct stamps u_g, the stamp of each event, the gaps u_g - u_{g-1}
-        # (0 for the first) and the per-type counts at each stamp.  Grouping
-        # ties keeps simultaneous events out of each other's sums.
-        stamps, self._stamp_of = np.unique(times, return_inverse=True)
-        self._stamps = stamps
-        self._gaps = np.diff(stamps, prepend=stamps[:1])
-        G = stamps.size
-        self._counts = np.bincount(
-            self._stamp_of * K + types, minlength=G * K
-        ).reshape(G, K).astype(float)
+        # Distinct stamps u_g (grouping ties keeps simultaneous events out of
+        # each other's sums), their gaps u_g - u_{g-1} (0 for the first) and
+        # type counts in the scan's layout, and each event's stamp in it.
+        stamps, stamp_of = np.unique(times, return_inverse=True)
+        self._gaps = _blocked(np.diff(stamps, prepend=stamps[:1]))
+        self._counts = _blocked(
+            np.bincount(stamp_of * K + types, minlength=stamps.size * K).reshape(-1, K))
+        self._stamp_at = np.divmod(stamp_of, _SCAN_BLOCK)[::-1]
         # Exponential kernels take the recursion; power-law kernels sum over
         # the pair list.
         cutoffs = [k.c for k in spec.kernels if not isinstance(k, Exponential)]
@@ -267,15 +269,21 @@ class LikelihoodProblem:
         n, K = self.n, self.spec.K
         kern = self.spec.kernels[m]
         if isinstance(kern, Exponential):
-            # Ozaki's recursion over stamps, with W_g the type counts at u_g:
-            # R_g = c_g (R_{g-1} + W_{g-1}) and D_g = c_g D_{g-1} + gap_g R_g
-            # with c_g = e^{-beta gap_g}, where D_g = sum (u_g - s)
-            # e^{-beta (u_g - s)}; d phi / d beta sums to -D.
-            scan, gaps = _DecayScan(self._stamps, beta), self._gaps
-            R = np.zeros_like(self._counts)
-            R[1:] = np.exp(-beta * gaps[1:])[:, None] * scan(self._counts)[:-1]
-            D = -scan(gaps[:, None] * R)[self._stamp_of] if want_dbeta else None
-            return R[self._stamp_of], D
+            # Ozaki's recursion over stamps, with W_g the type counts at u_g
+            # and a_g = e^{-beta gap_g}: the scan Y_g = a_g Y_{g-1} + W_g gives
+            # R_g = a_g Y_{g-1} (R_0 = 0; g-1 is the row above, or the previous
+            # block's last row), and the scan of -gap_g R_g gives D_g, the sum
+            # of d phi / d beta = -(u_g - s) e^{-beta (u_g - s)}.
+            gaps, at = self._gaps, self._stamp_at
+            a = np.exp(-beta * gaps)
+            Y = _decay_scan(a, self._counts.copy())
+            R = np.zeros_like(Y)
+            np.multiply(a[1:, :, None], Y[:-1], out=R[1:])
+            np.multiply(a[0, 1:, None], Y[-1, :-1], out=R[0, 1:])
+            if not want_dbeta:
+                return _nan_rows(R[at]), None
+            D = _decay_scan(a, np.multiply(-gaps[:, :, None], R, out=Y))  # Y's memory
+            return _nan_rows(R[at]), _nan_rows(D[at])
 
         # phi = (dt + c)^-beta = exp(-beta L), summed over each cell's segment;
         # the scratch then holds L phi, and d phi / d beta = -L phi sums to -D.
@@ -300,16 +308,7 @@ class LikelihoodProblem:
         def rows(sums):
             S = np.zeros(n * K)
             S[cells] = sums
-            S = S.reshape(n, K)
-            # A non-finite kernel value makes its whole row non-finite, as in
-            # the dense product E @ Z, so a bad extrapolated candidate fails
-            # the same way whichever way its sums are taken.  Every finite phi
-            # is >= 0, so a cell sum is finite unless a value in it is not
-            # (or a finite sum overflows).
-            bad = ~np.isfinite(sums)
-            if bad.any():
-                S[cells[bad] // K] = np.nan
-            return S
+            return _nan_rows(S.reshape(n, K))
 
         return rows(r), (-rows(d) if want_dbeta else None)
 

@@ -85,7 +85,7 @@ class Exponential:
             return -0.5 * u * u
         x = beta * u
         with np.errstate(over="ignore", invalid="ignore"):
-            exact = (np.exp(-x) * (1.0 + x) - 1.0) / beta**2
+            exact = (np.exp(-x) * (1.0 + x) - 1.0) / (beta * beta)
         series = u * u * (-0.5 + x / 3.0 - x * x / 8.0)
         return np.where(np.abs(x) < 1e-3, series, exact)
 
@@ -157,7 +157,7 @@ class PowerLawCutoff:
         b = np.power(u + c, 1.0 - beta)
         da = -np.log(c) * a
         db = -np.log(u + c) * b
-        return ((da - db) * (beta - 1.0) - (a - b)) / (beta - 1.0) ** 2
+        return ((da - db) * (beta - 1.0) - (a - b)) / ((beta - 1.0) * (beta - 1.0))
 
     def total_mass(self, beta):
         self.validate_beta(beta)

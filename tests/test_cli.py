@@ -716,6 +716,18 @@ class TestExperimentConfigErrors:
         assert f"config error: {key}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, key", [
+        ("benchmark", "sedes"), ("consistency", "box_scael"),
+        ("benchmark", "T_grid"), ("consistency", "seeds"),
+    ])
+    def test_unknown_key_exit_1(self, tmp_path, capsys, monkeypatch, command, key):
+        """A misspelt key, or one the other command reads, is not ignored."""
+        doc = {**EXPERIMENT_CONFIGS[command], key: 5}
+        assert self.run(tmp_path, monkeypatch, command, doc) == 1
+        err = capsys.readouterr().err
+        assert f"unknown keys ['{key}']" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["benchmark", "consistency"])
     def test_top_level_array_exit_1(self, tmp_path, capsys, monkeypatch, command):
         assert self.run(tmp_path, monkeypatch, command, [1, 2]) == 1

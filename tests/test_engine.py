@@ -8,6 +8,7 @@ objective and both gradient blocks to agree to 1e-12 relative.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,9 +23,11 @@ from hawkes_mle import (
     LikelihoodProblem,
     ModelSpec,
     PowerLawCutoff,
+    SimConfig,
     intensity_at,
+    simulate_cluster,
 )
-from hawkes_mle import likelihood
+from hawkes_mle import experiments, likelihood
 from hawkes_mle.io import DataError
 
 RTOL = 1e-12
@@ -157,7 +160,7 @@ def objective_outcome(problem, flat):
 
 
 @pytest.mark.parametrize("kernel", ["exp", "pwl"])
-@pytest.mark.parametrize("beta", [0.0, -1.0, 1e6, math.nan])
+@pytest.mark.parametrize("beta", [0.0, -1.0, 1e6, math.nan, 1e300, -1e300])
 def test_out_of_box_beta_returns_like_oracle(kernel, beta):
     """Extrapolated AA candidates can carry any beta; evaluation must return."""
     spec = ModelSpec(K=3, M=1, kernels=[KERNELS[kernel]])
@@ -169,6 +172,71 @@ def test_out_of_box_beta_returns_like_oracle(kernel, beta):
         assert finite_pattern(prob.grad_flat(flat, *blocks)) == finite_pattern(
             oracle.grad_flat(flat, *blocks))
     assert objective_outcome(prob, flat) == objective_outcome(oracle, flat)
+
+
+@pytest.mark.parametrize("beta", [-3.0, math.inf])
+def test_out_of_box_beta_on_recipe_stream_returns_like_oracle(beta):
+    """On a recipe stream, exponential sums that overflow make NaN rows as in
+    the oracle: the objective raises at beta = -3 and is -inf at beta = inf."""
+    inst = experiments.generate_instance(
+        experiments.SyntheticRecipe(kind="exp-k10", K=3, seed=0, horizon=300.0))
+    ev = simulate_cluster(inst.spec, inst.params, inst.horizon, SimConfig(seed=0))
+    prob = LikelihoodProblem(inst.spec, ev, inst.domain, reg_c=inst.reg_c)
+    assert prob.n == 52
+    oracle = DenseProblem(prob)
+    flat = prob.index_map.pack(inst.init)
+    flat[prob.index_map.beta_slice] = beta
+    with np.errstate(all="ignore"):
+        for blocks in ((True, True), (True, False), (False, True)):
+            assert finite_pattern(prob.grad_flat(flat, *blocks)) == finite_pattern(
+                oracle.grad_flat(flat, *blocks))
+        assert objective_outcome(prob, flat) == objective_outcome(oracle, flat)
+
+
+# -- the exponential scan -----------------------------------------------------
+
+
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("G", [0, 1, 15, 16, 17, 255, 256, 257, 4097])
+def test_decay_scan_matches_plain_recursion(G, K):
+    """Rows at block edges and at each level of the doubling, with factors of
+    exactly 0 and 1, against Y[g] = a[g] Y[g-1] + x[g] one row at a time."""
+    rng = np.random.default_rng(G * 10 + K)
+    # Factors near 1 keep carries alive across many blocks; one zero cuts them.
+    a = rng.uniform(0.995, 1.0, G)
+    a[rng.random(G) < 0.3] = 1.0
+    a[G // 3 : G // 3 + 1] = 0.0
+    x = rng.uniform(0.0, 1.0, (G, K))
+    expected, y = np.empty((G, K)), np.zeros(K)
+    for g in range(G):
+        y = a[g] * y + x[g]
+        expected[g] = y
+    Y = likelihood._decay_scan(likelihood._blocked(a), likelihood._blocked(x))
+    rows = Y[np.divmod(np.arange(G), likelihood._SCAN_BLOCK)[::-1]]
+    np.testing.assert_allclose(rows, expected, rtol=1e-12, atol=0.0)
+
+
+def test_exponential_pass_takes_the_same_steps_at_every_beta():
+    """The scan's work depends on the stream alone: the count of C calls in
+    one exponential pass is the same at every beta."""
+    rng = np.random.default_rng(3)
+    n, K = 2000, 3
+    spec = ModelSpec(K=K, M=1, kernels=[Exponential()])
+    prob = LikelihoodProblem(
+        spec, events(np.sort(rng.uniform(0.0, 500.0, n)), rng.integers(0, K, n),
+                     horizon=500.0), wide_domain(spec))
+
+    def c_calls(beta):
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(event == "c_call"))
+        try:
+            prob._kernel_sums(0, beta, True)
+        finally:
+            sys.setprofile(None)
+        return sum(calls)
+
+    counts = [c_calls(beta) for beta in (0.0, 0.5, 40.0, 1000.0)]
+    assert len(set(counts)) == 1, counts
 
 
 # -- intensities from the kernel sums vs intensity_at --------------------------
