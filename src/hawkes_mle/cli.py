@@ -8,10 +8,7 @@ data error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -19,9 +16,9 @@ from . import experiments
 from .io import (
     ConfigError,
     DataError,
-    _load_json_object,
-    _reject_unknown,
+    _read,
     domain_from_config,
+    experiment_from_config,
     hyperparams_from_config,
     ingest_lobster,
     ingest_memetracker,
@@ -29,26 +26,17 @@ from .io import (
     load_config,
     read_events,
     read_params,
+    reg_c_from_config,
     spec_from_config,
     write_events,
     write_params,
     write_trace,
 )
 from .likelihood import LikelihoodProblem
-from .model import (
-    DomainError,
-    branching_matrix,
-    spectral_radius,
-    stationary_mean_intensity,
-)
+from .model import DomainError, branching_matrix, spectral_radius, stationary_mean_intensity
 from .optim import RUNNERS, HyperParamsError, InfeasibleInitError
-from .simulate import (
-    SimConfig,
-    SimulationCapError,
-    _finite_horizon,
-    simulate_cluster,
-    simulate_thinning,
-)
+from .simulate import SimConfig, SimulationCapError, _finite_horizon
+from .simulate import simulate_cluster, simulate_thinning
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,24 +44,14 @@ EXIT_DOMAIN = 2
 EXIT_DATA = 3
 
 
-def _config_horizon(value):
-    """The horizon from a config or ``--horizon``; finite and nonnegative or a ConfigError."""
-    try:
-        return _finite_horizon(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"horizon: {exc}") from None
-
-
 def cmd_simulate(args):
-    if args.seed < 0:
-        raise ConfigError("--seed must be nonnegative")
-    if args.max_events < 1:
-        raise ConfigError("--max-events must be positive")
+    config = _read("--seed, --max-events", SimConfig, args.seed, args.max_events)
     doc = load_config(args.config, require=("model", "init", "horizon"))
     spec = spec_from_config(doc)
     params = init_from_config(doc, spec)
-    horizon = _config_horizon(args.horizon if args.horizon is not None else doc["horizon"])
-    config = SimConfig(seed=args.seed, max_events=args.max_events)
+    if args.horizon is not None:
+        doc["horizon"] = _read("--horizon", _finite_horizon, args.horizon)
+    horizon = float(doc["horizon"])
     sim = simulate_cluster if args.method == "cluster" else simulate_thinning
     events = sim(spec, params, horizon, config)
     write_events(args.out, events)
@@ -102,17 +80,10 @@ def cmd_fit(args):
     spec = spec_from_config(doc)
     domain = domain_from_config(doc, spec)
     init = init_from_config(doc, spec)
-    reg_c = float(doc["regularization"]["C"])
-    if reg_c < 0:
-        raise ConfigError("regularization: C must be nonnegative")
-    horizon = _config_horizon(doc["horizon"])
+    reg_c = reg_c_from_config(doc)
+    horizon = float(doc["horizon"])
     hp, algorithm = hyperparams_from_config(
-        doc, allow_noncompliant=args.allow_noncompliant_hp,
-        algo=args.algo, iters=args.iters,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the runner warns, once per fit
-        hp.validate()  # exit on bad hyperparameters before reading events
+        doc, allow_noncompliant=args.allow_noncompliant_hp, algo=args.algo, iters=args.iters)
     events = read_events(args.events, horizon=horizon)
     try:
         problem = LikelihoodProblem(spec, events, domain, reg_c=reg_c)
@@ -155,89 +126,9 @@ def cmd_check_stationarity(args):
     return EXIT_OK
 
 
-def _is_count(value, low=1):
-    """A JSON integer (bool excluded) of at least ``low``."""
-    return type(value) is int and value >= low
-
-
-def _is_positive(value):
-    """A finite JSON number above zero."""
-    return type(value) in (int, float) and 0 < value < math.inf
-
-
-def _checked(doc, key, ok, expected, default=None):
-    """doc[key], or ``default`` when absent, if ``ok`` holds for it; else a ConfigError."""
-    value = doc.get(key, default)
-    if not ok(value):
-        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
-    return value
-
-
-def _checked_iters(doc, default):
-    """The iteration budget: a positive integer; null or absent gives ``default``."""
-    iters = _checked(doc, "iters", lambda v: v is None or _is_count(v),
-                     "a positive integer or null")
-    return default if iters is None else iters
-
-
-def _recipe_from_config(doc, default, **kw):
-    """A built-in recipe by name or a custom one as a dict, seeded; ``kw`` overrides."""
-    recipe_field = doc.get("recipe", default)
-    seed = _checked(doc, "recipe_seed", lambda v: _is_count(v, 0),
-                    "a non-negative integer", 0)
-    if isinstance(recipe_field, dict):
-        try:
-            return experiments.SyntheticRecipe(**{"seed": seed, **recipe_field, **kw})
-        except TypeError as exc:
-            raise ConfigError(f"recipe: {exc}") from None
-    if isinstance(recipe_field, str) and recipe_field in experiments.RECIPES:
-        return replace(experiments.RECIPES[recipe_field], seed=seed, **kw)
-    raise ConfigError(f"unknown recipe {recipe_field!r}")
-
-
-def _instance_from_recipe(recipe):
-    """The recipe's instance; a recipe its fields make unusable is a ConfigError."""
-    try:
-        _finite_horizon(recipe.horizon)
-        return experiments.generate_instance(recipe)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"recipe: {exc}") from None
-
-
-def _instance_from_config(doc):
-    kw = {}
-    if "K" in doc:
-        kw["K"] = _checked(doc, "K", _is_count, "a positive integer")
-    if "horizon" in doc:
-        kw["horizon"] = float(
-            _checked(doc, "horizon", _is_positive, "a finite number > 0")
-        )
-    return _instance_from_recipe(_recipe_from_config(doc, "exp-k10", **kw))
-
-
-# The top-level keys each experiment command reads; any other is a config error.
-_BENCHMARK_KEYS = ("recipe", "recipe_seed", "K", "horizon", "algorithms", "iters", "seeds")
-_CONSISTENCY_KEYS = ("recipe", "recipe_seed", "T_grid", "seeds_per_T", "iters", "box_scale")
-
-
 def cmd_benchmark(args):
-    doc = _load_json_object(args.config)
-    _reject_unknown(doc, _BENCHMARK_KEYS, args.config)
-    algorithms = _checked(doc, "algorithms", lambda v: isinstance(v, list) and v,
-                          "a non-empty list", list(experiments.ALGORITHMS))
-    unknown = [a for a in algorithms if a not in experiments.ALGORITHMS]
-    if unknown:
-        raise ConfigError(f"algorithms: unknown {', '.join(map(repr, unknown))}")
-    iters = _checked_iters(doc, None)  # None: the recipe's own budget
-    seeds = _checked(
-        doc, "seeds",
-        lambda v: isinstance(v, list) and v and all(_is_count(s, 0) for s in v),
-        "a non-empty list of non-negative integers", [0, 1, 2, 3, 4],
-    )
-    instance = _instance_from_config(doc)
-    report = experiments.run_benchmark(
-        instance, algorithms=tuple(algorithms), iters=iters, seeds=tuple(seeds)
-    )
+    _, instance, kwargs = experiment_from_config(args.config, "benchmark")
+    report = experiments.run_benchmark(instance, **kwargs)
     report.write(args.out)
     for algo in report.algorithms:
         print(f"{algo}: median final objective {report.median_final(algo):.6f}")
@@ -246,22 +137,8 @@ def cmd_benchmark(args):
 
 
 def cmd_consistency(args):
-    doc = _load_json_object(args.config)
-    _reject_unknown(doc, _CONSISTENCY_KEYS, args.config)
-    T_grid = _checked(
-        doc, "T_grid",
-        lambda v: isinstance(v, list) and v and all(map(_is_positive, v)),
-        "a non-empty list of finite numbers > 0", [200.0, 2000.0],
-    )
-    seeds_per_T = _checked(doc, "seeds_per_T", _is_count, "a positive integer", 10)
-    iters = _checked_iters(doc, 300)
-    box_scale = _checked(doc, "box_scale", lambda v: v is None or _is_positive(v),
-                         "a finite number > 0 or null", 10.0)
-    recipe = _recipe_from_config(doc, {})
-    _instance_from_recipe(recipe)  # reject a bad recipe before any stream
-    report = experiments.run_consistency_study(
-        recipe, T_grid, seeds_per_T=seeds_per_T, iters=iters, box_scale=box_scale
-    )
+    recipe, _, kwargs = experiment_from_config(args.config, "consistency")
+    report = experiments.run_consistency_study(recipe, **kwargs)
     report.write(args.out)
     for T, med in sorted(report.medians.items()):
         print(f"T={T:g}: median relative error {med:.6g}")
@@ -288,6 +165,14 @@ def cmd_ingest_memetracker(args):
         f"dropped {summary['rows_unmapped']} unmapped"
     )
     return EXIT_OK
+
+
+def _fraction(text):
+    """The ``--max-bad-fraction`` value: a finite number in [0, 1]."""
+    value = float(text)  # a malformed number is argparse's "invalid _fraction value"
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a finite number in [0, 1], got {text!r}")
+    return value
 
 
 def build_parser():
@@ -335,7 +220,7 @@ def build_parser():
     s.add_argument("--messages", required=True)
     s.add_argument("--types", required=True, help="JSON mapping event code -> L|M|C")
     s.add_argument("--out", required=True)
-    s.add_argument("--max-bad-fraction", type=float, default=0.01)
+    s.add_argument("--max-bad-fraction", type=_fraction, default=0.01)
     s.set_defaults(func=cmd_ingest_lobster)
 
     s = sub.add_parser("ingest-memetracker", help="posting log to event CSV")

@@ -364,7 +364,8 @@ def _scaled_domain(spec, truth, scale):
     )
 
 
-def run_consistency_study(recipe, T_grid, seeds_per_T, iters=300, box_scale=10.0):
+def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=300,
+                          box_scale=10.0):
     """Fit accelerated runs to streams of growing horizon; report error vs T.
 
     For each horizon and stream, the relative parameter error

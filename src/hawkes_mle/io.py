@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+import warnings
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .model import BoxDomain, Exponential, ModelSpec, ParamVector, PowerLawCutoff
-from .optim import RUNNERS, HyperParams
+from . import experiments
+from .model import BoxDomain, DataError, Exponential, ModelSpec, ParamVector, PowerLawCutoff
+from .model import _is_finite, _is_integer
+from .optim import HyperParams
 from .simulate import EventSequence
 
 __all__ = [
@@ -31,7 +34,9 @@ __all__ = [
     "spec_from_config",
     "domain_from_config",
     "init_from_config",
+    "reg_c_from_config",
     "hyperparams_from_config",
+    "experiment_from_config",
     "kernels_to_json",
     "kernels_from_json",
     "ingest_lobster",
@@ -41,11 +46,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration document."""
-
-
-class DataError(ValueError):
-    """Malformed data file (event CSV, message CSV, mapping), or a stream
-    whose power-law pair list would exceed ``likelihood._PAIR_BUDGET``."""
 
 
 # -- event files --------------------------------------------------------------
@@ -113,32 +113,21 @@ def _load_json(path, error=ConfigError):
 
 
 def kernels_to_json(kernels):
-    out = []
-    for k in kernels:
-        if k.name == "exponential":
-            out.append({"family": "exponential"})
-        elif k.name == "powerlaw":
-            out.append({"family": "powerlaw", "c": k.c})
-        else:
-            raise ConfigError(f"unknown kernel family {k.name!r}")
-    return out
+    """The kernels as the JSON entries ``kernels_from_json`` reads."""
+    return [{"family": k.name, **asdict(k)} for k in kernels]
 
 
 def kernels_from_json(entries):
-    kernels = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "family" not in entry:
-            raise ConfigError(f"kernels[{i}]: expected an object with a 'family' key")
-        fam = entry["family"]
-        if fam == "exponential":
-            _reject_unknown(entry, {"family"}, f"kernels[{i}]")
-            kernels.append(Exponential())
-        elif fam == "powerlaw":
-            _reject_unknown(entry, {"family", "c"}, f"kernels[{i}]")
-            kernels.append(PowerLawCutoff(float(entry.get("c", 0.05))))
-        else:
-            raise ConfigError(f"kernels[{i}]: unknown family {fam!r}")
-    return kernels
+    """Kernels from a list of {"family": "exponential"} / {"family": "powerlaw", "c": c}."""
+    return [_read(f"kernels[{i}]", _kernel, entry) for i, entry in enumerate(entries)]
+
+
+def _kernel(entry):
+    family = entry.get("family") if isinstance(entry, dict) else None
+    if family not in ("exponential", "powerlaw"):
+        raise ValueError(f"expected an object with family exponential or powerlaw, got {entry!r}")
+    _section(entry, family)
+    return Exponential() if family == "exponential" else PowerLawCutoff(entry.get("c", 0.05))
 
 
 def write_params(path, spec, params, objective=None, meta=None):
@@ -157,14 +146,13 @@ def write_params(path, spec, params, objective=None, meta=None):
 
 def read_params(path):
     """Returns (spec, params, objective, meta) from a parameter JSON file."""
-    doc = _load_json_object(path)
-    _reject_unknown(doc, {*_INIT_KEYS, "kernels", "objective", "meta"}, "params")
-    try:
-        params = ParamVector(**{k: doc[k] for k in _INIT_KEYS})
-        kernels = kernels_from_json(doc.get("kernels", []))
-        spec = ModelSpec(K=params.K, M=params.M, kernels=kernels)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _read(path, _params, _load_json_object(path))
+
+
+def _params(doc):
+    _section(doc, "params")
+    params = ParamVector(doc["mu"], doc["alpha"], doc["beta"])
+    spec = ModelSpec(K=params.K, M=params.M, kernels=kernels_from_json(doc.get("kernels", [])))
     return spec, params, doc.get("objective"), doc.get("meta", {})
 
 
@@ -205,25 +193,97 @@ def read_trace(path):
 
 
 # -- config documents ----------------------------------------------------------
-
-def _field_names(cls):
-    return tuple(f.name for f in fields(cls))
-
-
-_TOP_KEYS = {"model", "domain", "init", "regularization", "optimizer", "horizon"}
-_MODEL_KEYS = {"K", "M", "kernels"}
-# The domain, init and optimizer sections are the dataclasses' own fields, in
-# field order; allow_noncompliant is a command-line flag, not a config key.
-_DOMAIN_KEYS = _field_names(BoxDomain)
-_INIT_KEYS = _field_names(ParamVector)
-_REG_KEYS = {"C"}
-_OPT_KEYS = {"algorithm", *_field_names(HyperParams)} - {"allow_noncompliant"}
+#
+# One reader for every config document: fit/simulate configs, params files,
+# benchmark/consistency configs and their dict recipes.  ``_section`` checks a
+# section's type, keys and scalars against ``_SECTIONS``; constructors and
+# ``validate()`` build the values; ``_read`` alone turns a KeyError, TypeError
+# or ValueError into a ConfigError.  Reads nest, so a message names the
+# section and key: "model: K: expected a positive integer, got 2.5".
 
 
-def _reject_unknown(doc, allowed, where):
-    unknown = set(doc) - set(allowed)
+def _read(where, build, *args):
+    """build(*args); a KeyError, TypeError or ValueError becomes a ConfigError naming ``where``."""
+    try:
+        return build(*args)
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if type(exc) is KeyError else str(exc)
+        raise ConfigError(f"{where}: {reason}" if where else reason) from None
+
+
+def _check(value, ok, expected):
+    if not ok(value):
+        raise ValueError(f"expected {expected}, got {value!r}")
+
+
+def _nonempty_list(ok, expected):
+    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v))), expected
+
+
+# The scalar checks: (predicate, what it expects).
+_COUNT = (lambda v: _is_integer(v) and v >= 1), "a positive integer"
+_SEED = (lambda v: _is_integer(v) and v >= 0), "a non-negative integer"
+_POSITIVE = (lambda v: _is_finite(v) and v > 0), "a finite number > 0"
+_NONNEGATIVE = (lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"
+_LIST = (lambda v: isinstance(v, list)), "a list"
+_ITERS = (lambda v: v is None or _COUNT[0](v)), "a positive integer or null"
+_ALGORITHM = (lambda v: v in experiments.ALGORITHMS), f"one of {', '.join(experiments.ALGORITHMS)}"
+_RECIPE_FLOATS = ("cutoff", "beta_true", "alpha_low", "alpha_high", "alpha_divisor", "mu_low",
+                  "mu_high", "mu_divisor")
+
+
+def _fields(cls, **checks):
+    """A dataclass's fields as section keys (its constructor checks them), plus ``checks``."""
+    return {**{f.name: None for f in fields(cls) if f.name != "allow_noncompliant"}, **checks}
+
+
+# Each section's keys: a key maps to its check, to the name of the section it
+# holds, or to None when its value's constructor checks it.  The domain, init,
+# optimizer and recipe sections are the dataclasses' own fields, and
+# allow_noncompliant is a command-line flag, not a config key.
+_SECTIONS = {
+    "config": {"model": "model", "domain": "domain", "init": "init",
+               "regularization": "regularization", "optimizer": "optimizer",
+               "horizon": _NONNEGATIVE},
+    "model": {"K": _COUNT, "M": _COUNT, "kernels": _LIST},
+    "exponential": {"family": None},
+    "powerlaw": {"family": None, "c": _POSITIVE},
+    "domain": _fields(BoxDomain),
+    "init": _fields(ParamVector),
+    "regularization": {"C": _NONNEGATIVE},
+    "optimizer": _fields(HyperParams, algorithm=_ALGORITHM),
+    "params": _fields(ParamVector, kernels=_LIST, objective=None, meta=None),
+    "benchmark": {
+        "recipe": None, "recipe_seed": _SEED, "K": _COUNT, "horizon": _POSITIVE, "iters": _ITERS,
+        "algorithms": _nonempty_list(_ALGORITHM[0], "a non-empty list of " + _ALGORITHM[1]),
+        "seeds": _nonempty_list(_SEED[0], "a non-empty list of non-negative integers"),
+    },
+    "consistency": {
+        "recipe": None, "recipe_seed": _SEED, "seeds_per_T": _COUNT, "iters": _ITERS,
+        "T_grid": _nonempty_list(_POSITIVE[0], "a non-empty list of finite numbers > 0"),
+        "box_scale": ((lambda v: v is None or _POSITIVE[0](v)), "a finite number > 0 or null"),
+    },
+    "recipe": _fields(
+        experiments.SyntheticRecipe, K=_COUNT, M=_COUNT, seed=_SEED, horizon=_POSITIVE,
+        reg_c=_NONNEGATIVE, **dict.fromkeys(_RECIPE_FLOATS, (_is_finite, "a finite number")),
+    ),
+}
+
+
+def _section(doc, name):
+    """``doc`` as section ``name``: an object with only its keys, each key checked."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected an object, got {doc!r}")
+    keys = _SECTIONS[name]
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    for key, value in doc.items():
+        if isinstance(keys[key], str):
+            _read(key, _section, value, keys[key])
+        elif keys[key] is not None:
+            _read(key, _check, value, *keys[key])
+    return doc
 
 
 def _load_json_object(path):
@@ -235,70 +295,86 @@ def _load_json_object(path):
 
 
 def load_config(path, require=("model", "init", "horizon")):
-    doc = _load_json_object(path)
-    _reject_unknown(doc, _TOP_KEYS, path)
-    for section in require:
-        if section not in doc:
-            raise ConfigError(f"{path}: missing required section {section!r}")
-    if "model" in doc:
-        _reject_unknown(doc["model"], _MODEL_KEYS, "model")
-    if "domain" in doc:
-        _reject_unknown(doc["domain"], _DOMAIN_KEYS, "domain")
-    if "init" in doc:
-        _reject_unknown(doc["init"], _INIT_KEYS, "init")
-    if "regularization" in doc:
-        _reject_unknown(doc["regularization"], _REG_KEYS, "regularization")
-    if "optimizer" in doc:
-        _reject_unknown(doc["optimizer"], _OPT_KEYS, "optimizer")
-    return doc
+    """A simulate/fit config document, every section and key in it checked."""
+    return _read("", _config, _load_json_object(path), require)
+
+
+def _config(doc, require):
+    for name in require:
+        if name not in doc:
+            raise ValueError(f"missing required section {name!r}")
+    return _section(doc, "config")
 
 
 def spec_from_config(doc):
-    model = doc["model"]
-    try:
-        kernels = kernels_from_json(model["kernels"])
-        return ModelSpec(K=int(model["K"]), M=int(model["M"]), kernels=kernels)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from None
+    m = doc["model"]
+    return _read("model", lambda: ModelSpec(m["K"], m["M"], kernels_from_json(m["kernels"])))
+
+
+def _shaped(cls, section, spec):
+    """cls(**section), which must have the model spec's K and M."""
+    value = cls(**{f.name: section[f.name] for f in fields(cls)})
+    if (value.K, value.M) != (spec.K, spec.M):
+        raise ValueError(f"shapes for K={value.K}, M={value.M} do not match the model spec")
+    return value
 
 
 def domain_from_config(doc, spec):
-    d = doc["domain"]
-    try:
-        domain = BoxDomain(**{k: d[k] for k in _DOMAIN_KEYS})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"domain: {exc}") from None
-    if (domain.K, domain.M) != (spec.K, spec.M):
-        raise ConfigError("domain: bound shapes do not match the model spec")
+    domain = _read("domain", _shaped, BoxDomain, doc["domain"], spec)
     domain.validate_kernels(spec)
     return domain
 
 
 def init_from_config(doc, spec):
-    init = doc["init"]
-    try:
-        pv = ParamVector(**{k: init[k] for k in _INIT_KEYS})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"init: {exc}") from None
-    if (pv.K, pv.M) != (spec.K, spec.M):
-        raise ConfigError("init: parameter shapes do not match the model spec")
-    return pv
+    return _read("init", _shaped, ParamVector, doc["init"], spec)
+
+
+def reg_c_from_config(doc):
+    return float(_read("regularization", lambda: doc["regularization"]["C"]))
 
 
 def hyperparams_from_config(doc, allow_noncompliant=False, algo=None, iters=None):
-    """Build HyperParams from the optimizer section; returns (hp, algorithm)."""
-    opt = dict(doc.get("optimizer", {}))
-    algorithm = algo or opt.pop("algorithm", "aa-ipalm")
-    if algorithm not in tuple(RUNNERS):  # a tuple: JSON values may be unhashable
-        raise ConfigError(f"optimizer: unknown algorithm {algorithm!r}")
+    """Build and validate HyperParams from the optimizer section; returns (hp, algorithm)."""
+    opt = doc.get("optimizer", {})
     kwargs = {k: v for k, v in opt.items() if k != "algorithm"}
     if iters is not None:
-        kwargs["max_iters"] = int(iters)
-    try:
-        hp = HyperParams(allow_noncompliant=allow_noncompliant, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"optimizer: {exc}") from None
-    return hp, algorithm
+        kwargs["max_iters"] = iters
+    hp = _read("optimizer", lambda: HyperParams(allow_noncompliant=allow_noncompliant, **kwargs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the runner warns, once per fit
+        _read("optimizer", hp.validate)
+    return hp, algo or opt.get("algorithm", "aa-ipalm")
+
+
+def experiment_from_config(path, command):
+    """A ``benchmark`` or ``consistency`` config: (recipe, instance, kwargs).  ``kwargs``
+    holds the other arguments the config sets for ``run_benchmark`` or
+    ``run_consistency_study``; the rest keep those functions' defaults.  The instance is
+    generated here, so a bad recipe fails before any stream is simulated."""
+    return _read("", _experiment, _load_json_object(path), command)
+
+
+def _experiment(doc, command):
+    kwargs = dict(_section(doc, command))
+    if "iters" in kwargs and kwargs["iters"] is None:
+        del kwargs["iters"]  # null: the run's default
+    overrides = {k: kwargs.pop(k) for k in ("K", "horizon") if k in kwargs}
+    if "horizon" in overrides:
+        overrides["horizon"] = float(overrides["horizon"])
+    recipe = _read("recipe", _recipe, kwargs.pop("recipe", "exp-k10"), kwargs.pop("recipe_seed", 0),
+                   overrides)
+    return recipe, _read("recipe", experiments.generate_instance, recipe), kwargs
+
+
+def _recipe(field, seed, overrides):
+    """A built-in recipe by name or a custom one from an object, seeded; ``overrides`` win."""
+    if isinstance(field, dict):
+        return experiments.SyntheticRecipe(**{"seed": seed, **_section(field, "recipe"),
+                                              **overrides})
+    if field not in tuple(experiments.RECIPES):
+        raise ValueError(f"expected one of {', '.join(experiments.RECIPES)} or an object, "
+                         f"got {field!r}")
+    return replace(experiments.RECIPES[field], seed=seed, **overrides)
 
 
 # -- ingestion -----------------------------------------------------------------

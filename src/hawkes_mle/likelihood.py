@@ -53,8 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .io import DataError
-from .model import Exponential, intensities
+from .model import DataError, Exponential, intensities
 
 __all__ = [
     "LikelihoodProblem",
@@ -211,8 +210,8 @@ class LikelihoodProblem:
     def __init__(self, spec, events, domain, reg_c=0.0):
         if events.horizon <= 0:
             raise ValueError("observation horizon T must be positive")
-        if reg_c < 0:
-            raise ValueError("regularization coefficient must be nonnegative")
+        if not 0 <= reg_c < np.inf:
+            raise ValueError(f"regularization coefficient must be finite and >= 0, got {reg_c}")
         if np.any(events.types >= spec.K):
             raise ValueError("event type index out of range for the model spec")
         domain.validate_kernels(spec)

@@ -15,11 +15,14 @@ is a compact box, Cartesian in the (mu, alpha) block and the beta block.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "DataError",
     "DomainError",
     "NonStationaryError",
     "Exponential",
@@ -38,6 +41,21 @@ __all__ = [
 
 class DomainError(ValueError):
     """Inadmissible parameter for a kernel family or box domain."""
+
+
+class DataError(ValueError):
+    """Malformed data file (event CSV, message CSV, mapping), or a stream
+    whose power-law pair list would exceed ``likelihood._PAIR_BUDGET``."""
+
+
+def _is_integer(value):
+    """An integer, numpy's included; bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    """A finite real number, numpy's included; bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class NonStationaryError(DomainError):
@@ -298,8 +316,13 @@ class BoxDomain:
     def __post_init__(self):
         for name in ("mu_lb", "mu_ub", "alpha_lb", "alpha_ub", "beta_lb", "beta_ub"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.alpha_lb.ndim != 3:
-            raise ValueError("alpha bounds must be M x K x K arrays")
+        if self.mu_lb.ndim != 1 or self.beta_lb.ndim != 1:
+            raise ValueError("mu and beta bounds must be 1-d arrays")
+        K, M = self.K, self.M
+        for name, shape in (("mu_ub", (K,)), ("alpha_lb", (M, K, K)),
+                            ("alpha_ub", (M, K, K)), ("beta_ub", (M,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape} for K={K}, M={M}")
         if (
             np.any(self.mu_lb > self.mu_ub)
             or np.any(self.alpha_lb > self.alpha_ub)

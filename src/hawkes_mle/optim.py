@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .model import ParamVector
+from .model import ParamVector, _is_finite, _is_integer
 
 __all__ = [
     "HyperParamsError",
@@ -123,6 +123,14 @@ class HyperParams:
         return self.delta if self.delta is not None else max(self.delta1, self.delta2)
 
     def validate(self):
+        for f in fields(self):  # the annotations are strings: "float", "float | None", "int"
+            value = getattr(self, f.name)
+            if f.type == "int" and not (_is_integer(value) and value >= 1):
+                raise HyperParamsError(f"{f.name} must be a positive integer, got {value!r}")
+            if f.type.startswith("float") and not (
+                _is_finite(value) or value is None and f.type.endswith("None")
+            ):
+                raise HyperParamsError(f"{f.name} must be a finite number, got {value!r}")
         if not 0.0 < self.epsilon < 0.5:
             raise HyperParamsError("epsilon must lie in (0, 1/2)")
         hi = 1.0 - 2.0 * self.epsilon
@@ -138,10 +146,6 @@ class HyperParams:
             raise HyperParamsError("omega_bar and nu must lie in (0, 1)")
         if self.c1 < 1.0 or self.c2 < 1.0:
             raise HyperParamsError("safeguard constants c1, c2 must be >= 1")
-        if self.memory < 1:
-            raise HyperParamsError("memory must be a positive integer")
-        if self.max_iters < 1:
-            raise HyperParamsError("max_iters must be a positive integer")
         if self.delta is not None and self.delta < 0:
             raise HyperParamsError("delta must be nonnegative")
 

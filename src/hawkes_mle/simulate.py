@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Exponential, _stationary_branching_matrix
+from .model import Exponential, _is_integer, _stationary_branching_matrix
 
 __all__ = [
     "EventSequence",
@@ -67,6 +67,8 @@ class SimConfig:
     max_events: int = 10_000_000
 
     def __post_init__(self):
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.max_events <= 0:
             raise ValueError("max_events must be positive")
 

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import fields
 
@@ -812,3 +813,74 @@ class TestConfigValidation:
 
     def test_help_exit_0(self):
         assert main(["--help"]) == 0
+
+
+# Config values that ended in a traceback, or were silently truncated, before
+# every config document went through one reader: (command, value, mutation,
+# the section the error names).
+def _set(section, key, value):
+    return lambda doc: doc[section].update({key: value})
+
+
+CONFIG_REGRESSIONS = [
+    ("fit", "regularization without C", lambda doc: doc["regularization"].clear(),
+     "regularization"),
+    ("fit", "C='x'", _set("regularization", "C", "x"), "regularization"),
+    ("fit", "C=NaN", _set("regularization", "C", math.nan), "regularization"),
+    ("fit", "regularization=5", lambda doc: doc.update(regularization=5), "regularization"),
+    ("fit", "model=5", lambda doc: doc.update(model=5), "model"),
+    ("simulate", "model=[]", lambda doc: doc.update(model=[]), "model"),
+    ("simulate", "K=null", _set("model", "K", None), "model"),
+    ("fit", "K=2.5", _set("model", "K", 2.5), "model"),
+    ("simulate", "M=1.5", _set("model", "M", 1.5), "model"),
+    ("fit", "kernels=5", _set("model", "kernels", 5), "model"),
+    ("fit", "powerlaw c=null", _set("model", "kernels", [{"family": "powerlaw", "c": None}]),
+     "model"),
+    ("fit", "gamma1='x'", _set("optimizer", "gamma1", "x"), "optimizer"),
+    ("fit", "tau1='1'", _set("optimizer", "tau1", "1"), "optimizer"),
+    ("fit", "c1=null", _set("optimizer", "c1", None), "optimizer"),
+    ("fit", "max_iters='3'", _set("optimizer", "max_iters", "3"), "optimizer"),
+    ("fit", "max_iters=2.5", _set("optimizer", "max_iters", 2.5), "optimizer"),
+    ("fit", "memory=2.5", _set("optimizer", "memory", 2.5), "optimizer"),
+    ("fit", "lbar1=NaN", _set("optimizer", "lbar1", math.nan), "optimizer"),
+    ("fit", "tau1=NaN", _set("optimizer", "tau1", math.nan), "optimizer"),
+    ("benchmark", "recipe reg_c='x'", {"K": 1, "reg_c": "x"}, "recipe"),
+    ("consistency", "recipe reg_c='x'", {"K": 1, "reg_c": "x"}, "recipe"),
+    ("benchmark", "recipe horizon=0", {"K": 1, "horizon": 0}, "recipe"),
+    ("consistency", "recipe horizon=0", {"K": 1, "horizon": 0}, "recipe"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, mutation, section", [(c, m, s) for c, _, m, s in CONFIG_REGRESSIONS],
+    ids=[f"{c}-{name}" for c, name, _, _ in CONFIG_REGRESSIONS],
+)
+def test_config_regression_exit_1_naming_the_section(tmp_path, capsys, command, mutation,
+                                                     section):
+    if command in ("fit", "simulate"):
+        doc = base_config(K=2)
+        mutation(doc)
+        events = tmp_path / "e.csv"
+        events.write_text("time,type\n1.0,0\n")
+        extra = ["--events", str(events)] if command == "fit" else []
+    else:
+        doc, extra = TestExperimentConfigErrors.with_recipe(command, mutation), []
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.1", "1.5", "inf", "x"])
+def test_max_bad_fraction_outside_unit_interval_exit_1(tmp_path, capsys, value):
+    msg, mapping = TestIngestLobster().make_fixture(tmp_path)
+    out = tmp_path / "events.csv"
+    code = main(["ingest-lobster", "--messages", str(msg), "--types", str(mapping),
+                 "--out", str(out), "--max-bad-fraction", value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--max-bad-fraction" in err and "Traceback" not in err
+    assert not out.exists()

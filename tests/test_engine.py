@@ -43,17 +43,18 @@ KERNELS = {"exp": Exponential(), "pwl": PowerLawCutoff(0.05), "pwl-wide": PowerL
 
 
 @st.composite
-def cases(draw, kernels=None, ties=None, chunked=False):
+def cases(draw, kernels=None, ties=None, many_blocks=False):
     """A problem and a point of its box: (LikelihoodProblem, flat).
 
-    ``chunked`` draws dense streams with beta * T in [30, 300], so the
-    exponential scan runs over several chunks whose carries matter.
+    ``many_blocks`` draws dense streams with beta * T in [30, 300], so the
+    exponential scan runs over several blocks of ``_SCAN_BLOCK`` stamps whose
+    carries matter.
     """
     K = draw(st.integers(1, 3))
     names = kernels or draw(st.lists(st.sampled_from(sorted(KERNELS)), min_size=1, max_size=2))
     spec = ModelSpec(K=K, M=len(names), kernels=[KERNELS[k] for k in names])
-    T = draw(st.floats(8.0, 60.0) if chunked else st.floats(0.5, 60.0))
-    n = draw(st.integers(0, 120 if chunked else 40))
+    T = draw(st.floats(8.0, 60.0) if many_blocks else st.floats(0.5, 60.0))
+    n = draw(st.integers(0, 120 if many_blocks else 40))
     times = np.sort(draw(st.lists(st.floats(0.0, T), min_size=n, max_size=n)))
     if ties if ties is not None else draw(st.booleans()):
         tick = draw(st.sampled_from([0.25, 1.0, 3.0]))
@@ -69,7 +70,7 @@ def cases(draw, kernels=None, ties=None, chunked=False):
     flat = lb + u * (ub - lb)
     flat[prob.index_map.mu_slice] = np.maximum(flat[prob.index_map.mu_slice], 1e-3)
     edge = draw(st.sampled_from(["inside", "lower", "upper"]))
-    if chunked:
+    if many_blocks:
         flat[prob.index_map.beta_slice] = draw(st.floats(30.0, 300.0)) / T
     elif edge != "inside":
         flat[prob.index_map.beta_slice] = (lb if edge == "lower" else ub)[prob.index_map.beta_slice]
@@ -121,7 +122,7 @@ def test_exponential_recursion_matches_oracle(case):
 
 
 @PROPERTY
-@given(cases(kernels=["exp"], chunked=True))
+@given(cases(kernels=["exp"], many_blocks=True))
 def test_exponential_scan_carries_match_oracle(case):
     assert_agrees(*case)
 
@@ -133,7 +134,7 @@ def test_empty_stream_matches_oracle():
 
 
 def test_long_stream_matches_oracle():
-    """Hundreds of stamps and many chunks of the exponential scan."""
+    """Hundreds of stamps: many blocks of ``_SCAN_BLOCK`` stamps and their carries."""
     spec = ModelSpec(K=3, M=1, kernels=[Exponential()])
     rng = np.random.default_rng(11)
     times = np.sort(rng.uniform(0.0, 200.0, 900))

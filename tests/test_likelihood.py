@@ -169,6 +169,11 @@ class TestRegularizedObjective:
         got = regularized_objective(prob, params(0.3, 0.0, 0.5))
         assert got == pytest.approx(-3.34, rel=1e-12)
 
+    @pytest.mark.parametrize("reg_c", [float("nan"), float("inf"), -1.0])
+    def test_reg_c_must_be_finite_and_nonnegative(self, reg_c):
+        with pytest.raises(ValueError, match="regularization coefficient"):
+            problem(exp_spec(), events([1.0, 4.0], horizon=6.0), reg_c=reg_c)
+
 
 class TestStructuralProperties:
     def test_concave_in_mu_alpha_at_fixed_beta(self):

@@ -292,6 +292,16 @@ class TestBoxDomain:
                 beta_ub=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize("name, value", [
+        ("mu_lb", 0.1), ("mu_lb", None), ("mu_ub", [1.0, 2.0]), ("beta_ub", 1.0),
+        ("alpha_ub", np.ones((1, 2, 2))), ("alpha_lb", np.zeros((1, 1))),
+    ])
+    def test_bound_shapes_must_agree(self, name, value):
+        bounds = dict(mu_lb=[0.1], mu_ub=[1.0], alpha_lb=np.zeros((1, 1, 1)),
+                      alpha_ub=np.ones((1, 1, 1)), beta_lb=[0.1], beta_ub=[1.0])
+        with pytest.raises(ValueError, match="shape|1-d"):
+            BoxDomain(**{**bounds, name: value})
+
     def test_powerlaw_beta_lower_bound(self):
         spec = pwl_spec()
         dom = wide_domain(spec)

@@ -147,6 +147,22 @@ class TestHyperParams:
     def test_small_tau_override_is_compliant(self):
         HyperParams(lbar1=1.0, lbar2=1.0, tau1=1e-7, tau2=1e-7).validate()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.1"])
+    @pytest.mark.parametrize("name", ["epsilon", "gamma1", "gamma2", "lbar1", "lbar2", "tau1",
+                                      "tau2", "omega_bar", "nu", "delta", "c1", "c2"])
+    def test_float_fields_must_be_finite_numbers(self, name, bad):
+        with pytest.raises(HyperParamsError, match=f"{name} must be a finite number"):
+            HyperParams(**{name: bad}).validate()
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+    @pytest.mark.parametrize("name", ["memory", "max_iters"])
+    def test_memory_and_max_iters_must_be_integers(self, name, bad):
+        with pytest.raises(HyperParamsError, match=f"{name} must be a positive integer"):
+            HyperParams(**{name: bad}).validate()
+
+    def test_numpy_integers_accepted(self):
+        HyperParams(memory=np.int64(3), max_iters=np.int32(5)).validate()
+
 
 class TestIpalmMap:
     def test_poisson_gradient_step(self):

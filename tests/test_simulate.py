@@ -132,6 +132,11 @@ class TestClusterSimulator:
             simulate_cluster(spec, pv, 100.0, SimConfig(seed=0, max_events=50))
         assert exc.value.n_events > 50
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SimConfig(seed=seed)
+
 
 class TestThinningSimulator:
     def test_deterministic(self):
