@@ -172,23 +172,30 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
+    """Parse a trace CSV into one dict per row; a malformed row raises DataError."""
     rows = []
     with open(path) as f:
         header = f.readline().rstrip("\n")
         if header != TRACE_HEADER:
             raise DataError(f"{path}: expected header {TRACE_HEADER!r}")
-        for line in f:
-            it, obj, res, kind, lyap, sec = line.rstrip("\n").split(",")
-            rows.append(
-                {
-                    "iteration": int(it),
-                    "objective": float(obj),
-                    "residual": float(res),
-                    "step_kind": kind,
-                    "lyapunov": float(lyap),
-                    "seconds": float(sec),
-                }
-            )
+        for lineno, line in enumerate(f, start=2):
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 6:
+                raise DataError(f"{path}: row {lineno}: expected 6 fields, got {len(parts)}")
+            it, obj, res, kind, lyap, sec = parts
+            try:
+                rows.append(
+                    {
+                        "iteration": int(it),
+                        "objective": float(obj),
+                        "residual": float(res),
+                        "step_kind": kind,
+                        "lyapunov": float(lyap),
+                        "seconds": float(sec),
+                    }
+                )
+            except ValueError as exc:
+                raise DataError(f"{path}: row {lineno}: {exc}") from None
     return rows
 
 
@@ -408,8 +415,10 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
     direction +1 for bid/buy and -1 for ask/sell.  The mapping file is JSON
     from event-code strings to one of "L", "M", "C"; unmapped codes are
     dropped and counted.  Rows that fail to parse count as bad; more than
-    ``max_bad_fraction`` of them aborts the ingestion.
+    ``max_bad_fraction`` of them aborts the ingestion; it must lie in [0, 1].
     """
+    if not 0.0 <= max_bad_fraction <= 1.0:
+        raise ValueError(f"max_bad_fraction must be a number in [0, 1], got {max_bad_fraction!r}")
     raw_map = _load_json(mapping_path, DataError)
     if not isinstance(raw_map, dict):
         raise DataError(f"{mapping_path}: expected an object of code -> letter")

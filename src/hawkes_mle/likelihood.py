@@ -160,28 +160,42 @@ def _blocked(rows):
     return out.reshape(nb, _SCAN_BLOCK, *rows.shape[1:]).swapaxes(0, 1).copy()
 
 
-def _decay_scan(a, Y):
-    """Y[g] = a[g] Y[g-1] + Y[g] down the rows, in place, from Y[-1] = 0.
+def _scan_products(a):
+    """The products ``_decay_scan`` forms from its factors alone.
 
-    ``a`` and ``Y`` hold the rows as ``_blocked`` lays them out.  The
-    recursion runs down all blocks at once, one row position per step, while
-    A keeps each block's running products of its factors; the block totals
-    are then scanned by doubling (Blelloch 1990), and each block adds its
-    carry.  Only products of the factors are formed, so for factors in [0, 1]
-    nothing overflows, and the steps taken depend on the shape alone.
+    A[i, b] is the running product of block b's factors down to row i;
+    ``levels`` holds, per doubling step s, the products of the block totals
+    that the step multiplies into the carries of blocks s and later.  Scans
+    with the same factors can share them.
     """
-    A = a.copy()
-    for i in range(1, _SCAN_BLOCK):
-        Y[i] += A[i, :, None] * Y[i - 1]
-        A[i] *= A[i - 1]
-    C, P = Y[-1], A[-1]  # block totals and products; scanned in place, final
+    A = np.cumprod(a, axis=0)
+    P, levels = A[-1].copy(), []
     s = 1
     while s < P.size:
-        C[s:] += P[s:, None] * C[:-s]
+        levels.append((s, P[s:].copy()))
         P[s:] *= P[:-s]
         s *= 2
-    for i in range(_SCAN_BLOCK - 1):
-        Y[i, 1:] += A[i, 1:, None] * C[:-1]
+    return A, levels
+
+
+def _decay_scan(a, Y, products=None):
+    """Y[g] = a[g] Y[g-1] + Y[g] down the rows, in place, from Y[-1] = 0.
+
+    ``a`` and ``Y`` hold the rows as ``_blocked`` lays them out, and
+    ``products`` is ``_scan_products(a)``, computed here if not given.  The
+    recursion runs down all blocks at once, one row position per step; the
+    block totals are then scanned by doubling (Blelloch 1990), and every
+    block adds its carry in one step.  Only products of the factors are
+    formed, so for factors in [0, 1] nothing overflows, and the steps taken
+    depend on the shape alone.
+    """
+    A, levels = _scan_products(a) if products is None else products
+    for i in range(1, _SCAN_BLOCK):
+        Y[i] += a[i, :, None] * Y[i - 1]
+    C = Y[-1]  # block totals, scanned in place into their final values
+    for s, P in levels:
+        C[s:] += P[:, None] * C[:-s]
+    Y[:-1, 1:] += A[:-1, 1:, None] * C[None, :-1]
     return Y
 
 
@@ -275,13 +289,14 @@ class LikelihoodProblem:
             # of d phi / d beta = -(u_g - s) e^{-beta (u_g - s)}.
             gaps, at = self._gaps, self._stamp_at
             a = np.exp(-beta * gaps)
-            Y = _decay_scan(a, self._counts.copy())
+            products = _scan_products(a)
+            Y = _decay_scan(a, self._counts.copy(), products)
             R = np.zeros_like(Y)
             np.multiply(a[1:, :, None], Y[:-1], out=R[1:])
             np.multiply(a[0, 1:, None], Y[-1, :-1], out=R[0, 1:])
             if not want_dbeta:
                 return _nan_rows(R[at]), None
-            D = _decay_scan(a, np.multiply(-gaps[:, :, None], R, out=Y))  # Y's memory
+            D = _decay_scan(a, np.multiply(-gaps[:, :, None], R, out=Y), products)  # Y's memory
             return _nan_rows(R[at]), _nan_rows(D[at])
 
         # phi = (dt + c)^-beta = exp(-beta L), summed over each cell's segment;
@@ -360,10 +375,11 @@ class LikelihoodProblem:
         types = self._types
         Z = self._Z
 
+        alpha_at = [alpha_m[types] for alpha_m in alpha]  # [m][a, j] = alpha[m, type of a, j]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             lam = mu[types].copy() if n else np.empty(0)
             for m, (R, _, _, _) in enumerate(sums):
-                lam += np.einsum("aj,aj->a", alpha[m][types], R)
+                lam += np.einsum("aj,aj->a", alpha_at[m], R)
 
         obj = None
         if want_obj:
@@ -391,7 +407,7 @@ class LikelihoodProblem:
                 if want_grad_beta:
                     g_beta = np.empty(M)
                     for m, (_, D, _, Sd) in enumerate(sums):
-                        excite = np.einsum("aj,aj,a->", alpha[m][types], D, inv_lam)
+                        excite = np.einsum("aj,aj,a->", alpha_at[m], D, inv_lam)
                         g_beta[m] = -(alpha[m].sum(axis=0) @ Sd) + excite
                     grad[im.beta_slice] = g_beta
             if want_grad_ma:

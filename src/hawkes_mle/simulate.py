@@ -6,9 +6,11 @@ Two independent samplers are shipped:
   immigrants on [0, T], each event spawning Poisson-many offspring per type
   with offsets drawn by exact inverse-CDF sampling of the truncated kernel.
   A generation is held as sorted arrays: its kernel masses, and after the
-  draws its offsets, take one array call per kernel.  The Poisson draws keep
-  their per-(event, target) order, so the streams are byte-identical to
-  those of one :func:`offspring_offsets` call per (event, target, kernel).
+  draws its offsets, take one array call per kernel.  The Poisson counts and
+  the offsets' uniforms are read, in per-(event, target) order, off a block
+  of uniform doubles drawn ahead, as numpy's ``poisson`` and ``random``
+  would read them, so the streams are byte-identical to those of one
+  :func:`offspring_offsets` call per (event, target, kernel).
 * :func:`simulate_thinning` -- Ogata-style rejection sampling under a
   piecewise-constant dominating rate (valid because both shipped kernel
   families are nonincreasing in elapsed time).  The rate is reused, not
@@ -26,6 +28,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,45 +152,114 @@ def _by_time_type(times, types):
     return times[order], types[order]
 
 
-def _offspring(times, types, horizon, kernels, targets, rng):
-    """The next generation of (times, types), ordered by (time, type).
+# Doubles drawn each time the block of ``_poisson_walk`` runs short, so that
+# the block adds little to the memory of a large generation.
+_BLOCK_DOUBLES = 4096
 
-    ``targets`` = (weight, target, kernel, first, count) lists every nonzero
-    alpha[m, i, j] as (j, i, m) in C order: source type j's weights are the
-    ``count[j]`` rows from ``first[j]``.  An event at s < T draws, per row of
-    its type, c ~ Poisson(weight * Phi_m(T - s)) and then, if c > 0, the c
-    uniforms of its offsets.  Only these draws run one at a time; the masses
-    and the offsets take one call per kernel.
+
+def _knuth_rows(thresholds, lo, stop, block, rng, hits, counts, uniforms):
+    """Rows lo..stop-1 by Knuth's method, reading ``block`` from its start.
+
+    A row with threshold e = exp(-lam) reads doubles until their running
+    product falls to e or below; its count c is the number of products above
+    e, and after c > 0 the next c doubles are its offsets' uniforms.  Read
+    doubles leave the block; when it runs out, it is extended from ``rng``
+    and the unfinished row is read again from its first double.
     """
-    weight, target, kernel, first, count = targets
-    windows = horizon - times
-    masses = np.array([kern.antiderivative(windows, b) for kern, b in kernels])
-    # One table row per (live event, nonzero weight of its type), in draw order.
-    per_event = np.where(windows > 0, count[types], 0)
-    owner = np.repeat(np.arange(times.size), per_event)
-    row = first[types[owner]] + np.arange(owner.size) - (np.cumsum(per_event) - per_event)[owner]
-    means = (weight[row] * masses[kernel[row], owner]).tolist()
+    while lo < stop:
+        done, read = len(hits), len(uniforms)
+        nxt = iter(block).__next__
+        try:
+            for r in range(lo, stop):
+                e = thresholds[r]
+                u = nxt()
+                if u > e:
+                    c = 1
+                    u *= nxt()
+                    while u > e:
+                        c += 1
+                        u *= nxt()
+                    for _ in range(c):
+                        uniforms.append(nxt())
+                    hits.append(r)
+                    counts.append(c)
+            r = stop
+        except StopIteration:
+            pass
+        # Rows lo..r-1 are whole, and each read 1 + 2c doubles.
+        drawn = sum(counts[done:])
+        del uniforms[read + drawn :]
+        del block[: r - lo + 2 * drawn]
+        if r < stop:
+            block += rng.random(_BLOCK_DOUBLES).tolist()
+        lo = r
 
-    poisson, uniform = rng.poisson, rng.random
+
+def _poisson_walk(means, block, rng):
+    """Poisson(means) counts and the offsets' uniforms, read off ``block``.
+
+    Each row is read as ``c = rng.poisson(lam)`` followed, when c > 0, by
+    ``rng.random(c)``, without either call.  For 0 < lam < 10 numpy's
+    ``poisson`` runs Knuth's multiplication method, with e = exp(-lam) from
+    libm (``math.exp``; ``np.exp`` may differ in the last bit), and reads
+    nothing but uniform doubles, as ``random`` does.  A row with lam == 0
+    reads nothing.  At lam >= 10 numpy runs another method, so the generator
+    is rewound past the unread doubles, the row takes a scalar ``poisson``
+    call, and the block is emptied.
+
+    ``block`` is a list of the doubles drawn ahead from ``rng`` and not yet
+    read.  Returns the rows with a nonzero count, their counts,
+    and all their uniforms in draw order.
+    """
     hits, counts, uniforms = [], [], []
-    for r, lam in enumerate(means):
-        c = poisson(lam)
+    live = np.flatnonzero(means != 0.0)
+    lams = means[live]
+    thresholds = list(map(math.exp, memoryview(-lams)))
+    lo = 0
+    for r in np.flatnonzero(~(lams < 10.0)).tolist():  # lam >= 10, or NaN
+        _knuth_rows(thresholds, lo, r, block, rng, hits, counts, uniforms)
+        rng.bit_generator.advance(-len(block))
+        block.clear()
+        c = int(rng.poisson(lams[r]))
         if c:
             hits.append(r)
             counts.append(c)
-            uniforms.append(uniform(c))
-    if not hits:
+            uniforms += rng.random(c).tolist()
+        lo = r + 1
+    _knuth_rows(thresholds, lo, lams.size, block, rng, hits, counts, uniforms)
+    return live[hits], counts, uniforms
+
+
+def _offspring(times, types, horizon, kernels, weights, block, rng):
+    """The next generation of (times, types), ordered by (time, type).
+
+    ``weights[j, i, m]`` is alpha[m, i, j].  An event of type j at s < T has
+    one row per (i, m), in C order; a row draws
+    c ~ Poisson(weights[j, i, m] * Phi_m(T - s)) and then, if c > 0, the c
+    uniforms of its offsets, all read by :func:`_poisson_walk` from the
+    doubles of ``block``.  A row of zero mean (a zero weight, or an event at
+    T) reads no double, as ``rng.poisson(0)`` reads none.  The masses and the
+    offsets take one call per kernel.
+    """
+    K, M = len(weights), len(kernels)
+    windows = horizon - times
+    masses = np.array([kern.antiderivative(windows, b) for kern, b in kernels])
+    masses = np.where(windows > 0, masses, 0.0)
+    # Row (s, i, m) of the flat means sits at s * K * M + i * M + m.
+    means = (weights[types] * masses.T[:, None, :]).ravel()
+
+    hits, counts, uniforms = _poisson_walk(means, block, rng)
+    if not counts:
         return np.empty(0), np.empty(0, dtype=np.int64)
 
-    draw = np.repeat(hits, counts)
-    owner, row = owner[draw], row[draw]
-    m_of = kernel[row]
-    y = np.concatenate(uniforms) * masses[m_of, owner]
+    owner, column = np.divmod(np.repeat(hits, counts), K * M)
+    target, m_of = np.divmod(column, M)
+    y = np.array(uniforms) * masses[m_of, owner]
     offsets = np.empty(y.size)
     for m, (kern, b) in enumerate(kernels):
         sel = m_of == m
         offsets[sel] = kern.inverse_antiderivative(y[sel], b)
-    return _by_time_type(times[owner] + offsets, target[row])
+    return _by_time_type(times[owner] + offsets, target)
 
 
 def simulate_cluster(spec, params, horizon, config):
@@ -201,20 +273,19 @@ def simulate_cluster(spec, params, horizon, config):
 
     The checks run once per call.  A generation is a pair of arrays sorted by
     (time, type): its masses Phi_m(T - s) take one call per kernel, and after
-    the draws its offsets take one more.  The Poisson draws stay one per
-    (event, i, m) with a nonzero weight, in the generation's order, each
-    followed by its offsets' uniforms, so the output is byte-identical to
-    calling :func:`offspring_offsets` per (event, i, m).
+    the draws its offsets take one more.  Per (event, i, m) with a nonzero
+    mean, in the generation's order, a Poisson count and then its offsets'
+    uniforms are read off one block of doubles from the offspring generator,
+    drawn ahead and kept across generations (see :func:`_poisson_walk`), so
+    the output is byte-identical to calling :func:`offspring_offsets` per
+    (event, i, m).
     """
     horizon = _check_inputs(spec, params, horizon)
 
     rng_imm, rng_off, _ = _spawn_generators(config.seed)
     K = spec.K
     kernels = [(kern, float(b)) for kern, b in zip(spec.kernels, params.beta)]
-    by_source = params.alpha.transpose(2, 1, 0)  # [j, i, m]
-    j, i, m = np.nonzero(by_source)
-    count = np.bincount(j, minlength=K)
-    targets = (by_source[j, i, m], i, m, np.cumsum(count) - count, count)
+    weights = params.alpha.transpose(2, 1, 0)  # [j, i, m]
 
     times, types = [], []
     for k in range(K):
@@ -224,6 +295,7 @@ def simulate_cluster(spec, params, horizon, config):
     times, types = _by_time_type(np.concatenate(times), np.concatenate(types))
 
     gen_times, gen_types = [], []
+    block = []  # doubles drawn ahead from rng_off, kept across generations
     total = 0
     while True:
         gen_times.append(times)
@@ -233,7 +305,7 @@ def simulate_cluster(spec, params, horizon, config):
             raise SimulationCapError(total, config.max_events)
         if not times.size:
             break
-        times, types = _offspring(times, types, horizon, kernels, targets, rng_off)
+        times, types = _offspring(times, types, horizon, kernels, weights, block, rng_off)
 
     gens = np.repeat(np.arange(len(gen_times)), [t.size for t in gen_times])
     return _finalize(np.concatenate(gen_times), gens, np.concatenate(gen_types), horizon)

@@ -9,10 +9,12 @@ import pytest
 from hawkes_mle import experiments
 from hawkes_mle.cli import main
 from hawkes_mle.io import (
+    TRACE_HEADER,
     ConfigError,
     DataError,
     domain_from_config,
     hyperparams_from_config,
+    ingest_lobster,
     load_config,
     read_events,
     read_params,
@@ -884,3 +886,31 @@ def test_max_bad_fraction_outside_unit_interval_exit_1(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert "--max-bad-fraction" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5, float("inf")])
+def test_ingest_lobster_rejects_bad_fraction_from_python(tmp_path, value):
+    """The library call checks max_bad_fraction as the CLI flag does, before
+    any row is read or the output is written."""
+    msg = tmp_path / "bad.csv"
+    msg.write_text("x,y\nnot,a,row\n")  # both rows unparseable
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({"1": "L"}))
+    out = tmp_path / "o.csv"
+    with pytest.raises(ValueError, match="max_bad_fraction"):
+        ingest_lobster(str(msg), str(mapping), str(out), max_bad_fraction=value)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row,fragment", [
+    ("3,0.5", "row 3: expected 6 fields, got 2"),
+    ("3,0.5,0.1,PALM,0.2,0.0,9", "row 3: expected 6 fields, got 7"),
+    ("3,abc,0.1,PALM,0.2,0.0", "row 3: could not convert"),
+    ("3.5,0.5,0.1,PALM,0.2,0.0", "row 3: invalid literal"),
+])
+def test_read_trace_malformed_row_names_file_and_row(tmp_path, row, fragment):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{TRACE_HEADER}\n1,0.5,0.1,PALM,0.2,0.0\n{row}\n")
+    with pytest.raises(DataError, match=fragment) as exc:
+        read_trace(str(path))
+    assert str(path) in str(exc.value)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -270,6 +271,126 @@ class TestClusterBookkeeping:
         assert len(out) == len(want) == 0
         assert out.times.dtype == np.float64 and out.types.dtype == np.int64
         assert out.times.shape == out.types.shape == (0,)
+
+
+class _RecordingGenerator:
+    """A generator whose ``poisson`` and ``random`` calls are recorded."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+        self.poisson_means, self.random_calls = [], 0
+
+    def poisson(self, lam):
+        self.poisson_means.append(float(lam))
+        return self._rng.poisson(lam)
+
+    def random(self, size=None):
+        self.random_calls += 1
+        return self._rng.random(size)
+
+
+def _recorded_cluster(monkeypatch, spec, pv, horizon, seed):
+    """``simulate_cluster`` with its offspring generator recorded, and per
+    generation the row means, the doubles left in the block on entry and the
+    times the block was extended."""
+    from hawkes_mle import simulate
+
+    spawn, walk = simulate._spawn_generators, simulate._poisson_walk
+    rec = {"walks": []}
+
+    def spawn_recording(seed, n=3):
+        gens = spawn(seed, n)
+        gens[1] = rec["rng"] = _RecordingGenerator(gens[1])
+        return gens
+
+    def walk_recording(means, block, rng):
+        left, calls = len(block), rng.random_calls
+        out = walk(means, block, rng)
+        rec["walks"].append((means.copy(), left, rng.random_calls - calls))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_spawn_generators", spawn_recording)
+        m.setattr(simulate, "_poisson_walk", walk_recording)
+        out = simulate_cluster(spec, pv, horizon, SimConfig(seed=seed))
+    rec["means"] = np.concatenate([w[0] for w in rec["walks"]])
+    return out, rec
+
+
+def _two_type_case(a10, a01, beta):
+    """K=2 exponential: type 0 excites type 1 with weight ``a10``."""
+    return exp_spec(K=2), params([0.5, 0.2], [[0.3, a01], [a10, 0.3]], beta)
+
+
+class TestPoissonWalk:
+    """Counts read off a block of uniforms, as ``Generator.poisson`` reads them."""
+
+    @pytest.mark.parametrize("case", ["zero-mean", "tiny-mean", "large-mean", "past-block"])
+    def test_edge_rows_bit_identical(self, monkeypatch, case):
+        from hawkes_mle import simulate
+
+        if case == "past-block":
+            # Extensions of 50 doubles end inside rows that read about 20.
+            monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", 50)
+        spec, pv = _two_type_case(*{
+            "zero-mean": (5e-324, 0.1, 3.0), "tiny-mean": (1e-18, 0.1, 1.0),
+            "large-mean": (12.0, 0.0, 1.0), "past-block": (9.5, 0.0, 1.0)}[case])
+        for seed in range(3):
+            got, rec = _recorded_cluster(monkeypatch, spec, pv, 100.0, seed)
+            want = sampler_oracle.simulate_cluster(spec, pv, 100.0, SimConfig(seed=seed))
+            assert len(want) > 50
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.types.tobytes() == want.types.tobytes()
+            means = rec["means"]
+            if case == "zero-mean":
+                # 5e-324 * Phi rounds to 0 for Phi < 1/2 (here Phi < 1/beta):
+                # a nonzero weight, a zero mean.
+                assert np.any(means == 0.0)
+            elif case == "tiny-mean":
+                # exp(-lam) rounds to 1.0, yet numpy still reads one double.
+                tiny = means[(means > 0) & (means < 1e-16)]
+                assert tiny.size and all(math.exp(-lam) == 1.0 for lam in tiny)
+            elif case == "large-mean":
+                assert np.any(means >= 10.0)
+            else:
+                assert means.max() < 10.0
+                assert any(left and extended > 1 for _, left, extended in rec["walks"])
+            assert rec["rng"].poisson_means == means[means >= 10.0].tolist()
+
+    @pytest.mark.parametrize("case", ["exp", "pwl", "mixed", "sparse"])
+    def test_poisson_called_only_at_large_means(self, monkeypatch, case):
+        spec, pv = _oracle_case(case)
+        _, rec = _recorded_cluster(monkeypatch, spec, pv, 150.0, 0)
+        assert rec["means"].max() < 10.0 and rec["rng"].random_calls > 0
+        assert rec["rng"].poisson_means == []
+
+    def test_walk_matches_scalar_calls(self):
+        """Per row: the counts, the uniforms and the generator's final state of
+        one ``poisson`` call and, after a nonzero count, one ``random`` call."""
+        from hawkes_mle import simulate
+
+        g = np.random.default_rng(7)
+        means = np.concatenate([
+            g.exponential(0.2, 3000), g.uniform(0.0, 10.5, 1000),
+            g.choice([0.0, 5e-324, 1e-17, 9.999999, 10.0, 25.0], 500),
+        ])
+        g.shuffle(means)
+        walked = np.random.Generator(np.random.PCG64(3))
+        scalar = np.random.Generator(np.random.PCG64(3))
+        block = []
+        for part in np.array_split(means, 3):  # generations share the block
+            hits, counts, uniforms = simulate._poisson_walk(part, block, walked)
+            want = []
+            for r, lam in enumerate(part.tolist()):
+                c = scalar.poisson(lam)
+                if c:
+                    want.append((r, c, scalar.random(c)))
+            assert hits.tolist() == [r for r, _, _ in want]
+            assert counts == [c for _, c, _ in want]
+            assert np.array(uniforms).tobytes() == np.concatenate([u for *_, u in want]).tobytes()
+        walked.bit_generator.advance(-len(block))
+        assert walked.bit_generator.state == scalar.bit_generator.state
 
 
 def test_cluster_kernel_math_once_per_generation(monkeypatch):
