@@ -88,12 +88,7 @@ class Exponential:
         return -np.expm1(-beta * u) / beta
 
     def dbeta(self, t, beta):
-        return self.value_and_dbeta(t, beta)[1]
-
-    def value_and_dbeta(self, t, beta):
-        # phi and d phi / d beta from one exponential.
-        phi = np.exp(-beta * t)
-        return phi, -t * phi
+        return -t * np.exp(-beta * t)
 
     def antideriv_dbeta(self, u, beta):
         # d/dbeta [(1 - e^{-beta u})/beta] = (e^{-beta u}(1 + beta u) - 1)/beta^2,
@@ -156,13 +151,8 @@ class PowerLawCutoff:
         return (_pow_or_inf(c, 1.0 - beta) - np.power(u + c, 1.0 - beta)) / (beta - 1.0)
 
     def dbeta(self, t, beta):
-        return self.value_and_dbeta(t, beta)[1]
-
-    def value_and_dbeta(self, t, beta):
-        # phi and d phi / d beta from one power.
         tc = t + self.c
-        phi = np.power(tc, -beta)
-        return phi, -np.log(tc) * phi
+        return -np.log(tc) * np.power(tc, -beta)
 
     def antideriv_dbeta(self, u, beta):
         # Differentiate (c^{1-b} - (u+c)^{1-b})/(b-1) in b analytically.
@@ -314,7 +304,8 @@ class BoxDomain:
     beta_ub: np.ndarray
 
     def __post_init__(self):
-        for name in ("mu_lb", "mu_ub", "alpha_lb", "alpha_ub", "beta_lb", "beta_ub"):
+        names = ("mu_lb", "mu_ub", "alpha_lb", "alpha_ub", "beta_lb", "beta_ub")
+        for name in names:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.mu_lb.ndim != 1 or self.beta_lb.ndim != 1:
             raise ValueError("mu and beta bounds must be 1-d arrays")
@@ -323,6 +314,9 @@ class BoxDomain:
                             ("alpha_ub", (M, K, K)), ("beta_ub", (M,))):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {shape} for K={K}, M={M}")
+        for name in names:  # every comparison below is False for NaN
+            if np.isnan(getattr(self, name)).any():
+                raise DomainError(f"{name} must not contain NaN")
         if (
             np.any(self.mu_lb > self.mu_ub)
             or np.any(self.alpha_lb > self.alpha_ub)

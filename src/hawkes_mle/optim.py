@@ -23,8 +23,9 @@ projection off the window falls below ``nu`` of its norm, when the secant is
 zero or non-finite or its sweep is not finite, and (retrying once with H = I)
 when the update's curvature degenerates.  So H is I plus at most ``memory`` + 1
 rank-one factor pairs: a step costs O(memory * P) time and memory, and the
-dense H is built only for ``track_h``.  After an accepted step the secant's
-end point is u itself, so the loop reuses u_hat as its sweep.
+(||H||, ||H^-1||) pairs of ``track_h`` come from a thin QR of the factors in
+O(memory^2 * P).  No dim x dim form of H is ever built.  After an accepted
+step the secant's end point is u itself, so the loop reuses u_hat as its sweep.
 
 All runners are deterministic: identical inputs give identical traces.
 """
@@ -192,11 +193,12 @@ class OptimizerState:
     The approximate inverse Jacobian of the fixed-point residual is
     H = I + sum_i a_i b_i', one (a_i, b_i) pair in ``h_terms`` per rank-one
     update since the last restart, so ``h_dot`` (H x) and ``h_t_dot`` (H'x)
-    cost O(memory * dim) and ``h_matrix`` builds the dense dim x dim form only
-    on request.  ``s_window`` holds the orthogonalized secant directions of
-    the current memory window.  ``u_prev`` is the previous iterate,
-    ``cached_sweep`` its plain sweep, and ``u_tilde`` the previous
-    extrapolated candidate, where the next secant pair ends.
+    cost O(memory * dim), and ``h_norms`` takes ||H|| and ||H^-1|| from the
+    factors in O(memory^2 * dim).  The pairs are the only form of H.
+    ``s_window`` holds the orthogonalized secant directions of the current
+    memory window.  ``u_prev`` is the previous iterate, ``cached_sweep`` its
+    plain sweep, and ``u_tilde`` the previous extrapolated candidate, where
+    the next secant pair ends.
     """
 
     dim: int
@@ -222,13 +224,24 @@ class OptimizerState:
             out += (a @ x) * b
         return out
 
-    @property
-    def h_matrix(self):
-        """Dense H, built from the factors."""
-        h = np.eye(self.dim)
-        for a, b in self.h_terms:
-            h += np.outer(a, b)
-        return h
+    def h_norms(self):
+        """(||H||_2, ||H^-1||_2) from the factors, in O(dim * r^2) for r pairs.
+
+        With A = [a_1 .. a_r], B = [b_1 .. b_r] and the thin QR [A B] = Q [R_A R_B],
+        H = I + Q R_A R_B' Q' acts as C = I + R_A R_B' on range(Q) and as I off
+        it (the compact form of Byrd, Nocedal & Schnabel, 1994).  So the
+        singular values of H are those of C, plus 1 when Q does not span R^dim.
+        """
+        if not self.h_terms:
+            return 1.0, 1.0
+        A, B = zip(*self.h_terms)
+        R = np.linalg.qr(np.column_stack(A + B), mode="r")
+        r = len(A)
+        sv = np.linalg.svd(np.eye(R.shape[0]) + R[:, :r] @ R[:, r:].T, compute_uv=False)
+        hi, lo = sv[0], sv[-1]
+        if R.shape[0] < self.dim:
+            hi, lo = max(hi, 1.0), min(lo, 1.0)
+        return float(hi), float(1.0 / lo)
 
     def _damped_update(self, s, s_hat, y, r, omega_bar):
         """Powell-damped rank-one update of H; False when its curvature degenerates.
@@ -400,8 +413,7 @@ def _iterate(problem, hp, theta0, accelerate, keep_iterates, track_h):
             if k > 0:
                 state.secant_update(problem, hp, u, u_hat)
                 if track_h:
-                    sv = np.linalg.svd(state.h_matrix, compute_uv=False)
-                    h_norms.append((float(sv[0]), float(1.0 / sv[-1])))
+                    h_norms.append(state.h_norms())
                 u_tilde = u - state.h_dot(u - u_hat)
                 take_aa = _accept(
                     problem, hp, u, u_hat, u_tilde, obj_k, grad_full, res_hat
@@ -469,9 +481,15 @@ def residual_diagnostics(trace, base_checkpoint=None):
 
     The reported sequence is nonincreasing by construction; the rate
     constants value * K indicate how the decay compares to 1/K.
+    ``base_checkpoint`` is K0, a positive integer; it defaults to a quarter
+    of the trace.
     """
     if not trace:
         raise ValueError("trace must be nonempty")
+    if base_checkpoint is not None and not (
+        _is_integer(base_checkpoint) and base_checkpoint >= 1
+    ):
+        raise ValueError(f"base_checkpoint must be a positive integer, got {base_checkpoint!r}")
     res2 = np.array([r.residual**2 for r in trace], dtype=float)
     prefix_min = np.minimum.accumulate(res2)
     n = len(trace)

@@ -495,6 +495,26 @@ class TestNonFiniteOrNegativeInputs:
         assert code == 1
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name", ["mu_lb", "mu_ub", "alpha_lb", "alpha_ub", "beta_lb", "beta_ub"]
+    )
+    def test_fit_nan_domain_bound_exit_1(self, tmp_path, capsys, name):
+        # Every box comparison with NaN is False, so only a check by name
+        # keeps the error from being blamed on the init (exit 2).
+        doc = base_config()
+        bound = doc["domain"][name]
+        while isinstance(bound[0], list):
+            bound = bound[0]
+        bound[0] = math.nan
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        events = tmp_path / "e.csv"
+        events.write_text("time,type\n1.0,0\n")
+        out = tmp_path / "p.json"
+        assert main(["fit", "--events", str(events), "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: domain: {name} must not contain NaN")
+        assert not out.exists()
+
     @pytest.mark.parametrize("events_text", ["time,type\n", "time,type\n1.0,0\n"])
     def test_fit_negative_config_horizon_exit_1(self, tmp_path, capsys, events_text):
         # Checked before the events are read, so a non-empty file is not a

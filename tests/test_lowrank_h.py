@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dense_h_oracle import DenseHState
+from dense_h_oracle import DenseHState, dense_h, svd_norms
 from hawkes_mle import (
     HyperParams,
     LikelihoodProblem,
@@ -27,6 +27,10 @@ from test_optim_golden import ACCELERATED, aa_run
 
 def _close(a, b, scale, tol=1e-12):
     return np.linalg.norm(a - b) <= tol * scale
+
+
+def _assert_norms_close(norms, ref, tol=1e-10):
+    assert all(abs(x - y) <= tol * y for x, y in zip(norms, ref, strict=True)), (norms, ref)
 
 
 def _secant_step(state, hp, u_prev, sweep_prev, u, u_hat):
@@ -65,7 +69,8 @@ def test_factored_h_matches_dense_oracle_on_random_secants(seed):
         scale = np.linalg.norm(H) * np.linalg.norm(x)
         assert _close(fact.h_dot(x), H @ x, scale)
         assert _close(fact.h_t_dot(x), H.T @ x, scale)
-        assert _close(fact.h_matrix, H, np.linalg.norm(H))
+        assert _close(dense_h(fact), H, np.linalg.norm(H))
+        _assert_norms_close(fact.h_norms(), svd_norms(H))
     assert min(restarts.values()) >= 1, restarts
 
 
@@ -80,6 +85,59 @@ def test_accelerated_golden_runs_follow_dense_oracle(name, monkeypatch):
     assert "AA-accepted" in kinds
     for a, b in zip(res.iterates, ref.iterates, strict=True):
         assert _close(a, b, np.linalg.norm(b), tol=1e-9)
+
+
+def _state_with_pairs(dim, pairs):
+    state = OptimizerState(dim)
+    state.h_terms = [(a, b) for a, b in pairs]
+    return state
+
+
+def test_h_norms_of_identity():
+    state = OptimizerState(5)
+    assert state.h_norms() == (1.0, 1.0) == svd_norms(dense_h(state))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_h_norms_without_complement(seed):
+    """dim 3 with two pairs: [A B] is 3 x 4, so range(Q) is all of R^3."""
+    rng = np.random.default_rng(seed)
+    state = _state_with_pairs(3, rng.standard_normal((2, 2, 3)))
+    _assert_norms_close(state.h_norms(), svd_norms(dense_h(state)))
+
+
+@pytest.mark.parametrize("scale, norms", [(1.0, (2.0, 0.5)), (-0.5, (0.5, 2.0))])
+def test_h_norms_take_no_unit_singular_value_without_complement(scale, norms):
+    """H = (1 + scale) I in dim 2 has no singular value 1 to add."""
+    state = _state_with_pairs(2, [(e, scale * e) for e in np.eye(2)])
+    _assert_norms_close(state.h_norms(), norms, tol=1e-15)
+
+
+def test_h_norms_rank_deficient_factors():
+    """The same pair twice: [A B] has rank 2 and H = I + 2 a b'."""
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, 6))
+    state = _state_with_pairs(6, [(a, b), (a, b)])
+    _assert_norms_close(state.h_norms(), svd_norms(dense_h(state)))
+
+
+@pytest.mark.parametrize("name", sorted(ACCELERATED))
+def test_h_norms_match_dense_svd_on_golden_runs(name, monkeypatch):
+    """Every tracked H of the accelerated golden runs, against its dense SVD."""
+    checked = []
+
+    class RecordingState(OptimizerState):
+        def h_norms(self):
+            norms = super().h_norms()
+            checked.append((norms, svd_norms(dense_h(self))))
+            return norms
+
+    monkeypatch.setattr(optim, "OptimizerState", RecordingState)
+    _, res = aa_run(ACCELERATED[name])
+    assert [norms for norms, _ in checked] == res.h_norms
+    assert len(res.h_norms) == len(res.trace) - 1
+    for norms, ref in checked:
+        _assert_norms_close(norms, ref)
 
 
 def _one_term_state(cls):
@@ -112,7 +170,7 @@ def test_curvature_retry_with_identity_updates_h():
     assert fact.s_window == [] and len(fact.h_terms) == 1
     expected = np.eye(4)
     expected[:2, :2] = [[-2.0, 0.0], [-2.0, 1.0]]  # I + (s + r / 2) s' / (-1/2)
-    np.testing.assert_array_equal(fact.h_matrix, expected)
+    np.testing.assert_array_equal(dense_h(fact), expected)
     np.testing.assert_array_equal(dense.h_matrix, expected)
 
 
@@ -131,8 +189,8 @@ def test_nonfinite_sweep_restarts_before_update(monkeypatch):
 def test_factored_h_memory_guard():
     """At P >= 2000 the Anderson state stays far below one dense 2P x 2P H.
 
-    Only ``track_h`` builds the dense H, for its SVD; that takes about 15 s per
-    accelerated iteration at this size, so the tracked run stops after one.
+    ``track_h`` takes its norms from the factors, so a tracked run is held to
+    the same bound as an untracked one, and takes the same steps.
     """
     recipe = replace(
         RECIPES["exp-k10"], K=45, alpha_divisor=75.0, seed=0, horizon=20.0
@@ -144,13 +202,12 @@ def test_factored_h_memory_guard():
     assert P >= 2000 and 20 <= len(ev) <= 60
     hp = replace(inst.hp, max_iters=5)
     out = []
-    peak = traced_peak(lambda: out.append(run_aa_ipalm(prob, hp, inst.init)))
-    assert out[0].h_norms is None and out[0].accepted_aa > 0
-    assert peak < 0.05 * dense_bytes
-
-    hp = replace(hp, max_iters=2)
-    peak = traced_peak(
-        lambda: out.append(run_aa_ipalm(prob, hp, inst.init, track_h=True))
-    )
-    assert len(out[1].h_norms) == out[1].accepted_aa + out[1].rejected_aa == 1
-    assert peak >= dense_bytes
+    for track_h in (False, True):
+        peak = traced_peak(
+            lambda: out.append(run_aa_ipalm(prob, hp, inst.init, track_h=track_h))
+        )
+        assert peak < 0.05 * dense_bytes
+    plain, tracked = out
+    assert plain.h_norms is None and plain.accepted_aa > 0
+    assert len(tracked.h_norms) == tracked.accepted_aa + tracked.rejected_aa == 4
+    assert [r.step_kind for r in tracked.trace] == [r.step_kind for r in plain.trace]

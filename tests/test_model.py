@@ -292,6 +292,15 @@ class TestBoxDomain:
                 beta_ub=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "name", ["mu_lb", "mu_ub", "alpha_lb", "alpha_ub", "beta_lb", "beta_ub"]
+    )
+    def test_nan_bound_rejected_by_name(self, name):
+        bounds = {f: getattr(self.domain, f).copy() for f in self.domain.__dataclass_fields__}
+        bounds[name].flat[-1] = np.nan
+        with pytest.raises(DomainError, match=f"{name} must not contain NaN"):
+            BoxDomain(**bounds)
+
     @pytest.mark.parametrize("name, value", [
         ("mu_lb", 0.1), ("mu_lb", None), ("mu_ub", [1.0, 2.0]), ("beta_ub", 1.0),
         ("alpha_ub", np.ones((1, 2, 2))), ("alpha_lb", np.zeros((1, 1))),

@@ -391,6 +391,16 @@ class TestResidualDiagnostics:
         with pytest.raises(ValueError):
             residual_diagnostics([])
 
+    @pytest.mark.parametrize("k0", [0, -1, 2.0, 1.5, True, "4"])
+    def test_base_checkpoint_must_be_positive_integer(self, k0):
+        trace = [TraceRecord(k, -1.0, 0.5, "PALM", 1.0, 0.0) for k in range(8)]
+        with pytest.raises(ValueError, match="base_checkpoint must be a positive integer"):
+            residual_diagnostics(trace, base_checkpoint=k0)
+
+    def test_base_checkpoint_past_the_trace_stops_at_its_end(self):
+        trace = [TraceRecord(k, -1.0, 0.5, "PALM", 1.0, 0.0) for k in range(8)]
+        assert residual_diagnostics(trace, base_checkpoint=np.int64(3)).checkpoints == (3, 6, 8)
+
 
 class TestLipschitzEstimate:
     def test_poisson_block_curvature(self):

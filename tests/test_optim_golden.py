@@ -23,6 +23,14 @@ swapped in; their ``-lowrank`` entries were recorded when H became factor
 pairs and pin the production path.  The other runs never take a candidate and
 match their original entries through the production path.
 
+The ``h_norms`` digest of the three ``-lowrank`` entries, and no other key,
+was re-recorded when ``OptimizerState.h_norms`` began to take the norms from
+a thin QR of the factor pairs instead of a full SVD of the dense H.  The norms
+are read-only, so the trajectories kept their bits; only the rounding of the
+reported norms moved, within 1e-10 relative of the dense SVD (checked in
+``test_lowrank_h``).  The dense-oracle entries keep their digests, because
+``DenseHState.h_norms`` still takes the full SVD of its own dense H.
+
 Between them the runs reach every restart of the accelerated loop: a full
 memory window (memory 2, on the K=3 stream with accepted steps and in
 ``fit_stream``), a degenerate projection of the secant direction (every
