@@ -319,13 +319,13 @@ FIT_GAMMA = 0.5
 FIT_MEMORY = 10
 
 
-def fit_stream(problem, iters=400, memory=FIT_MEMORY):
+def fit_stream(problem, iters=400):
     """Fit one event stream with the safeguarded accelerated optimizer.
 
     Builds a data-driven starting point, estimates block curvature bounds both
     there and at a more excited probe point (the larger bound wins), and runs
-    the accelerated scheme with momentum ``FIT_GAMMA`` and rule-based step
-    sizes.
+    the accelerated scheme with momentum ``FIT_GAMMA``, memory ``FIT_MEMORY``
+    and rule-based step sizes.
     """
     im = problem.index_map
     domain = problem.domain
@@ -341,7 +341,7 @@ def fit_stream(problem, iters=400, memory=FIT_MEMORY):
         gamma2=FIT_GAMMA,
         lbar1=max(l1, l1b),
         lbar2=max(l2, l2b),
-        memory=memory,
+        memory=FIT_MEMORY,
         max_iters=iters,
     )
     return run_aa_ipalm(problem, hp, flat0)

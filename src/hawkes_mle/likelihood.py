@@ -101,8 +101,7 @@ def _pair_list(times, types, K, cutoffs):
     by_type = np.argsort(types, kind="stable")
     type_times = times[by_type]
     prefix = np.zeros((times.size + 1, K), dtype=np.intp)
-    if times.size:
-        np.cumsum(np.eye(K, dtype=np.intp)[types], axis=0, out=prefix[1:])
+    np.cumsum(np.eye(K, dtype=np.intp)[types], axis=0, out=prefix[1:])
     sizes = prefix[hi].ravel()  # pairs per cell (a, j)
     cells = np.flatnonzero(sizes)
     starts = np.cumsum(sizes) - sizes
@@ -239,14 +238,9 @@ class LikelihoodProblem:
 
         times = events.times
         types = events.types
-        n, K = times.size, spec.K
-        self.n = n
+        self.n, K = times.size, spec.K
         self._types = types
-        # Z[a, k] = 1 if event a has type k.
-        Z = np.zeros((n, K))
-        if n:
-            Z[np.arange(n), types] = 1.0
-        self._Z = Z
+        self._Z = np.eye(K)[types]  # Z[a, k] = 1 if event a has type k
         self._comp_dt = self.T - times  # elapsed time entering the compensator
         # Distinct stamps u_g (grouping ties keeps simultaneous events out of
         # each other's sums), their gaps u_g - u_{g-1} (0 for the first) and
@@ -309,15 +303,14 @@ class LikelihoodProblem:
         scratch = np.empty(size)
         # Each cell is summed by one reduceat, so the bits do not depend on
         # the number of parts.
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for (c0, p0), (c1, p1) in zip(parts, parts[1:]):
-                seg, x = starts[c0:c1] - p0, scratch[: p1 - p0]
-                np.multiply(L[p0:p1], -beta, out=x)
-                np.exp(x, out=x)
-                np.add.reduceat(x, seg, out=r[c0:c1])
-                if want_dbeta:
-                    np.multiply(x, L[p0:p1], out=x)
-                    np.add.reduceat(x, seg, out=d[c0:c1])
+        for (c0, p0), (c1, p1) in zip(parts, parts[1:]):
+            seg, x = starts[c0:c1] - p0, scratch[: p1 - p0]
+            np.multiply(L[p0:p1], -beta, out=x)
+            np.exp(x, out=x)
+            np.add.reduceat(x, seg, out=r[c0:c1])
+            if want_dbeta:
+                np.multiply(x, L[p0:p1], out=x)
+                np.add.reduceat(x, seg, out=d[c0:c1])
 
         def rows(sums):
             S = np.zeros(n * K)
@@ -341,18 +334,14 @@ class LikelihoodProblem:
                 return sums
         Z = self._Z
         sums = []
-        # Extrapolated candidates can land far outside the box where kernel
-        # values overflow; the resulting non-finite gradients are rejected by
-        # the optimizer's safeguard, so the noise is silenced here.
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for m, kern in enumerate(self.spec.kernels):
-                b = float(beta[m])
-                R, D = self._kernel_sums(m, b, True)
-                S = Z.T @ kern.antiderivative(self._comp_dt, b)
-                Sd = Z.T @ kern.antideriv_dbeta(self._comp_dt, b)
-                for a in (R, D, S, Sd):
-                    a.flags.writeable = False
-                sums.append((R, D, S, Sd))
+        for m, kern in enumerate(self.spec.kernels):
+            b = float(beta[m])
+            R, D = self._kernel_sums(m, b, True)
+            S = Z.T @ kern.antiderivative(self._comp_dt, b)
+            Sd = Z.T @ kern.antideriv_dbeta(self._comp_dt, b)
+            for a in (R, D, S, Sd):
+                a.flags.writeable = False
+            sums.append((R, D, S, Sd))
         self.kernel_passes += 1
         self._memo = ((key, sums), *self._memo[:1])
         return sums
@@ -366,54 +355,46 @@ class LikelihoodProblem:
         the box; the objective requires positive intensities at every event
         and raises if that invariant is violated (impossible inside the box).
         """
-        spec, im = self.spec, self.index_map
-        K, M = spec.K, spec.M
-        mu = flat[im.mu_slice]
-        alpha = flat[im.alpha_slice].reshape(M, K, K)
-        sums = self._sums(flat[im.beta_slice])
-        n = self.n
-        types = self._types
-        Z = self._Z
+        # Extrapolated candidates can land far outside the box where kernel values
+        # overflow; the resulting non-finite gradients are rejected by the optimizer's
+        # safeguard, so the noise is silenced here, kernel sums included.
+        with np.errstate(all="ignore"):
+            im, K, M = self.index_map, self.spec.K, self.spec.M
+            mu = flat[im.mu_slice]
+            alpha = flat[im.alpha_slice].reshape(M, K, K)
+            sums = self._sums(flat[im.beta_slice])
+            types = self._types
 
-        alpha_at = [alpha_m[types] for alpha_m in alpha]  # [m][a, j] = alpha[m, type of a, j]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            lam = mu[types].copy() if n else np.empty(0)
+            alpha_at = [alpha_m[types] for alpha_m in alpha]  # [m][a, j] = alpha[m, type of a, j]
+            lam = mu[types]
             for m, (R, _, _, _) in enumerate(sums):
                 lam += np.einsum("aj,aj->a", alpha_at[m], R)
 
-        obj = None
-        if want_obj:
-            if n and not np.all(lam > 0):
-                raise RuntimeError(
-                    "internal invariant violated: nonpositive intensity at an event"
-                )
-            comp = sum(alpha[m].sum(axis=0) @ S for m, (_, _, S, _) in enumerate(sums))
-            logterm = float(np.log(lam).sum()) if n else 0.0
-            obj = float(-self.T * mu.sum() - comp + logterm)
-            obj -= self.reg_c * float(flat @ flat)
+            obj = grad = None
+            if want_obj:
+                if not np.all(lam > 0):
+                    raise RuntimeError("internal invariant violated: nonpositive intensity "
+                                       "at an event")
+                comp = sum(alpha[m].sum(axis=0) @ S for m, (_, _, S, _) in enumerate(sums))
+                obj = float(-self.T * mu.sum() - comp + np.log(lam).sum())
+                obj -= self.reg_c * float(flat @ flat)
 
-        grad = None
-        if want_grad_ma or want_grad_beta:
-            grad = np.zeros(self.dim)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                inv_lam = 1.0 / lam if n else np.empty(0)
+            if want_grad_ma or want_grad_beta:
+                grad = np.zeros(self.dim)
+                inv_lam = 1.0 / lam
                 if want_grad_ma:
-                    g_mu = np.bincount(types, weights=inv_lam, minlength=K) - self.T
-                    grad[im.mu_slice] = g_mu
+                    grad[im.mu_slice] = np.bincount(types, weights=inv_lam, minlength=K) - self.T
                     g_alpha = np.empty((M, K, K))
                     for m, (R, _, S, _) in enumerate(sums):
-                        g_alpha[m] = Z.T @ (R * inv_lam[:, None]) - S[None, :]
+                        g_alpha[m] = self._Z.T @ (R * inv_lam[:, None]) - S[None, :]
                     grad[im.alpha_slice] = g_alpha.reshape(-1)
+                    grad[im.mu_alpha_slice] -= 2.0 * self.reg_c * flat[im.mu_alpha_slice]
                 if want_grad_beta:
                     g_beta = np.empty(M)
                     for m, (_, D, _, Sd) in enumerate(sums):
                         excite = np.einsum("aj,aj,a->", alpha_at[m], D, inv_lam)
                         g_beta[m] = -(alpha[m].sum(axis=0) @ Sd) + excite
-                    grad[im.beta_slice] = g_beta
-            if want_grad_ma:
-                grad[im.mu_alpha_slice] -= 2.0 * self.reg_c * flat[im.mu_alpha_slice]
-            if want_grad_beta:
-                grad[im.beta_slice] -= 2.0 * self.reg_c * flat[im.beta_slice]
+                    grad[im.beta_slice] = g_beta - 2.0 * self.reg_c * flat[im.beta_slice]
 
         return obj, grad
 

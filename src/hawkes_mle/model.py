@@ -93,12 +93,14 @@ class Exponential:
     def antideriv_dbeta(self, u, beta):
         # d/dbeta [(1 - e^{-beta u})/beta] = (e^{-beta u}(1 + beta u) - 1)/beta^2,
         # with a series branch where beta*u is small enough to cancel badly.
+        # Where x = beta u >= 708, e^{-x} (1 + x) < 1e-300 vanishes against the
+        # 1, so e^{-x} is set to 0: the same bits, without numpy's slow path.
         u = np.asarray(u, dtype=float)
         if beta == 0.0:
             return -0.5 * u * u
         x = beta * u
-        with np.errstate(over="ignore", invalid="ignore"):
-            exact = (np.exp(-x) * (1.0 + x) - 1.0) / (beta * beta)
+        decay = np.exp(-x, out=np.zeros_like(x), where=x < 708.0)
+        exact = (decay * (1.0 + x) - 1.0) / (beta * beta)
         series = u * u * (-0.5 + x / 3.0 - x * x / 8.0)
         return np.where(np.abs(x) < 1e-3, series, exact)
 

@@ -518,14 +518,15 @@ def estimate_lipschitz_bounds(problem, theta0, safety=2.0):
     im = problem.index_map
     rng = np.random.default_rng(_LIPSCHITZ_SEED)
 
-    def block_bound(sl):
+    def block_bound(sl, mu_alpha):
+        blocks = {"mu_alpha": mu_alpha, "beta": not mu_alpha}  # the one block read
         v = np.zeros(problem.dim)
         v[sl] = rng.standard_normal(flat0[sl].size)
         v[sl] /= np.linalg.norm(v[sl])
         lam = 0.0
         for _ in range(_LIPSCHITZ_ITERS):
-            gp = problem.grad_flat(flat0 + _LIPSCHITZ_STEP * v)
-            gm = problem.grad_flat(flat0 - _LIPSCHITZ_STEP * v)
+            gp = problem.grad_flat(flat0 + _LIPSCHITZ_STEP * v, **blocks)
+            gm = problem.grad_flat(flat0 - _LIPSCHITZ_STEP * v, **blocks)
             hv = (gp - gm) / (2.0 * _LIPSCHITZ_STEP)
             lam_new = float(np.linalg.norm(hv[sl]))
             if lam_new == 0.0:
@@ -538,4 +539,4 @@ def estimate_lipschitz_bounds(problem, theta0, safety=2.0):
             lam = lam_new
         return safety * max(lam, 1e-12)
 
-    return block_bound(im.mu_alpha_slice), block_bound(im.beta_slice)
+    return block_bound(im.mu_alpha_slice, True), block_bound(im.beta_slice, False)

@@ -13,6 +13,7 @@ from hawkes_mle.io import (
     ConfigError,
     DataError,
     domain_from_config,
+    experiment_from_config,
     hyperparams_from_config,
     ingest_lobster,
     load_config,
@@ -358,6 +359,20 @@ class TestIngestLobster:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("direction", ["0", "2", "-2"])
+    def test_direction_other_than_plus_minus_one_is_bad(self, tmp_path, capsys, direction):
+        msg = tmp_path / "msg.csv"
+        msg.write_text(f"1.0,1,1,1,1,1\n2.0,1,1,1,1,{direction}\n")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"1": "L"}))
+        out = tmp_path / "e.csv"
+        summary = ingest_lobster(str(msg), str(mapping), str(out), max_bad_fraction=0.5)
+        assert (summary["rows_bad"], summary["rows_written"]) == (1, 1)
+        code = main(["ingest-lobster", "--messages", str(msg), "--types", str(mapping),
+                     "--out", str(tmp_path / "strict.csv")])
+        assert code == 3
+        assert "1/2 rows unparseable" in capsys.readouterr().err
+
     def test_bad_mapping_letter(self, tmp_path):
         msg = tmp_path / "msg.csv"
         msg.write_text("1.0,1,1,1,1,1\n")
@@ -387,6 +402,31 @@ class TestIngestMemetracker:
         ev = read_events(str(out))
         assert len(ev) == 2
         assert ev.times[0] == 0.0 and ev.times[1] == 1.5
+
+    def ingest(self, tmp_path, posts_text):
+        posts = tmp_path / "posts.csv"
+        posts.write_text(posts_text)
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"a.example": 0}))
+        out = tmp_path / "events.csv"
+        code = main(["ingest-memetracker", "--posts", str(posts), "--groups", str(groups),
+                     "--out", str(out)])
+        return code, out
+
+    def test_blank_rows_skipped(self, tmp_path):
+        code, out = self.ingest(tmp_path, "time,url\n\n1.0,a.example\n  \n2.0,a.example\n")
+        assert code == 0
+        assert read_events(str(out)).times.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("posts_text, message", [
+        ("t,u\n1.0,a.example\n", "expected header 'time,url'"),
+        ("time,url\n1.0,a.example\n2.0\n", "row 3: expected 2 fields"),
+    ], ids=["wrong-header", "one-field-row"])
+    def test_malformed_log_exit_3(self, tmp_path, capsys, posts_text, message):
+        code, out = self.ingest(tmp_path, posts_text)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "x", True, None, [0]])
     def test_bad_group_index_exit_3(self, tmp_path, capsys, bad):
@@ -441,6 +481,18 @@ class TestFitDataErrors:
              "--out", str(tmp_path / "p.json")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("row", ["-1.0,0", "1.0,-1"])
+    def test_negative_time_or_type_exit_3(self, tmp_path, capsys, row):
+        cfg = write_config(tmp_path / "cfg.json", base_config())
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"time,type\n{row}\n2.0,0\n")
+        code = main(
+            ["fit", "--events", str(bad), "--config", cfg,
+             "--out", str(tmp_path / "p.json")]
+        )
+        assert code == 3
+        assert "row 2: negative time or type" in capsys.readouterr().err
 
     def test_event_beyond_horizon_exit_3(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", base_config(horizon=10.0))
@@ -752,6 +804,14 @@ class TestExperimentConfigErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["benchmark", "consistency"])
+    def test_null_iters_keeps_the_run_default(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(experiments, "simulate_cluster", no_simulation)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**EXPERIMENT_CONFIGS[command], "iters": None}))
+        _, _, kwargs = experiment_from_config(str(cfg), command)
+        assert "iters" not in kwargs
+
+    @pytest.mark.parametrize("command", ["benchmark", "consistency"])
     def test_top_level_array_exit_1(self, tmp_path, capsys, monkeypatch, command):
         assert self.run(tmp_path, monkeypatch, command, [1, 2]) == 1
         err = capsys.readouterr().err
@@ -821,6 +881,19 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "c.json", doc)
         with pytest.raises(ConfigError, match="'mu_ub'"):
             domain_from_config(load_config(cfg), spec_from_config(load_config(cfg)))
+
+    @pytest.mark.parametrize("section", ["domain", "init"])
+    def test_section_shaped_for_another_k_exit_1(self, tmp_path, capsys, section):
+        doc = base_config(K=1)
+        doc[section] = base_config(K=2)[section]
+        cfg = write_config(tmp_path / "c.json", doc)
+        events = tmp_path / "e.csv"
+        events.write_text("time,type\n1.0,0\n")
+        code = main(["fit", "--events", str(events), "--config", cfg,
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config error: {section}: shapes for K=2, M=1 do not match" in err
 
     def test_missing_required_section(self, tmp_path):
         doc = base_config()
@@ -934,3 +1007,10 @@ def test_read_trace_malformed_row_names_file_and_row(tmp_path, row, fragment):
     with pytest.raises(DataError, match=fragment) as exc:
         read_trace(str(path))
     assert str(path) in str(exc.value)
+
+
+def test_read_trace_wrong_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("iter,objective\n1,0.5\n")
+    with pytest.raises(DataError, match="expected header"):
+        read_trace(str(path))

@@ -57,6 +57,12 @@ class TestIntensity:
         with pytest.raises(ValueError):
             intensity_at(prob, pv, -0.1, 0)
 
+    @pytest.mark.parametrize("i", [-1, 1])
+    def test_type_out_of_range_rejected(self, i):
+        prob = problem(exp_spec(), events([1.0], horizon=10.0))
+        with pytest.raises(ValueError, match=f"type index {i} out of range"):
+            intensity_at(prob, params(1.0, 0.5, 1.0), 2.0, i)
+
 
 class TestLogLikelihood:
     def test_no_events(self):

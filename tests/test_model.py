@@ -118,6 +118,42 @@ class TestKernelBetaDerivatives:
                 ref = float((mp.e ** (-b * uu) * (1 + b * uu) - 1) / b**2)
                 assert got == pytest.approx(ref, rel=1e-9, abs=1e-30)
 
+    @pytest.mark.parametrize("beta", [1e-3, 0.5, 3.0, -2.0, 1e300])
+    def test_exponential_dPhi_bits_match_the_plain_exp(self, beta):
+        """Taking e^{-x} as 0 for x >= 708 keeps every bit of the formula with
+        the plain exp, for array and scalar u, through the overflows,
+        underflows and infinities, and NaN stays NaN.  A NaN's sign bit is not
+        compared: numpy's exp sets it differently in its vector and scalar
+        loops."""
+
+        def plain(u, beta):
+            u = np.asarray(u, dtype=float)
+            x = beta * u
+            exact = (np.exp(-x) * (1.0 + x) - 1.0) / (beta * beta)
+            series = u * u * (-0.5 + x / 3.0 - x * x / 8.0)
+            return np.where(np.abs(x) < 1e-3, series, exact)
+
+        def assert_same_bits(got, want):
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+        rng = np.random.default_rng(7)
+        # x = beta u at the cut, just below it, where e^{-x} leaves the
+        # normal range, at the series branch's edge, and non-finite u.
+        special = np.concatenate([
+            np.array([708.0, np.nextafter(708.0, 0.0), 745.2, 1e-3]) / abs(beta),
+            [0.0, np.inf, -np.inf, np.nan, -1.0],
+        ])
+        u = np.concatenate([
+            rng.uniform(0.0, 1000.0, 20_000), np.geomspace(1e-12, 1e300, 20_000), special])
+        with np.errstate(all="ignore"):
+            assert_same_bits(EXP.antideriv_dbeta(u, beta), plain(u, beta))
+            for s in [*u[:-special.size:499], *special]:
+                got = EXP.antideriv_dbeta(float(s), beta)
+                assert got.shape == ()
+                assert_same_bits(got, plain(float(s), beta))
+
 
 class TestFlatIndexMap:
     def test_roundtrip_pack_unpack(self):
@@ -207,6 +243,18 @@ class TestSpectralRadius:
             G = rng.uniform(0.0, 1.0, (5, 5))
             expect = np.max(np.abs(np.linalg.eigvals(G)))
             assert spectral_radius(G) == pytest.approx(expect, rel=1e-8)
+
+    @pytest.mark.parametrize("G, message", [
+        (np.ones((2, 3)), "square"),
+        (np.ones(3), "square"),
+        (np.array([[0.5, -0.1], [0.0, 0.5]]), "nonnegative"),
+    ], ids=["2x3", "1-d", "negative"])
+    def test_rejected(self, G, message):
+        with pytest.raises(ValueError, match=message):
+            spectral_radius(G)
+
+    def test_empty_matrix_has_radius_zero(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 
 class TestStationaryMean:

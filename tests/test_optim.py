@@ -128,6 +128,17 @@ class TestHyperParams:
         with pytest.raises(HyperParamsError):
             HyperParams(memory=0).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lbar1", 0.0, "lbar1 and lbar2 must be positive"),
+        ("lbar2", -1.0, "lbar1 and lbar2 must be positive"),
+        ("tau1", 0.0, "tau1 must be positive"),
+        ("tau2", -1e-3, "tau2 must be positive"),
+        ("delta", -0.5, "delta must be nonnegative"),
+    ])
+    def test_sign_violations(self, field, value, message):
+        with pytest.raises(HyperParamsError, match=message):
+            HyperParams(**{field: value}).validate()
+
     def test_oversized_tau_rejected_then_warns(self):
         hp = HyperParams(lbar1=1.0, tau1=5.0)  # rule gives 2.0
         with pytest.raises(HyperParamsError):

@@ -32,12 +32,17 @@ reported norms moved, within 1e-10 relative of the dense SVD (checked in
 ``DenseHState.h_norms`` still takes the full SVD of its own dense H.
 
 Between them the runs reach every restart of the accelerated loop: a full
-memory window (memory 2, on the K=3 stream with accepted steps and in
-``fit_stream``), a degenerate projection of the secant direction (every
-recipe stream), a zero secant (the Poisson problem, which reaches its fixed
-point exactly) and a non-finite sweep at a rejected candidate (the K=5
-recipe stream).  The degenerate-curvature retry with H = I is reached by
-hand-built vectors in ``test_lowrank_h``.
+memory window (memory 2, on the K=3 stream with accepted steps), a
+degenerate projection of the secant direction (every recipe stream), a zero
+secant (the Poisson problem, which reaches its fixed point exactly) and a
+non-finite sweep at a rejected candidate (the K=5 recipe stream).  The
+degenerate-curvature retry with H = I is reached by hand-built vectors in
+``test_lowrank_h``.
+
+``fit_stream`` always runs with ``FIT_MEMORY`` (10), so only its ``-m10``
+entries remain; the ``k5-fit-stream-m2`` and ``pwl-fit-stream-m2`` entries
+went with its ``memory`` keyword.  The nine re-recorded entries counted above
+include ``k5-fit-stream-m2``.
 """
 
 import hashlib
@@ -164,9 +169,9 @@ ACCELERATED = {
 }
 
 
-def _fit_stream_run(make, iters, memory):
+def _fit_stream_run(make, iters):
     prob, _ = make()
-    return prob, fit_stream(prob, iters=iters, memory=memory)
+    return prob, fit_stream(prob, iters=iters)
 
 
 RUNS = {
@@ -178,10 +183,8 @@ RUNS = {
     "poisson-palm": lambda: _poisson_run(run_palm),
     "poisson-ipalm": lambda: _poisson_run(run_ipalm),
     "poisson-aa-ipalm": lambda: aa_run(_poisson),
-    "k5-fit-stream-m10": lambda: _fit_stream_run(_k5, 200, 10),
-    "k5-fit-stream-m2": lambda: _fit_stream_run(_k5, 200, 2),
-    "pwl-fit-stream-m10": lambda: _fit_stream_run(_pwl, 150, 10),
-    "pwl-fit-stream-m2": lambda: _fit_stream_run(_pwl, 150, 2),
+    "k5-fit-stream-m10": lambda: _fit_stream_run(_k5, 200),
+    "pwl-fit-stream-m10": lambda: _fit_stream_run(_pwl, 150),
 }
 
 

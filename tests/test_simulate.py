@@ -40,6 +40,16 @@ class TestOffspringOffsets:
         out = offspring_offsets(Exponential(), 0.0, 1.0, 5.0, rng)
         assert out.size == 0
 
+    @pytest.mark.parametrize("alpha_total, window, message", [
+        (-0.1, 5.0, "alpha_total must be nonnegative"),
+        (0.5, 0.0, "window must be positive"),
+        (0.5, -1.0, "window must be positive"),
+    ])
+    def test_bad_arguments(self, alpha_total, window, message):
+        with pytest.raises(ValueError, match=message):
+            offspring_offsets(Exponential(), alpha_total, 1.0, window,
+                              np.random.default_rng(0))
+
     def test_exponential_unit_mean(self):
         rng = np.random.default_rng(1)
         fam = Exponential()
@@ -499,3 +509,15 @@ class TestEventSequence:
     def test_nonfinite_time(self, bad):
         with pytest.raises(ValueError, match="finite"):
             EventSequence(np.array([1.0, bad]), np.array([0, 0]), 10.0)
+
+    @pytest.mark.parametrize("times, types, message", [
+        ([1.0, 2.0], [0], "1-d arrays of equal length"),
+        ([[1.0], [2.0]], [[0], [0]], "1-d arrays of equal length"),
+        ([2.0, 1.0], [0, 0], "nondecreasing"),
+        ([-0.5, 1.0], [0, 0], r"lie in \[0, horizon\]"),
+        ([1.0, 10.5], [0, 0], r"lie in \[0, horizon\]"),
+        ([1.0, 2.0], [0, -1], "nonnegative integers"),
+    ], ids=["lengths", "2-d", "unsorted", "before-0", "after-T", "negative-type"])
+    def test_malformed_stream(self, times, types, message):
+        with pytest.raises(ValueError, match=message):
+            EventSequence(np.array(times), np.array(types), 10.0)
