@@ -37,6 +37,12 @@ n x n array:
   distinct cutoffs (2 GiB) is refused with a ``DataError`` before anything
   pair-sized is allocated.
 
+The events are held in one row order, by type and then time, fixed at
+construction; R, D and the per-event terms all come in it.  Each type's rows
+are then one block, so every per-type sum (the compensator sums, the mu- and
+alpha-gradients) is a segment sum over those blocks: no n x K indicator of
+the types is built, and an evaluation runs no loop over types.
+
 R, D and the compensator sums S depend on beta alone, and the optimizer's
 block steps ask for several evaluations at one beta.  A ``LikelihoodProblem``
 therefore keeps the sums of the last two distinct beta vectors (keyed on
@@ -73,21 +79,28 @@ _SCAN_BLOCK = 16
 _PAIR_BUDGET = 1 << 28
 
 
-def _pair_list(times, types, K, cutoffs):
+def _pair_list(times, order, counts, cutoffs):
     """Elapsed times of all kernel pairs, grouped into cells, and the cells.
 
-    A pair (source b, destination a) enters the sums when t_b < t_a; it
-    belongs to the cell ``a * K + types[b]``.  Pairs are ordered by cell and,
-    inside a cell, by source time, so each cell is one contiguous segment.
-    Returns (dt, starts, cells): ``starts`` are the segments' first positions
-    and ``cells`` their flat cells, nonempty cells only, in order.
+    Row r is event ``order[r]``: rows go by type, then time, ``counts[j]``
+    rows of type j.  A pair (source b, destination row r) enters the sums
+    when t_b < t_r; it belongs to the cell ``r * K + types[b]``.  Pairs are
+    ordered by cell and, inside a cell, by source time, so each cell is one
+    contiguous segment.  Returns (dt, starts, cells): ``starts`` are the
+    segments' first positions and ``cells`` their flat cells, nonempty cells
+    only, in order.
 
     Each of the ``cutoffs`` distinct cutoffs keeps one array of the pairs.
     Over ``_PAIR_BUDGET`` pairs times cutoffs this raises ``DataError``,
     naming n, the pairs and the bytes, before any pair-sized allocation.
     """
-    hi = np.searchsorted(times, times, side="left")  # sources strictly earlier
-    pairs = int(hi.sum())
+    grouped = times[order]
+    # The sources of type j strictly earlier than a row are a prefix of j's
+    # block of rows; sizes[r, j] is its length.
+    sizes = np.empty((times.size, counts.size), dtype=np.intp)
+    for j, block in enumerate(np.split(grouped, np.cumsum(counts)[:-1])):
+        sizes[:, j] = np.searchsorted(block, grouped, side="left")
+    pairs = int(sizes.sum())
     if pairs * cutoffs > _PAIR_BUDGET:
         raise DataError(
             f"{times.size} events make {pairs} power-law kernel pairs; with "
@@ -95,23 +108,19 @@ def _pair_list(times, types, K, cutoffs):
             f"{8 * pairs * cutoffs} bytes, over its budget of "
             f"{8 * _PAIR_BUDGET} bytes"
         )
-    # The sources of row a are the first hi[a] events; grouped by type they
-    # are a prefix of each type's events, so a stable sort by type once puts
-    # every row's pairs in cell order.
-    by_type = np.argsort(types, kind="stable")
-    type_times = times[by_type]
-    prefix = np.zeros((times.size + 1, K), dtype=np.intp)
-    np.cumsum(np.eye(K, dtype=np.intp)[types], axis=0, out=prefix[1:])
-    sizes = prefix[hi].ravel()  # pairs per cell (a, j)
+    hi = sizes.sum(axis=1)  # sources of each row: the hi earliest events
+    sizes = sizes.ravel()  # pairs per cell (r, j)
     cells = np.flatnonzero(sizes)
     starts = np.cumsum(sizes) - sizes
     dt = np.empty(pairs)
-    # One destination row at a time: no pair-sized scratch.
+    # One destination row at a time: no pair-sized scratch.  Events come in
+    # time order, so the hi earliest are those numbered below hi, and in row
+    # order they fall in cell order.
     o = 0
-    for a, b in enumerate(hi.tolist()):
+    for r, b in enumerate(hi.tolist()):
         if b:
             e = o + b
-            np.subtract(times[a], type_times[by_type < b], out=dt[o:e])
+            np.subtract(grouped[r], grouped[order < b], out=dt[o:e])
             o = e
     return dt, starts[cells], cells
 
@@ -201,9 +210,10 @@ def _decay_scan(a, Y, products=None):
 def _nan_rows(S):
     """S, with each row whose sum is not finite set to NaN in place.
 
-    One non-finite kernel value makes its row non-finite in the dense product
-    E @ Z; both engines keep that rule, so a bad extrapolated candidate fails
-    the same way whichever way its sums are taken.
+    This is the dense oracle's rule: there one non-finite kernel value makes
+    every sum of its event's row non-finite.  Both engines keep it, so a bad
+    extrapolated candidate fails the same way whichever way its sums are
+    taken.
     """
     S[~np.isfinite(S @ np.ones(S.shape[1]))] = np.nan
     return S
@@ -212,8 +222,10 @@ def _nan_rows(S):
 class LikelihoodProblem:
     """Event stream + model spec + box domain + Tikhonov coefficient.
 
-    Precomputes what every evaluation shares: the per-type indicator, the
-    distinct time stamps with their per-type event counts (for the
+    Its rows are the events ordered by type, then time, so that each type's
+    events are one block of rows and every per-type sum is a segment sum.
+    Precomputes what every evaluation shares: that order and each type's
+    count, the distinct time stamps with their per-type event counts (for the
     exponential recursion), and, when some kernel needs it, the list of kernel
     pairs.  No array of size n x n is built.  The kernel sums of the last two
     distinct beta vectors are kept; ``kernel_passes`` counts how often they
@@ -239,23 +251,28 @@ class LikelihoodProblem:
         times = events.times
         types = events.types
         self.n, K = times.size, spec.K
-        self._types = types
-        self._Z = np.eye(K)[types]  # Z[a, k] = 1 if event a has type k
-        self._comp_dt = self.T - times  # elapsed time entering the compensator
+        # Row r is event order[r]: by type, then time.  Only the types with
+        # events have a first row, so no segment of ``_type_sums`` is empty.
+        order = np.argsort(types, kind="stable")
+        counts = np.bincount(types, minlength=K)
+        self._type_counts = counts
+        self._has_events = counts > 0
+        self._first_rows = (np.cumsum(counts) - counts)[self._has_events]
+        self._comp_dt = self.T - times[order]  # elapsed time entering the compensator
         # Distinct stamps u_g (grouping ties keeps simultaneous events out of
         # each other's sums), their gaps u_g - u_{g-1} (0 for the first) and
-        # type counts in the scan's layout, and each event's stamp in it.
+        # type counts in the scan's layout, and each row's stamp in it.
         stamps, stamp_of = np.unique(times, return_inverse=True)
         self._gaps = _blocked(np.diff(stamps, prepend=stamps[:1]))
         self._counts = _blocked(
             np.bincount(stamp_of * K + types, minlength=stamps.size * K).reshape(-1, K))
-        self._stamp_at = np.divmod(stamp_of, _SCAN_BLOCK)[::-1]
+        self._stamp_at = np.divmod(stamp_of[order], _SCAN_BLOCK)[::-1]
         # Exponential kernels take the recursion; power-law kernels sum over
         # the pair list.
         cutoffs = [k.c for k in spec.kernels if not isinstance(k, Exponential)]
         if cutoffs:
             dt, self._cell_start, self._cell_index = _pair_list(
-                times, types, K, len(set(cutoffs)))
+                times, order, counts, len(set(cutoffs)))
             self._pair_logs = _pair_logs(dt, cutoffs)
             pairs = dt.size
             self._parts = _split(self._cell_start, pairs, max(1, -(-pairs // _PART_PAIRS)))
@@ -269,8 +286,9 @@ class LikelihoodProblem:
     def _kernel_sums(self, m, beta, want_dbeta):
         """Per-event kernel sums of base kernel m at shape parameter beta.
 
-        Returns (R, D), both n x K: R[a, j] = sum_{s < t_a, type j}
-        phi_m(t_a - s) and D the same sum of d phi_m / d beta (None unless
+        Returns (R, D), both n x K with one row per event in the problem's
+        row order (by type, then time): R[r, j] = sum_{s < t_r, type j}
+        phi_m(t_r - s) and D the same sum of d phi_m / d beta (None unless
         ``want_dbeta``).
         """
         n, K = self.n, self.spec.K
@@ -319,6 +337,17 @@ class LikelihoodProblem:
 
         return rows(r), (-rows(d) if want_dbeta else None)
 
+    def _type_sums(self, x):
+        """Sums of the rows of ``x`` over each type's block, one per type.
+
+        The segments start at the first rows of the types with events only:
+        ``reduceat`` rejects a start at row n and gives an empty segment the
+        row at its start, so a type with no events keeps its 0 here.
+        """
+        out = np.zeros((self.spec.K, *x.shape[1:]))
+        out[self._has_events] = np.add.reduceat(x, self._first_rows, axis=0)
+        return out
+
     def _sums(self, beta):
         """Per kernel (R, D, S, Sd) at the beta vector ``beta``, from the memo.
 
@@ -332,13 +361,12 @@ class LikelihoodProblem:
                 if i:  # the hit becomes the newer slot
                     self._memo = self._memo[::-1]
                 return sums
-        Z = self._Z
         sums = []
         for m, kern in enumerate(self.spec.kernels):
             b = float(beta[m])
             R, D = self._kernel_sums(m, b, True)
-            S = Z.T @ kern.antiderivative(self._comp_dt, b)
-            Sd = Z.T @ kern.antideriv_dbeta(self._comp_dt, b)
+            S = self._type_sums(kern.antiderivative(self._comp_dt, b))
+            Sd = self._type_sums(kern.antideriv_dbeta(self._comp_dt, b))
             for a in (R, D, S, Sd):
                 a.flags.writeable = False
             sums.append((R, D, S, Sd))
@@ -363,10 +391,11 @@ class LikelihoodProblem:
             mu = flat[im.mu_slice]
             alpha = flat[im.alpha_slice].reshape(M, K, K)
             sums = self._sums(flat[im.beta_slice])
-            types = self._types
+            counts = self._type_counts
 
-            alpha_at = [alpha_m[types] for alpha_m in alpha]  # [m][a, j] = alpha[m, type of a, j]
-            lam = mu[types]
+            # [m][r, j] = alpha[m, type of row r, j]
+            alpha_at = [np.repeat(alpha_m, counts, axis=0) for alpha_m in alpha]
+            lam = np.repeat(mu, counts)
             for m, (R, _, _, _) in enumerate(sums):
                 lam += np.einsum("aj,aj->a", alpha_at[m], R)
 
@@ -383,10 +412,10 @@ class LikelihoodProblem:
                 grad = np.zeros(self.dim)
                 inv_lam = 1.0 / lam
                 if want_grad_ma:
-                    grad[im.mu_slice] = np.bincount(types, weights=inv_lam, minlength=K) - self.T
+                    grad[im.mu_slice] = self._type_sums(inv_lam) - self.T
                     g_alpha = np.empty((M, K, K))
                     for m, (R, _, S, _) in enumerate(sums):
-                        g_alpha[m] = self._Z.T @ (R * inv_lam[:, None]) - S[None, :]
+                        g_alpha[m] = self._type_sums(R * inv_lam[:, None]) - S[None, :]
                     grad[im.alpha_slice] = g_alpha.reshape(-1)
                     grad[im.mu_alpha_slice] -= 2.0 * self.reg_c * flat[im.mu_alpha_slice]
                 if want_grad_beta:

@@ -145,6 +145,36 @@ def test_long_stream_matches_oracle():
         assert_agrees(prob, prob.index_map.pack(pv))
 
 
+# Per-type sums are segment sums from each type's first row, so these streams
+# put a type without events first, in the middle and last (whose block would
+# start at row n), or leave one type alone.  Values are (K, types drawn from).
+EMPTY_TYPE_CASES = {
+    "first-empty": (3, (1, 2)),
+    "middle-empty": (3, (0, 2)),
+    "last-empty": (3, (0, 1)),
+    "k1": (1, (0,)),
+    "one-type": (3, (1,)),
+    "last-type-only": (3, (2,)),
+    "n0": (3, ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_TYPE_CASES))
+@pytest.mark.parametrize("kernels", [["exp"], ["pwl"], ["exp", "pwl"]], ids=["exp", "pwl", "mixed"])
+def test_types_without_events_match_oracle(kernels, case):
+    K, fired = EMPTY_TYPE_CASES[case]
+    spec = ModelSpec(K=K, M=len(kernels), kernels=[KERNELS[k] for k in kernels])
+    rng = np.random.default_rng(len(fired) * 10 + K)
+    n = 40 if fired else 0
+    times = np.sort(np.floor(rng.uniform(0.0, 20.0, n) * 4.0) / 4.0)
+    ev = events(times, rng.choice(fired, n) if n else [], horizon=20.0)
+    prob = LikelihoodProblem(spec, ev, wide_domain(spec), reg_c=0.1)
+    for _ in range(3):
+        pv = params(rng.uniform(0.1, 1.0, K), rng.uniform(0.0, 0.5, (spec.M, K, K)),
+                    rng.uniform(1.3, 3.0, spec.M))
+        assert_agrees(prob, prob.index_map.pack(pv))
+
+
 # -- out-of-box beta ----------------------------------------------------------
 
 
@@ -254,6 +284,9 @@ def test_event_intensities_match_intensity_at(kernels):
     prob = LikelihoodProblem(spec, events(times, types, horizon=12.0), wide_domain(spec))
     pv = params(rng.uniform(0.1, 1.0, K), rng.uniform(0.0, 0.5, (spec.M, K, K)),
                 [1.3, 2.0][: spec.M])
+    # The engine's rows go by type, then time.
+    rows = np.argsort(types, kind="stable")
+    times, types = times[rows], types[rows]
     lam = pv.mu[types].copy()
     for m in range(spec.M):
         R, _ = prob._kernel_sums(m, float(pv.beta[m]), False)
@@ -287,6 +320,24 @@ def test_exponential_engine_allocates_no_pair_storage():
         prob.objective_and_grad_flat(flat)
 
     assert traced_peak(run) < 0.05 * 8 * n * n
+
+
+def test_exponential_problem_holds_no_type_indicator():
+    """A built exponential problem keeps the scan's stamp counts (one n x K
+    array) and per-event vectors, but no n x K indicator of the types."""
+    n, K = 2000, 10
+    spec = ModelSpec(K=K, M=1, kernels=[Exponential()])
+    rng = np.random.default_rng(4)
+    ev = events(np.sort(rng.uniform(0.0, 500.0, n)), rng.integers(0, K, n), horizon=500.0)
+    domain = wide_domain(spec)
+    tracemalloc.start()
+    try:
+        prob = LikelihoodProblem(spec, ev, domain)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert prob.n == n
+    assert held < 1.6 * 8 * n * K, held / (8 * n * K)
 
 
 def test_pair_list_stays_below_dense_storage():
