@@ -10,14 +10,20 @@ Two independent samplers are shipped:
   the offsets' uniforms are read, in per-(event, target) order, off a block
   of uniform doubles drawn ahead, as numpy's ``poisson`` and ``random``
   would read them, so the streams are byte-identical to those of one
-  :func:`offspring_offsets` call per (event, target, kernel).
+  :func:`offspring_offsets` call per (event, target, kernel).  A generation
+  with no zero mean, no mean of 10 or more, or no event at T skips the work
+  each needs, after one ``count_nonzero`` or one look at its last window.
 * :func:`simulate_thinning` -- Ogata-style rejection sampling under a
   piecewise-constant dominating rate (valid because both shipped kernel
   families are nonincreasing in elapsed time).  The rate is reused, not
   evaluated anew: it is the intensity at the last candidate, plus the jump of
   the event if that candidate was accepted.  Exponential kernels keep a
-  decayed state per (kernel, type), so a candidate costs O(M K); power-law
-  kernels sum over the history.
+  decayed state per (kernel, type), so a candidate costs O(M K); with one
+  exponential kernel that state is a (K,) row decayed by a scalar ``np.exp``.
+  Power-law kernels sum over the history.  The type of an acceptance is
+  bisected from running sums of the intensities as Python floats.  The
+  streams are byte-identical, for every spec, to those of one stacked array
+  ``np.exp`` and ``decay @ excite`` per candidate and ``cumsum`` typing.
 
 Both use numpy's PCG64 generator.  Child streams for immigrants, offspring,
 and thinning are derived from the master seed via ``SeedSequence.spawn``, so
@@ -29,7 +35,9 @@ bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,7 +94,11 @@ class EventSequence:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.types = np.asarray(self.types, dtype=np.int64)
+        types = np.asarray(self.types)
+        # A cast would truncate 1.7 to 1 and fail on NaN with numpy's message.
+        if types.dtype.kind == "f" and not np.all(np.isfinite(types) & (np.floor(types) == types)):
+            raise ValueError("types must be integers")
+        self.types = types.astype(np.int64, copy=False)
         self.horizon = _finite_horizon(self.horizon)
         if self.times.shape != self.types.shape or self.times.ndim != 1:
             raise ValueError("times and types must be 1-d arrays of equal length")
@@ -134,11 +146,19 @@ def _spawn_generators(seed, n=3):
 
 
 def _finalize(times, gens, types, horizon):
+    """The events ordered by (time, generation, type).
+
+    Without tied times that is the order of a stable sort by time, so the
+    three-key ``lexsort`` runs only for a stream with ties.
+    """
     times = np.asarray(times, dtype=float)
-    gens = np.asarray(gens, dtype=np.int64)
     types = np.asarray(types, dtype=np.int64)
-    order = np.lexsort((types, gens, times))
-    return EventSequence(times[order], types[order], horizon)
+    order = np.argsort(times, kind="stable")
+    out = times[order]
+    if np.any(out[1:] == out[:-1]):
+        order = np.lexsort((types, np.asarray(gens, dtype=np.int64), times))
+        out = times[order]
+    return EventSequence(out, types[order], horizon)
 
 
 def _check_inputs(spec, params, horizon):
@@ -207,16 +227,22 @@ def _poisson_walk(means, block, rng):
     is rewound past the unread doubles, the row takes a scalar ``poisson``
     call, and the block is emptied.
 
+    One ``count_nonzero`` finds means with no zero, which are walked as
+    given, with no ``flatnonzero`` and no gather; another finds means all
+    below 10, which skip the scan for rows that need a scalar call.
+
     ``block`` is a list of the doubles drawn ahead from ``rng`` and not yet
-    read.  Returns the rows with a nonzero count, their counts,
-    and all their uniforms in draw order.
+    read.  Returns the rows with a nonzero count, as an integer array, their
+    counts, and all their uniforms in draw order.
     """
     hits, counts, uniforms = [], [], []
-    live = np.flatnonzero(means != 0.0)
-    lams = means[live]
+    live = None if np.count_nonzero(means) == means.size else np.flatnonzero(means)
+    lams = means if live is None else means[live]
     thresholds = list(map(math.exp, memoryview(-lams)))
+    small = lams < 10.0
     lo = 0
-    for r in np.flatnonzero(~(lams < 10.0)).tolist():  # lam >= 10, or NaN
+    # Rows with lam >= 10, or NaN.
+    for r in [] if np.count_nonzero(small) == small.size else np.flatnonzero(~small).tolist():
         _knuth_rows(thresholds, lo, r, block, rng, hits, counts, uniforms)
         rng.bit_generator.advance(-len(block))
         block.clear()
@@ -227,7 +253,8 @@ def _poisson_walk(means, block, rng):
             uniforms += rng.random(c).tolist()
         lo = r + 1
     _knuth_rows(thresholds, lo, lams.size, block, rng, hits, counts, uniforms)
-    return live[hits], counts, uniforms
+    hits = np.array(hits, dtype=np.intp)
+    return (hits if live is None else live[hits]), counts, uniforms
 
 
 def _offspring(times, types, horizon, kernels, weights, block, rng):
@@ -244,21 +271,24 @@ def _offspring(times, types, horizon, kernels, weights, block, rng):
     K, M = len(weights), len(kernels)
     windows = horizon - times
     masses = np.array([kern.antiderivative(windows, b) for kern, b in kernels])
-    masses = np.where(windows > 0, masses, 0.0)
+    if not windows[-1] > 0:  # the generation is sorted: only its tail can sit at T
+        masses = np.where(windows > 0, masses, 0.0)
     # Row (s, i, m) of the flat means sits at s * K * M + i * M + m.
-    means = (weights[types] * masses.T[:, None, :]).ravel()
+    means = (weights.take(types, axis=0) * masses.T[:, None, :]).ravel()
 
     hits, counts, uniforms = _poisson_walk(means, block, rng)
     if not counts:
         return np.empty(0), np.empty(0, dtype=np.int64)
 
-    owner, column = np.divmod(np.repeat(hits, counts), K * M)
-    target, m_of = np.divmod(column, M)
+    owner, target, m_of = np.unravel_index(np.repeat(hits, counts), (times.size, K, M))
     y = np.array(uniforms) * masses[m_of, owner]
-    offsets = np.empty(y.size)
-    for m, (kern, b) in enumerate(kernels):
-        sel = m_of == m
-        offsets[sel] = kern.inverse_antiderivative(y[sel], b)
+    if M == 1:  # every hit is of the one kernel: no masks
+        offsets = kernels[0][0].inverse_antiderivative(y, kernels[0][1])
+    else:
+        offsets = np.empty(y.size)
+        for m, (kern, b) in enumerate(kernels):
+            sel = m_of == m
+            offsets[sel] = kern.inverse_antiderivative(y[sel], b)
     return _by_time_type(times[owner] + offsets, target)
 
 
@@ -285,12 +315,12 @@ def simulate_cluster(spec, params, horizon, config):
     rng_imm, rng_off, _ = _spawn_generators(config.seed)
     K = spec.K
     kernels = [(kern, float(b)) for kern, b in zip(spec.kernels, params.beta)]
-    weights = params.alpha.transpose(2, 1, 0)  # [j, i, m]
+    weights = np.ascontiguousarray(params.alpha.transpose(2, 1, 0))  # [j, i, m]
 
     times, types = [], []
     for k in range(K):
         n_k = rng_imm.poisson(params.mu[k] * horizon)
-        times.append(np.sort(rng_imm.uniform(0.0, horizon, size=n_k)))
+        times.append(rng_imm.uniform(0.0, horizon, size=n_k))
         types.append(np.full(n_k, k, dtype=np.int64))
     times, types = _by_time_type(np.concatenate(times), np.concatenate(types))
 
@@ -322,58 +352,89 @@ def simulate_thinning(spec, params, horizon, config):
     after an acceptance of type k that intensity plus the jump
     sum_m alpha[m][:, k] * phi_m(0).
 
-    Exponential kernels keep a decayed state per (kernel, type): each one's
-    term of the intensity at the last acceptance.  It is carried to a
-    candidate by one factor exp(-beta dt) and raised by alpha[m][:, k] at an
-    acceptance of type k, so a candidate costs O(M K) whatever the history's
-    length.  Power-law kernels sum directly over the history, kept in arrays
-    that grow geometrically.
+    Exponential kernels keep a decayed state: each one's term of the
+    intensity at the last acceptance, carried to a candidate by a factor
+    exp(-beta dt) and raised by alpha[m][:, k] at an acceptance of type k, so
+    a candidate costs O(M K) whatever the history's length.  One exponential
+    kernel keeps a (K,) row: a candidate decays it by a scalar ``np.exp``,
+    which is its term of the intensity, and an acceptance adds the column to
+    that decayed row.  Several keep an (M, K) stack, decayed by one array
+    ``np.exp`` and summed by one product ``decay @ excite``.  Power-law
+    kernels sum directly over the history, kept, only when such a kernel
+    exists, in arrays that grow geometrically.  An acceptance's type is
+    found by bisecting the running sums of the intensities as Python floats.
+
+    The streams are byte-identical, for every spec (one or several
+    exponential kernels, power-law, mixed), to those of stacking every
+    exponential kernel and typing by ``lam.cumsum().searchsorted``: a
+    scalar ``np.exp`` rounds as the array call does, a one-row product is
+    the row times its factor, and the running sums add in sequence, as
+    ``cumsum`` does.  BLAS rounds a product over several rows otherwise than
+    a sum of decayed rows, so several exponential kernels keep the product.
     """
     horizon = _check_inputs(spec, params, horizon)
 
     _, _, rng = _spawn_generators(config.seed)
-    K = spec.K
+    exponential, uniform = rng.exponential, rng.random
+    K, mu = spec.K, params.mu
     exp_ms = [m for m, kern in enumerate(spec.kernels) if isinstance(kern, Exponential)]
     pwl_ms = [m for m in range(spec.M) if m not in exp_ms]
     power_laws = [(spec.kernels[m], float(params.beta[m])) for m in pwl_ms]
     columns = params.alpha.transpose(0, 2, 1)  # columns[m, k] = alpha[m][:, k]
     # jump_total[k]: the rise of the total intensity at an event of type k.
     jump_total = sum(columns[m].sum(axis=1) * float(kern.value(0.0, float(b)))
-                     for m, (kern, b) in enumerate(zip(spec.kernels, params.beta)))
-    neg_betas = -params.beta[exp_ms]
-    exp_columns, pwl_columns = columns[exp_ms], columns[pwl_ms]
-    excite = np.zeros((len(exp_ms), K))  # exponential terms of lam at t_last
+                     for m, (kern, b) in enumerate(zip(spec.kernels, params.beta))).tolist()
+    # excite: the exponential terms of lam at t_last, one row per kernel.
+    neg_betas, exp_columns = -params.beta[exp_ms], columns[exp_ms]
+    one_exp = len(exp_ms) == 1
+    if one_exp:
+        neg_beta, exp_rows = float(neg_betas[0]), list(exp_columns[0])
+        excite = np.zeros(K)
+    else:
+        excite = np.zeros((len(exp_ms), K))
     times = np.empty(64)
-    # hist[p, s]: the column of power-law kernel p for the type of event s.
-    hist = np.empty((len(pwl_ms), times.size, K))
+    if power_laws:
+        # hist[p, s]: the column of power-law kernel p for the type of event s.
+        hist = np.empty((len(pwl_ms), times.size, K))
+        pwl_rows = list(columns[pwl_ms].transpose(1, 0, 2))  # hist[:, s] for type k
     types = []
     t = t_last = 0.0
-    big_lambda = float(params.mu.sum())
+    big_lambda = float(mu.sum())
     while True:
-        t = t + rng.exponential(1.0 / big_lambda)
+        t = t + exponential(1.0 / big_lambda)
         if t > horizon:
             break
         n = len(types)
-        decay = np.exp(neg_betas * (t - t_last))
-        lam = params.mu + decay @ excite
+        lam = mu
+        if one_exp:
+            decayed = excite * np.exp(neg_beta * (t - t_last))
+            lam = lam + decayed
+        elif exp_ms:
+            decay = np.exp(neg_betas * (t - t_last))
+            lam = lam + decay @ excite
         for p, (kern, beta) in enumerate(power_laws):
-            lam += kern.value(t - times[:n], beta) @ hist[p, :n]
-        lam_tot = float(lam.sum())
+            lam = lam + kern.value(t - times[:n], beta) @ hist[p, :n]
+        lam_tot = float(np.add.reduce(lam))
         # rng.random() is rng.uniform() without its argument handling.
-        accept = rng.random() * big_lambda <= lam_tot
+        accept = uniform() * big_lambda <= lam_tot
         big_lambda = lam_tot
         if accept:
-            u = rng.random() * lam_tot
-            k = min(int(lam.cumsum().searchsorted(u, side="right")), K - 1)
+            u = uniform() * lam_tot
+            k = min(bisect_right(list(accumulate(lam.tolist())), u), K - 1)
             types.append(k)
             if len(types) > config.max_events:
                 raise SimulationCapError(len(types), config.max_events)
             if n == times.size:
                 times = np.concatenate([times, np.empty_like(times)])
-                hist = np.concatenate([hist, np.empty_like(hist)], axis=1)
+                if power_laws:
+                    hist = np.concatenate([hist, np.empty_like(hist)], axis=1)
             times[n] = t
-            hist[:, n] = pwl_columns[:, k]
-            excite = decay[:, None] * excite + exp_columns[:, k]
+            if power_laws:
+                hist[:, n] = pwl_rows[k]
+            if one_exp:
+                excite = decayed + exp_rows[k]
+            elif exp_ms:
+                excite = decay[:, None] * excite + exp_columns[:, k]
             t_last = t
             big_lambda += jump_total[k]
 

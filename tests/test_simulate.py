@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -189,11 +190,13 @@ class TestThinningSimulator:
 
 
 def _oracle_case(name):
-    """(spec, params) of a K=3 exp, K=3 power-law, mixed M=2 or sparse-alpha case."""
+    """(spec, params) of a K=3 case: exp, power-law, mixed M=2, two
+    exponential kernels of different beta (exp2), or sparse alpha."""
     kernels = {
         "exp": [Exponential()],
         "pwl": [PowerLawCutoff(0.5)],
         "mixed": [Exponential(), PowerLawCutoff(0.5)],
+        "exp2": [Exponential(), Exponential()],
         "sparse": [Exponential()],
     }[name]
     spec = ModelSpec(K=3, M=len(kernels), kernels=kernels)
@@ -203,13 +206,15 @@ def _oracle_case(name):
         alpha[0, :, 2] = 0.0  # type 2 excites nothing
         alpha[0, 1, 1] = alpha[0, 2, 0] = 0.0
     beta = [1.5 if k.name == "exponential" else 1.8 for k in kernels]
+    if name == "exp2":
+        beta = [1.5, 4.0]
     # Scale alpha to a branching ratio near 0.5.
     pv = params(rng.uniform(0.2, 0.6, 3), alpha, beta)
     radius = spectral_radius(branching_matrix(spec, pv))
     return spec, params(pv.mu, 0.5 * alpha / radius, beta)
 
 
-@pytest.mark.parametrize("case", ["exp", "pwl", "mixed", "sparse"])
+@pytest.mark.parametrize("case", ["exp", "pwl", "mixed", "exp2", "sparse"])
 class TestAgainstOracle:
     """The samplers against their per-draw versions in ``sampler_oracle``."""
 
@@ -272,6 +277,37 @@ class TestClusterBookkeeping:
             assert got.value.n_events == want.value.n_events
             assert got.value.max_events == cap
 
+    def test_events_at_or_past_horizon_draw_nothing(self):
+        """A generation's tail at or past T reads no double, as the oracle,
+        which skips such events, reads none: a window below 0 has a negative
+        mass, which would otherwise be walked as a mean."""
+        from hawkes_mle import simulate
+
+        kernels = [(Exponential(), 1.0), (PowerLawCutoff(0.5), 1.8)]
+        weights = np.full((1, 1, 2), 0.8)
+
+        def generation(times):
+            rng, block = np.random.default_rng(5), []
+            out = simulate._offspring(np.array(times), np.zeros(len(times), dtype=np.int64),
+                                      5.0, kernels, weights, block, rng)
+            rng.bit_generator.advance(-len(block))
+            return out, rng.bit_generator.state
+
+        (times, types), state = generation([1.0, 2.0])
+        (tail_times, tail_types), tail_state = generation([1.0, 2.0, 5.0, 5.2])
+        assert len(times) > 0
+        assert tail_times.tobytes() == times.tobytes()
+        assert tail_types.tobytes() == types.tobytes()
+        assert tail_state == state
+
+    def test_finalize_orders_tied_times_by_generation_then_type(self):
+        from hawkes_mle import simulate
+
+        ev = simulate._finalize([2.0, 1.0, 1.0, 1.0, 0.5], [0, 0, 2, 1, 3],
+                                [0, 3, 0, 5, 1], 5.0)
+        assert ev.times.tolist() == [0.5, 1.0, 1.0, 1.0, 2.0]
+        assert ev.types.tolist() == [1, 3, 5, 0, 0]
+
     @pytest.mark.parametrize("mu,horizon", [(0.5, 0.0), (1e-6, 1.0)])
     def test_empty_result_dtypes(self, mu, horizon):
         spec = exp_spec(K=2)
@@ -281,6 +317,53 @@ class TestClusterBookkeeping:
         assert len(out) == len(want) == 0
         assert out.times.dtype == np.float64 and out.types.dtype == np.int64
         assert out.times.shape == out.types.shape == (0,)
+
+
+class TestStreamDigests:
+    """The samplers' streams, pinned byte for byte by sha256 digests.
+
+    Per (sampler, case), one digest of ``times.tobytes()`` then
+    ``types.tobytes()`` of seeds 0-2, in order: every ``_oracle_case`` at
+    T=150, and the exp-k10 and pwl-k10 recipes (recipe seed 0) at T=100 and
+    T=300.  The oracle tests check the cluster sampler bit for bit but the
+    thinning sampler only to rtol 1e-12; these digests pin both, so a change
+    that keeps every value but reorders the arithmetic shows here.  They were
+    recorded with numpy 2 and OpenBLAS on x86-64 with AVX-512; the rounding
+    of numpy's exp and of BLAS's products is platform dependent, so another
+    platform may need its own record.
+    """
+
+    DIGESTS = {
+        ("cluster", "exp"): "4ac5063214219b78f780102c188682481fcbba444759fe22388b80d11ea6aac6",
+        ("thinning", "exp"): "81ec2e95a5b01d22de6d932767661db3c4a6b4b8b5da5dd28c0f9b0c6713fca8",
+        ("cluster", "pwl"): "d3f6b6df8718a92f2b1c02e34b606d55f1f4513b67d27cbb09f2cf897c7de78b",
+        ("thinning", "pwl"): "b28b9b791fc6fea90313bfca8815831fc24bb61160cbe776204022e0e393a02b",
+        ("cluster", "mixed"): "e632e1e4eb4227bf0239ae595685b470b9095902845f6cce1dc6993c3588bf4b",
+        ("thinning", "mixed"): "96e6b897ed29da46cabbe0ec991beb197ce717396af88dbd8cf088ef7e69874b",
+        ("cluster", "exp2"): "21b156a20e89e45dd909788fc60eb86621efbe68f39d3379e92dec6028bbadf7",
+        ("thinning", "exp2"): "684f794cb86ec85143bcc8684cacc2904ace5e190edc03c6c2175fa96895969e",
+        ("cluster", "sparse"): "690caf5ab09c1bece7eb472fd9a7436b6b0fe68560f73b9b695ef6effe33e43f",
+        ("thinning", "sparse"): "9b3024d93ad6ae5ebee9461888f12b7ce69bcd24d821cd4b2462f2da9cd408db",
+        ("cluster", "exp-k10"): "0c41b0e256a9a4b5b9242e164be88ea0efe8524583aaa346a5ac0ad9e1ed1f96",
+        ("thinning", "exp-k10"): "cf3ce652c250f307cffe3d2de8d37515f8b876ec8c2e734a20f934ae74ad1100",
+        ("cluster", "pwl-k10"): "0adc1f268e8a28ce336a76046e2c323efcc36a8a65ad2ed93a7693af0f48c416",
+        ("thinning", "pwl-k10"): "b1e21206d5c5210f0d16f2ff2cf1216f99a41a99af919bfabe2d2314ceff357f",
+    }
+
+    @pytest.mark.parametrize("sampler,case", sorted(DIGESTS))
+    def test_stream_bytes(self, sampler, case):
+        if case in ("exp-k10", "pwl-k10"):
+            horizon = {"exp-k10": 100.0, "pwl-k10": 300.0}[case]
+            spec, pv = _recipe_case(case, horizon)
+        else:
+            (spec, pv), horizon = _oracle_case(case), 150.0
+        sim = {"cluster": simulate_cluster, "thinning": simulate_thinning}[sampler]
+        h = hashlib.sha256()
+        for seed in range(3):
+            ev = sim(spec, pv, horizon, SimConfig(seed=seed))
+            h.update(ev.times.tobytes())
+            h.update(ev.types.tobytes())
+        assert h.hexdigest() == self.DIGESTS[sampler, case]
 
 
 class _RecordingGenerator:
@@ -517,7 +600,15 @@ class TestEventSequence:
         ([-0.5, 1.0], [0, 0], r"lie in \[0, horizon\]"),
         ([1.0, 10.5], [0, 0], r"lie in \[0, horizon\]"),
         ([1.0, 2.0], [0, -1], "nonnegative integers"),
-    ], ids=["lengths", "2-d", "unsorted", "before-0", "after-T", "negative-type"])
+        ([1.0, 2.0], [0.0, 1.7], "types must be integers"),
+        ([1.0, 2.0], [0.0, np.nan], "types must be integers"),
+        ([1.0, 2.0], [0.0, np.inf], "types must be integers"),
+    ], ids=["lengths", "2-d", "unsorted", "before-0", "after-T", "negative-type",
+            "fractional-type", "nan-type", "inf-type"])
     def test_malformed_stream(self, times, types, message):
         with pytest.raises(ValueError, match=message):
             EventSequence(np.array(times), np.array(types), 10.0)
+
+    def test_integral_float_types_accepted(self):
+        ev = EventSequence(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 10.0)
+        assert ev.types.dtype == np.int64 and ev.types.tolist() == [0, 1]
