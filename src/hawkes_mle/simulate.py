@@ -11,8 +11,8 @@ Two independent samplers are shipped:
   of uniform doubles drawn ahead, as numpy's ``poisson`` and ``random``
   would read them, so the streams are byte-identical to those of one
   :func:`offspring_offsets` call per (event, target, kernel).  A generation
-  with no zero mean, no mean of 10 or more, or no event at T skips the work
-  each needs, after one ``count_nonzero`` or one look at its last window.
+  with no mean of 10 or more, or no event at T, skips the work each needs,
+  after one ``count_nonzero`` or one look at its last window.
 * :func:`simulate_thinning` -- Ogata-style rejection sampling under a
   piecewise-constant dominating rate (valid because both shipped kernel
   families are nonincreasing in elapsed time).  The rate is reused, not
@@ -148,17 +148,13 @@ def _spawn_generators(seed, n=3):
 def _finalize(times, gens, types, horizon):
     """The events ordered by (time, generation, type).
 
-    Without tied times that is the order of a stable sort by time, so the
-    three-key ``lexsort`` runs only for a stream with ties.
+    The events must come generation by generation, each generation sorted by
+    (time, type); a stable sort by time then keeps tied times in that order.
+    ``gens`` names each event's generation and is not read.
     """
     times = np.asarray(times, dtype=float)
-    types = np.asarray(types, dtype=np.int64)
     order = np.argsort(times, kind="stable")
-    out = times[order]
-    if np.any(out[1:] == out[:-1]):
-        order = np.lexsort((types, np.asarray(gens, dtype=np.int64), times))
-        out = times[order]
-    return EventSequence(out, types[order], horizon)
+    return EventSequence(times[order], np.asarray(types, dtype=np.int64)[order], horizon)
 
 
 def _check_inputs(spec, params, horizon):
@@ -227,17 +223,16 @@ def _poisson_walk(means, block, rng):
     is rewound past the unread doubles, the row takes a scalar ``poisson``
     call, and the block is emptied.
 
-    One ``count_nonzero`` finds means with no zero, which are walked as
-    given, with no ``flatnonzero`` and no gather; another finds means all
-    below 10, which skip the scan for rows that need a scalar call.
+    One ``count_nonzero`` finds means all below 10, which skip the scan for
+    rows that need a scalar call.
 
     ``block`` is a list of the doubles drawn ahead from ``rng`` and not yet
     read.  Returns the rows with a nonzero count, as an integer array, their
     counts, and all their uniforms in draw order.
     """
     hits, counts, uniforms = [], [], []
-    live = None if np.count_nonzero(means) == means.size else np.flatnonzero(means)
-    lams = means if live is None else means[live]
+    live = np.flatnonzero(means)
+    lams = means[live]
     thresholds = list(map(math.exp, memoryview(-lams)))
     small = lams < 10.0
     lo = 0
@@ -253,8 +248,7 @@ def _poisson_walk(means, block, rng):
             uniforms += rng.random(c).tolist()
         lo = r + 1
     _knuth_rows(thresholds, lo, lams.size, block, rng, hits, counts, uniforms)
-    hits = np.array(hits, dtype=np.intp)
-    return (hits if live is None else live[hits]), counts, uniforms
+    return live[hits], counts, uniforms
 
 
 def _offspring(times, types, horizon, kernels, weights, block, rng):

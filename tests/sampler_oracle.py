@@ -10,13 +10,19 @@ costs O(n) per candidate, so they are only for small test streams; each
 quantity is computed directly from its definition, which is what makes them
 a trustworthy reference.  They use the same generators and draw in the same
 order as the package's samplers.
+
+``simulate_thinning_stacked`` is the thinning sampler's O(M K) form with one
+stacked array per step: every exponential kernel's state decayed by one array
+``np.exp`` and summed by ``decay @ excite``, and an acceptance typed by
+``lam.cumsum().searchsorted``.  The package's sampler must give its streams
+byte for byte, on whatever platform both run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hawkes_mle.model import intensities
+from hawkes_mle.model import Exponential, intensities
 from hawkes_mle.simulate import (
     EventSequence,
     SimulationCapError,
@@ -132,5 +138,48 @@ def simulate_thinning(spec, params, horizon, config):
                 raise SimulationCapError(len(times), config.max_events)
             hist_times = np.asarray(times)
             hist_types = np.asarray(types, dtype=np.int64)
+
+    return EventSequence(np.asarray(times), np.asarray(types, dtype=np.int64), horizon)
+
+
+def simulate_thinning_stacked(spec, params, horizon, config):
+    """Ogata thinning with the dominating rate reused and every exponential
+    kernel's decayed state stacked in one (M_exp, K) array."""
+    horizon = _check_inputs(spec, params, horizon)
+
+    _, _, rng = _spawn_generators(config.seed)
+    K = spec.K
+    exp_ms = [m for m, kern in enumerate(spec.kernels) if isinstance(kern, Exponential)]
+    pwl_ms = [m for m in range(spec.M) if m not in exp_ms]
+    columns = params.alpha.transpose(0, 2, 1)  # columns[m, k] = alpha[m][:, k]
+    jump_total = sum(columns[m].sum(axis=1) * float(kern.value(0.0, float(b)))
+                     for m, (kern, b) in enumerate(zip(spec.kernels, params.beta)))
+    neg_betas = -params.beta[exp_ms]
+    excite = np.zeros((len(exp_ms), K))
+    times, types = [], []
+    t = t_last = 0.0
+    big_lambda = float(params.mu.sum())
+    while True:
+        t = t + rng.exponential(1.0 / big_lambda)
+        if t > horizon:
+            break
+        decay = np.exp(neg_betas * (t - t_last))
+        lam = params.mu + decay @ excite
+        for m in pwl_ms:
+            hist = np.array([columns[m, k] for k in types]).reshape(len(types), K)
+            lam += spec.kernels[m].value(t - np.array(times), float(params.beta[m])) @ hist
+        lam_tot = float(lam.sum())
+        accept = rng.uniform() * big_lambda <= lam_tot
+        big_lambda = lam_tot
+        if accept:
+            u = rng.uniform() * lam_tot
+            k = min(int(lam.cumsum().searchsorted(u, side="right")), K - 1)
+            times.append(t)
+            types.append(k)
+            if len(types) > config.max_events:
+                raise SimulationCapError(len(types), config.max_events)
+            excite = decay[:, None] * excite + columns[exp_ms, k]
+            t_last = t
+            big_lambda += jump_total[k]
 
     return EventSequence(np.asarray(times), np.asarray(types, dtype=np.int64), horizon)
