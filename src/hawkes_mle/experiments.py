@@ -169,23 +169,20 @@ def gen_synthetic_exponential(seed, K=10, horizon=1000.0):
     )
 
 
-def gen_synthetic_powerlaw(seed, K=10, horizon=1000.0, beta_true=1.5):
-    """Power-law instance: cutoff 0.05, alpha divided by 200, beta > 1."""
-    recipe = replace(
-        RECIPES["pwl-k10"], K=K, seed=seed, horizon=horizon, beta_true=beta_true
+def gen_synthetic_powerlaw(seed, K=10, horizon=1000.0):
+    """Power-law instance: cutoff 0.05, alpha divided by 200, beta = 1.5."""
+    return generate_instance(
+        replace(RECIPES["pwl-k10"], K=K, seed=seed, horizon=horizon)
     )
-    return generate_instance(recipe)
 
 
 @dataclass
 class BenchmarkReport:
     algorithms: tuple
     seeds: tuple
-    eps_floor: float
     objectives: dict  # (algo, seed) -> objective per iteration incl. final
     seconds: dict  # (algo, seed) -> cumulative wall-clock per iteration
     regrets: dict  # (algo, seed) -> log(best + floor - objective)
-    best_objective: dict  # seed -> best over all algorithms/iterations
     manifest: dict
 
     def final_objectives(self, algo):
@@ -268,11 +265,9 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     return BenchmarkReport(
         algorithms=algorithms,
         seeds=seeds,
-        eps_floor=REGRET_FLOOR,
         objectives=objectives,
         seconds=seconds,
         regrets=regrets,
-        best_objective=best,
         manifest=manifest,
     )
 

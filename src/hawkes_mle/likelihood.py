@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DataError, Exponential, intensities
+from .model import DataError, Exponential, _is_integer, intensities
 
 __all__ = [
     "LikelihoodProblem",
@@ -186,18 +186,17 @@ def _scan_products(a):
     return A, levels
 
 
-def _decay_scan(a, Y, products=None):
+def _decay_scan(a, Y, products):
     """Y[g] = a[g] Y[g-1] + Y[g] down the rows, in place, from Y[-1] = 0.
 
     ``a`` and ``Y`` hold the rows as ``_blocked`` lays them out, and
-    ``products`` is ``_scan_products(a)``, computed here if not given.  The
-    recursion runs down all blocks at once, one row position per step; the
-    block totals are then scanned by doubling (Blelloch 1990), and every
-    block adds its carry in one step.  Only products of the factors are
-    formed, so for factors in [0, 1] nothing overflows, and the steps taken
-    depend on the shape alone.
+    ``products`` is ``_scan_products(a)``.  The recursion runs down all
+    blocks at once, one row position per step; the block totals are then
+    scanned by doubling (Blelloch 1990), and every block adds its carry in
+    one step.  Only products of the factors are formed, so for factors in
+    [0, 1] nothing overflows, and the steps taken depend on the shape alone.
     """
-    A, levels = _scan_products(a) if products is None else products
+    A, levels = products
     for i in range(1, _SCAN_BLOCK):
         Y[i] += a[i, :, None] * Y[i - 1]
     C = Y[-1]  # block totals, scanned in place into their final values
@@ -444,7 +443,7 @@ def intensity_at(problem, params, t, i):
     t = float(t)
     if not 0 <= t <= problem.T:
         raise ValueError(f"t={t} outside the observation window [0, {problem.T}]")
-    if not 0 <= i < problem.spec.K:
+    if not (_is_integer(i) and 0 <= i < problem.spec.K):
         raise ValueError(f"type index {i} out of range")
     events = problem.events
     return float(intensities(problem.spec, params, events.times, events.types, t)[i])
@@ -453,8 +452,7 @@ def intensity_at(problem, params, t, i):
 def log_likelihood(problem, params):
     """Closed-form log-likelihood (no penalty)."""
     flat = problem.index_map.pack(params)
-    obj, _ = problem._evaluate(flat, True, False, False)
-    return obj + problem.reg_c * float(flat @ flat)
+    return problem.objective_flat(flat) + problem.reg_c * float(flat @ flat)
 
 
 def grad_log_likelihood(problem, params):

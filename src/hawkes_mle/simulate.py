@@ -25,9 +25,11 @@ Two independent samplers are shipped:
   streams are byte-identical, for every spec, to those of one stacked array
   ``np.exp`` and ``decay @ excite`` per candidate and ``cumsum`` typing.
 
-Both use numpy's PCG64 generator.  Child streams for immigrants, offspring,
-and thinning are derived from the master seed via ``SeedSequence.spawn``, so
-the two simulators can share a seed without correlating their draws.
+Both use numpy's PCG64 generator.  Child streams for immigrants (0),
+offspring (1) and thinning (2) are derived from the master seed, and each
+sampler builds only its own, from ``SeedSequence(seed, spawn_key=(i,))``:
+the streams that ``SeedSequence(seed).spawn(3)`` gives.  So the two
+simulators can share a seed without correlating their draws.
 Identical (spec, params, T, seed) inputs reproduce identical event sequences
 bit for bit.
 """
@@ -80,8 +82,8 @@ class SimConfig:
     def __post_init__(self):
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.max_events <= 0:
-            raise ValueError("max_events must be positive")
+        if not (_is_integer(self.max_events) and self.max_events > 0):
+            raise ValueError(f"max_events must be a positive integer, got {self.max_events!r}")
 
 
 @dataclass
@@ -140,17 +142,16 @@ def offspring_offsets(family, alpha_total, beta, window, rng):
     return family.inverse_antiderivative(p * mass, beta)
 
 
-def _spawn_generators(seed, n=3):
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
+def _child_generator(seed, i):
+    """The generator of child stream i of ``seed``: ``SeedSequence(seed).spawn(3)[i]``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
 
 
-def _finalize(times, gens, types, horizon):
+def _finalize(times, types, horizon):
     """The events ordered by (time, generation, type).
 
     The events must come generation by generation, each generation sorted by
     (time, type); a stable sort by time then keeps tied times in that order.
-    ``gens`` names each event's generation and is not read.
     """
     times = np.asarray(times, dtype=float)
     order = np.argsort(times, kind="stable")
@@ -306,7 +307,7 @@ def simulate_cluster(spec, params, horizon, config):
     """
     horizon = _check_inputs(spec, params, horizon)
 
-    rng_imm, rng_off, _ = _spawn_generators(config.seed)
+    rng_imm, rng_off = _child_generator(config.seed, 0), _child_generator(config.seed, 1)
     K = spec.K
     kernels = [(kern, float(b)) for kern, b in zip(spec.kernels, params.beta)]
     weights = np.ascontiguousarray(params.alpha.transpose(2, 1, 0))  # [j, i, m]
@@ -331,8 +332,7 @@ def simulate_cluster(spec, params, horizon, config):
             break
         times, types = _offspring(times, types, horizon, kernels, weights, block, rng_off)
 
-    gens = np.repeat(np.arange(len(gen_times)), [t.size for t in gen_times])
-    return _finalize(np.concatenate(gen_times), gens, np.concatenate(gen_types), horizon)
+    return _finalize(np.concatenate(gen_times), np.concatenate(gen_types), horizon)
 
 
 def simulate_thinning(spec, params, horizon, config):
@@ -368,7 +368,7 @@ def simulate_thinning(spec, params, horizon, config):
     """
     horizon = _check_inputs(spec, params, horizon)
 
-    _, _, rng = _spawn_generators(config.seed)
+    rng = _child_generator(config.seed, 2)
     exponential, uniform = rng.exponential, rng.random
     K, mu = spec.K, params.mu
     exp_ms = [m for m, kern in enumerate(spec.kernels) if isinstance(kern, Exponential)]

@@ -8,8 +8,11 @@ the thinning sampler evaluates ``intensities`` over the whole history twice
 per candidate and rebuilds the history arrays on every acceptance.  That
 costs O(n) per candidate, so they are only for small test streams; each
 quantity is computed directly from its definition, which is what makes them
-a trustworthy reference.  They use the same generators and draw in the same
-order as the package's samplers.
+a trustworthy reference.  They draw in the same order as the package's
+samplers, from the generators of ``SeedSequence(seed).spawn(3)`` (immigrants,
+offspring, thinning), and the cluster sampler orders its output by one
+three-key ``lexsort`` on (time, generation, type); the package builds each
+child stream from its spawn key and orders by one stable sort of the times.
 
 ``simulate_thinning_stacked`` is the thinning sampler's O(M K) form with one
 stacked array per step: every exponential kernel's state decayed by one array
@@ -23,13 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from hawkes_mle.model import Exponential, intensities
-from hawkes_mle.simulate import (
-    EventSequence,
-    SimulationCapError,
-    _check_inputs,
-    _finalize,
-    _spawn_generators,
-)
+from hawkes_mle.simulate import EventSequence, SimulationCapError, _check_inputs
+
+
+def spawn_generators(seed):
+    """The generators of the immigrant, offspring and thinning streams."""
+    return [np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(3)]
 
 
 def offspring_offsets(family, alpha_total, beta, window, rng):
@@ -62,7 +64,7 @@ def simulate_cluster(spec, params, horizon, config):
     """
     horizon = _check_inputs(spec, params, horizon)
 
-    rng_imm, rng_off, _ = _spawn_generators(config.seed)
+    rng_imm, rng_off, _ = spawn_generators(config.seed)
     K, M = spec.K, spec.M
 
     all_times, all_gens, all_types = [], [], []
@@ -102,7 +104,9 @@ def simulate_cluster(spec, params, horizon, config):
         current = nxt
         gen += 1
 
-    return _finalize(all_times, all_gens, all_types, horizon)
+    times, types = np.asarray(all_times, dtype=float), np.asarray(all_types, dtype=np.int64)
+    order = np.lexsort((types, all_gens, times))
+    return EventSequence(times[order], types[order], horizon)
 
 
 def simulate_thinning(spec, params, horizon, config):
@@ -115,7 +119,7 @@ def simulate_thinning(spec, params, horizon, config):
     """
     horizon = _check_inputs(spec, params, horizon)
 
-    _, _, rng = _spawn_generators(config.seed)
+    _, _, rng = spawn_generators(config.seed)
     times, types = [], []
     hist_times = np.empty(0)
     hist_types = np.empty(0, dtype=np.int64)
@@ -147,7 +151,7 @@ def simulate_thinning_stacked(spec, params, horizon, config):
     kernel's decayed state stacked in one (M_exp, K) array."""
     horizon = _check_inputs(spec, params, horizon)
 
-    _, _, rng = _spawn_generators(config.seed)
+    _, _, rng = spawn_generators(config.seed)
     K = spec.K
     exp_ms = [m for m, kern in enumerate(spec.kernels) if isinstance(kern, Exponential)]
     pwl_ms = [m for m in range(spec.M) if m not in exp_ms]

@@ -600,6 +600,13 @@ class TestNonFiniteOrNegativeInputs:
         assert err.startswith("config error:") and flag in err
         assert not out.exists()
 
+    def test_simulate_out_in_missing_directory_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", base_config())
+        out = tmp_path / "missing" / "e.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.parent.exists()
+
     def test_simulate_negative_config_horizon_exit_1(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", base_config(horizon=-5.0))
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "e.csv")])

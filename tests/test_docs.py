@@ -1,9 +1,7 @@
-"""Documented usage still runs: the README's Python example and the quick demos.
+"""Documented usage still runs: the README's Python example and the demos.
 
 Each script runs in its own interpreter inside a temporary directory (also
 its TMPDIR), so a signature change that breaks documented usage fails here.
-Demos 03 and 04 are left out: one is a 500-iteration benchmark, the other
-runs 15 consistency fits.
 """
 
 import os
@@ -41,7 +39,13 @@ def test_readme_python_example_runs(tmp_path):
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_simulate_and_rates.py", "02_fit_small_instance.py", "05_cli_walkthrough.py"],
+    [
+        "01_simulate_and_rates.py",
+        "02_fit_small_instance.py",
+        "03_benchmark_regret.py",
+        "04_consistency_curve.py",
+        "05_cli_walkthrough.py",
+    ],
 )
 def test_demo_runs(demo, tmp_path):
     assert run_script(ROOT / "demos" / demo, tmp_path)

@@ -242,7 +242,8 @@ def test_decay_scan_matches_plain_recursion(G, K):
     for g in range(G):
         y = a[g] * y + x[g]
         expected[g] = y
-    Y = likelihood._decay_scan(likelihood._blocked(a), likelihood._blocked(x))
+    a = likelihood._blocked(a)
+    Y = likelihood._decay_scan(a, likelihood._blocked(x), likelihood._scan_products(a))
     rows = Y[np.divmod(np.arange(G), likelihood._SCAN_BLOCK)[::-1]]
     np.testing.assert_allclose(rows, expected, rtol=1e-12, atol=0.0)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,10 @@ class TestIntensity:
         with pytest.raises(ValueError):
             intensity_at(prob, pv, -0.1, 0)
 
-    @pytest.mark.parametrize("i", [-1, 1])
+    @pytest.mark.parametrize("i", [-1, 1, 1.5, True])
     def test_type_out_of_range_rejected(self, i):
         prob = problem(exp_spec(), events([1.0], horizon=10.0))
-        with pytest.raises(ValueError, match=f"type index {i} out of range"):
+        with pytest.raises(ValueError, match=f"type index {re.escape(str(i))} out of range"):
             intensity_at(prob, params(1.0, 0.5, 1.0), 2.0, i)
 
 

@@ -118,6 +118,23 @@ class TestKernelBetaDerivatives:
                 ref = float((mp.e ** (-b * uu) * (1 + b * uu) - 1) / b**2)
                 assert got == pytest.approx(ref, rel=1e-9, abs=1e-30)
 
+    def test_powerlaw_Phi_and_dPhi_precision(self):
+        """Phi and dPhi/dbeta of the power law against 50-digit references,
+        from beta = 1.001 (where the quotient forms start to cancel) to 10."""
+        import mpmath as mp
+
+        fam = PowerLawCutoff(0.05)
+        with mp.workdps(50):
+            c = mp.mpf(fam.c)
+            for beta in (1.001, 1.01, 1.2, 1.5, 3.0, 10.0):
+                b = mp.mpf(beta)
+                for u in (0.01, 0.3, 10.0, 300.0, 1e3, 5e4):
+                    head, tail = c ** (1 - b), (mp.mpf(u) + c) ** (1 - b)
+                    phi = (head - tail) / (b - 1)
+                    dphi = (mp.log(u + c) * tail - mp.log(c) * head - phi) / (b - 1)
+                    assert float(fam.antiderivative(u, beta)) == pytest.approx(float(phi), rel=1e-9)
+                    assert float(fam.antideriv_dbeta(u, beta)) == pytest.approx(float(dphi), rel=1e-9)
+
     @pytest.mark.parametrize("beta", [1e-3, 0.5, 3.0, -2.0, 1e300])
     def test_exponential_dPhi_bits_match_the_plain_exp(self, beta):
         """Taking e^{-x} as 0 for x >= 708 keeps every bit of the formula with

@@ -149,6 +149,11 @@ class TestClusterSimulator:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SimConfig(seed=seed)
 
+    @pytest.mark.parametrize("max_events", [0, -3, 2.5, float("nan"), True, None, "3"])
+    def test_max_events_must_be_a_positive_integer(self, max_events):
+        with pytest.raises(ValueError, match="max_events must be a positive integer"):
+            SimConfig(seed=0, max_events=max_events)
+
 
 class TestThinningSimulator:
     def test_deterministic(self):
@@ -239,6 +244,35 @@ class TestAgainstOracle:
             np.testing.assert_allclose(got.times, want.times, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 299, 2**31 - 1, 2**63 + 5, 10**30])
+def test_child_generator_is_the_spawned_stream(seed):
+    """Child stream i from its spawn key is the oracle's ``spawn(3)[i]``."""
+    from hawkes_mle import simulate
+
+    for i, want in enumerate(sampler_oracle.spawn_generators(seed)):
+        assert simulate._child_generator(seed, i).bit_generator.state == want.bit_generator.state
+
+
+def test_samplers_build_only_their_own_streams(monkeypatch):
+    """A cluster call builds the immigrant and offspring generators, a
+    thinning call the thinning generator, and no other."""
+    from hawkes_mle import simulate
+
+    built, child = [], simulate._child_generator
+
+    def recording_child(seed, i):
+        built.append(i)
+        return child(seed, i)
+
+    monkeypatch.setattr(simulate, "_child_generator", recording_child)
+    spec, pv = _oracle_case("mixed")
+    simulate_cluster(spec, pv, 50.0, SimConfig(seed=4))
+    assert built == [0, 1]
+    built.clear()
+    simulate_thinning(spec, pv, 50.0, SimConfig(seed=4))
+    assert built == [2]
+
+
 def _recipe_case(name, horizon):
     """(spec, params) of a built-in K=10 recipe, recipe seed 0, on a short horizon."""
     from hawkes_mle import experiments
@@ -309,7 +343,7 @@ class TestClusterBookkeeping:
         times = [1.0, 1.0, 2.0, 0.5, 1.0, 2.0, 1.0]
         gens = [0, 0, 0, 1, 1, 1, 2]
         types = [0, 3, 1, 2, 1, 0, 0]
-        ev = simulate._finalize(times, gens, types, 5.0)
+        ev = simulate._finalize(times, types, 5.0)
         want = np.lexsort((types, gens, times))
         assert ev.times.tolist() == [times[i] for i in want]
         assert ev.types.tolist() == [types[i] for i in want] == [2, 0, 3, 1, 0, 1, 0]
@@ -433,13 +467,14 @@ def _recorded_cluster(monkeypatch, spec, pv, horizon, seed):
     times the block was extended."""
     from hawkes_mle import simulate
 
-    spawn, walk = simulate._spawn_generators, simulate._poisson_walk
+    child, walk = simulate._child_generator, simulate._poisson_walk
     rec = {"walks": []}
 
-    def spawn_recording(seed, n=3):
-        gens = spawn(seed, n)
-        gens[1] = rec["rng"] = _RecordingGenerator(gens[1])
-        return gens
+    def child_recording(seed, i):
+        rng = child(seed, i)
+        if i == 1:
+            rng = rec["rng"] = _RecordingGenerator(rng)
+        return rng
 
     def walk_recording(means, block, rng):
         left, calls = len(block), rng.random_calls
@@ -448,7 +483,7 @@ def _recorded_cluster(monkeypatch, spec, pv, horizon, seed):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(simulate, "_spawn_generators", spawn_recording)
+        m.setattr(simulate, "_child_generator", child_recording)
         m.setattr(simulate, "_poisson_walk", walk_recording)
         out = simulate_cluster(spec, pv, horizon, SimConfig(seed=seed))
     rec["means"] = np.concatenate([w[0] for w in rec["walks"]])
@@ -548,16 +583,16 @@ def test_cluster_kernel_math_once_per_generation(monkeypatch):
     for cls in (Exponential, PowerLawCutoff):
         for method in ("antiderivative", "inverse_antiderivative"):
             counted(cls, method)
-    finalize, seen = simulate._finalize, []
+    offspring, generations = simulate._offspring, 0
 
-    def recording_finalize(times, gens, types, horizon):
-        seen.append(np.asarray(gens))
-        return finalize(times, gens, types, horizon)
+    def counted_offspring(*args):
+        nonlocal generations
+        generations += 1
+        return offspring(*args)
 
-    monkeypatch.setattr(simulate, "_finalize", recording_finalize)
+    monkeypatch.setattr(simulate, "_offspring", counted_offspring)
     spec, pv = _oracle_case("mixed")
     out = simulate_cluster(spec, pv, 150.0, SimConfig(seed=0))
-    generations = int(seen[0].max()) + 1
     assert len(out) > 20 * generations
     assert set(calls) == {
         (cls, method)
