@@ -68,6 +68,37 @@ class NonStationaryError(DomainError):
         )
 
 
+def _decay_mass(u, rate):
+    """int_0^u exp(-rate t) dt = (1 - exp(-rate u)) / rate, by expm1; u at rate 0."""
+    if rate == 0.0:
+        return u * np.ones_like(np.asarray(u, dtype=float))
+    return np.expm1(-rate * u) / -rate
+
+
+def _decay_mass_drate(u, rate):
+    """d/drate of ``_decay_mass``, (e^{-x} (1 + x) - 1) / rate^2 at x = rate u, by a
+    series where |x| < 1e-3 (that form cancels there); -u^2/2 at rate 0.  Where
+    x >= 708, e^{-x} (1 + x) < 1e-300 vanishes against the 1, so e^{-x} is set
+    to 0: the same bits, without numpy's slow path."""
+    u = np.asarray(u, dtype=float)
+    if rate == 0.0:
+        return -0.5 * u * u
+    x = rate * u
+    decay = np.exp(-x, out=np.zeros_like(x), where=x < 708.0)
+    out = np.asarray((decay * (1.0 + x) - 1.0) / (rate * rate))
+    small = np.abs(x) < 1e-3
+    if small.any():
+        out[small] = (u * u * (-0.5 + x / 3.0 - x * x / 8.0))[small]
+    return out
+
+
+def _decay_mass_inverse(y, rate):
+    """u with ``_decay_mass(u, rate)`` = y, for y in [0, 1/rate); y at rate 0."""
+    if rate == 0.0:
+        return y * np.ones_like(np.asarray(y, dtype=float))
+    return np.log1p(-rate * y) / -rate
+
+
 @dataclass(frozen=True)
 class Exponential:
     """Exponential decay kernel phi(t; beta) = exp(-beta t), beta > 0."""
@@ -82,55 +113,32 @@ class Exponential:
         return np.exp(-beta * t)
 
     def antiderivative(self, u, beta):
-        # (1 - exp(-beta u)) / beta, via expm1 for small exponents.
-        if beta == 0.0:
-            return u * np.ones_like(np.asarray(u, dtype=float))
-        return -np.expm1(-beta * u) / beta
+        return _decay_mass(u, beta)
 
     def dbeta(self, t, beta):
         return -t * np.exp(-beta * t)
 
     def antideriv_dbeta(self, u, beta):
-        # d/dbeta [(1 - e^{-beta u})/beta] = (e^{-beta u}(1 + beta u) - 1)/beta^2,
-        # with a series branch where beta*u is small enough to cancel badly.
-        # Where x = beta u >= 708, e^{-x} (1 + x) < 1e-300 vanishes against the
-        # 1, so e^{-x} is set to 0: the same bits, without numpy's slow path.
-        u = np.asarray(u, dtype=float)
-        if beta == 0.0:
-            return -0.5 * u * u
-        x = beta * u
-        decay = np.exp(-x, out=np.zeros_like(x), where=x < 708.0)
-        exact = (decay * (1.0 + x) - 1.0) / (beta * beta)
-        series = u * u * (-0.5 + x / 3.0 - x * x / 8.0)
-        return np.where(np.abs(x) < 1e-3, series, exact)
+        return _decay_mass_drate(u, beta)
 
     def total_mass(self, beta):
         self.validate_beta(beta)
         return 1.0 / beta
 
     def inverse_antiderivative(self, y, beta):
-        # u with antiderivative(u) = y; y in [0, 1/beta).
-        return -np.log1p(-beta * y) / beta
-
-
-def _pow_or_inf(base, exponent):
-    """Scalar base ** exponent for base > 0, inf where float ``**`` would raise.
-
-    An extrapolated beta far outside the box overflows here; the caller's
-    non-finite result is then rejected like any other bad candidate.
-    """
-    try:
-        return base**exponent
-    except OverflowError:
-        return np.inf
+        return _decay_mass_inverse(y, beta)
 
 
 @dataclass(frozen=True)
 class PowerLawCutoff:
     """Power-law kernel phi(t; beta) = (t + c)^(-beta) with cutoff c > 0.
 
-    Integrability over [0, inf) requires beta > 1.
-    """
+    Integrability over [0, inf) requires beta > 1.  In log time s = log1p(u / c),
+    with h = c^(1-beta), r = beta - 1 and E the exponential kernel's Phi:
+    Phi = h E(s; r), dPhi/dbeta = h (dE/dr - log(c) E), Phi^-1(y) = c expm1(E^-1(y / h; r)).
+    So beta = 1 is rate 0, and at beta = 1 + 1e-9 to 1 + 1e-5 the relative errors
+    against 50-digit references stay below 4e-13 (u in [1e-8, 1e5] away from
+    dPhi/dbeta's zero at u = 1/c - c; dE/dr's 3e-10 near r s = 1e-3 remains)."""
 
     c: float
     name = "powerlaw"
@@ -143,41 +151,30 @@ class PowerLawCutoff:
         if not beta > 1:
             raise DomainError(f"power-law kernel requires beta > 1, got {beta}")
 
+    def _head(self, beta):
+        """c^(1-beta), with the bits of float ``**`` but inf where that raises."""
+        return np.float64(self.c) ** (1.0 - beta)
+
     def value(self, t, beta):
         return np.power(t + self.c, -beta)
 
     def antiderivative(self, u, beta):
-        c = self.c
-        if beta == 1.0:
-            return np.log1p(np.asarray(u, dtype=float) / c)
-        return (_pow_or_inf(c, 1.0 - beta) - np.power(u + c, 1.0 - beta)) / (beta - 1.0)
+        return self._head(beta) * _decay_mass(np.log1p(u / self.c), beta - 1.0)
 
     def dbeta(self, t, beta):
-        tc = t + self.c
-        return -np.log(tc) * np.power(tc, -beta)
+        return -np.log(t + self.c) * self.value(t, beta)
 
     def antideriv_dbeta(self, u, beta):
-        # Differentiate (c^{1-b} - (u+c)^{1-b})/(b-1) in b analytically.
-        c = self.c
-        if beta == 1.0:
-            # Limit of the quotient-rule expression as beta -> 1.
-            lc, lu = np.log(c), np.log(u + c)
-            return 0.5 * (lc * lc - lu * lu)
-        a = _pow_or_inf(c, 1.0 - beta)
-        b = np.power(u + c, 1.0 - beta)
-        da = -np.log(c) * a
-        db = -np.log(u + c) * b
-        return ((da - db) * (beta - 1.0) - (a - b)) / ((beta - 1.0) * (beta - 1.0))
+        r, s = beta - 1.0, np.log1p(u / self.c)
+        return self._head(beta) * (_decay_mass_drate(s, r) - math.log(self.c) * _decay_mass(s, r))
 
     def total_mass(self, beta):
         self.validate_beta(beta)
-        return self.c ** (1.0 - beta) / (beta - 1.0)
+        with np.errstate(over="ignore"):
+            return self._head(beta) / (beta - 1.0)
 
     def inverse_antiderivative(self, y, beta):
-        # u with antiderivative(u) = y; y in [0, total_mass).
-        c = self.c
-        q = c ** (1.0 - beta) - (beta - 1.0) * np.asarray(y, dtype=float)
-        return np.power(q, 1.0 / (1.0 - beta)) - c
+        return self.c * np.expm1(_decay_mass_inverse(y / self._head(beta), beta - 1.0))
 
 
 @dataclass(frozen=True)
@@ -367,15 +364,15 @@ def project_onto_box(domain, flat):
 def branching_matrix(spec, params):
     """G[i, j] = sum_m alpha[m, i, j] * Phi_m(inf; beta_m), the mean offspring counts."""
     params.validate(spec)
-    K = spec.K
-    G = np.zeros((K, K))
-    for m, kern in enumerate(spec.kernels):
-        G += params.alpha[m] * kern.total_mass(float(params.beta[m]))
+    G = np.zeros((spec.K, spec.K))
+    for alpha, kern, beta in zip(params.alpha, spec.kernels, params.beta):
+        mass = kern.total_mass(float(beta))
+        G += alpha * mass if mass < math.inf else np.where(alpha > 0, math.inf, 0.0)
     return G
 
 
 def spectral_radius(G):
-    """Largest eigenvalue modulus of a nonnegative square matrix.
+    """Largest eigenvalue modulus of a nonnegative square matrix; inf if an entry is.
 
     Taken from all eigenvalues, so it is exact also for periodic matrices
     such as [[0, 1], [1, 0]] and defective ones such as [[a, 1], [0, a]],
@@ -388,6 +385,8 @@ def spectral_radius(G):
         raise ValueError("G must be nonnegative")
     if G.size == 0:
         return 0.0
+    if np.isinf(G).any():
+        return math.inf
     return float(np.abs(np.linalg.eigvals(G)).max())
 
 

@@ -283,6 +283,28 @@ class TestCheckStationarity:
         assert main(["check-stationarity", "--params", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta, kernel", [
+        (300.0, {"family": "powerlaw", "c": 0.05}),
+        (1e-310, {"family": "exponential"}),
+    ], ids=["pwl", "exp"])
+    def test_infinite_kernel_mass_exit_2(self, tmp_path, capsys, beta, kernel):
+        """A kernel mass that overflows to inf is non-stationary, also where
+        a zero weight multiplies it."""
+        doc = {
+            "mu": [1.0, 1.0],
+            "alpha": [[[0.1, 0.0], [0.0, 0.1]]],
+            "beta": [beta],
+            "kernels": [kernel],
+            "objective": None,
+            "meta": {},
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-stationarity", "--params", str(path)]) == 2
+        out = capsys.readouterr()
+        assert "spectral radius: inf" in out.out and "non-stationary" in out.out
+        assert out.err == ""
+
     def test_powerlaw_bad_beta_exit_2(self, tmp_path):
         doc = {
             "mu": [1.0],

@@ -120,7 +120,8 @@ class TestKernelBetaDerivatives:
 
     def test_powerlaw_Phi_and_dPhi_precision(self):
         """Phi and dPhi/dbeta of the power law against 50-digit references,
-        from beta = 1.001 (where the quotient forms start to cancel) to 10."""
+        from beta = 1.001 (where the quotient forms start to cancel) to 10,
+        to 1e-9 relative, and with Phi^-1 at beta = 1 + 1e-5 to 1 + 1e-9, to 1e-11."""
         import mpmath as mp
 
         fam = PowerLawCutoff(0.05)
@@ -134,6 +135,18 @@ class TestKernelBetaDerivatives:
                     dphi = (mp.log(u + c) * tail - mp.log(c) * head - phi) / (b - 1)
                     assert float(fam.antiderivative(u, beta)) == pytest.approx(float(phi), rel=1e-9)
                     assert float(fam.antideriv_dbeta(u, beta)) == pytest.approx(float(dphi), rel=1e-9)
+            for beta in (1 + 1e-5, 1 + 1e-7, 1 + 1e-9):
+                b = mp.mpf(beta)
+                mass = c ** (1 - b) / (b - 1)
+                for u in (0.01, 0.3, 10.0, 300.0, 1e3, 5e4):
+                    head, tail = c ** (1 - b), (mp.mpf(u) + c) ** (1 - b)
+                    phi = (head - tail) / (b - 1)
+                    dphi = (mp.log(u + c) * tail - mp.log(c) * head - phi) / (b - 1)
+                    assert float(fam.antiderivative(u, beta)) == pytest.approx(float(phi), rel=1e-11)
+                    assert float(fam.antideriv_dbeta(u, beta)) == pytest.approx(float(dphi), rel=1e-11)
+                    if phi <= 0.9 * mass:  # well inside the range of Phi
+                        y = float(phi)
+                        assert float(fam.inverse_antiderivative(y, beta)) == pytest.approx(u, rel=1e-11)
 
     @pytest.mark.parametrize("beta", [1e-3, 0.5, 3.0, -2.0, 1e300])
     def test_exponential_dPhi_bits_match_the_plain_exp(self, beta):
@@ -170,6 +183,21 @@ class TestKernelBetaDerivatives:
                 got = EXP.antideriv_dbeta(float(s), beta)
                 assert got.shape == ()
                 assert_same_bits(got, plain(float(s), beta))
+
+
+@pytest.mark.parametrize("fam, beta", [
+    (EXP, 0.0), (EXP, 1e-9), (EXP, 0.5), (EXP, 3.0),
+    (PWL, 1.0), (PWL, 1 + 1e-9), (PWL, 1.5), (PWL, 3.0),
+], ids=lambda v: repr(v) if isinstance(v, float) else v.name)
+def test_inverse_antiderivative_round_trip(fam, beta):
+    """Phi^-1(Phi(u)) = u, at rate 0 (beta = 0, or 1 for the power law) too,
+    over the points with Phi(u) <= 0.9 of the kernel's total mass."""
+    u = np.geomspace(1e-6, 1e4, 200)
+    y = fam.antiderivative(u, beta)
+    mass = fam.antiderivative(np.inf, beta)
+    keep = y <= 0.9 * mass
+    assert keep.sum() > 50
+    np.testing.assert_allclose(fam.inverse_antiderivative(y[keep], beta), u[keep], rtol=1e-13)
 
 
 class TestFlatIndexMap:
@@ -227,6 +255,15 @@ class TestBranchingMatrix:
         assert np.all(G1 >= G0)
         assert G1[2, 0] > G0[2, 0]
 
+    @pytest.mark.parametrize("fam, beta", [(EXP, 1e-310), (PWL, 300.0)], ids=["exp", "pwl"])
+    def test_infinite_mass(self, fam, beta):
+        """A mass that overflows is inf, and a zero weight of it adds 0, not NaN."""
+        spec = exp_spec(K=2) if fam is EXP else pwl_spec(K=2)
+        assert fam.total_mass(beta) == np.inf
+        G = branching_matrix(spec, params([1.0, 1.0], [[[0.1, 0.0], [0.0, 0.0]]], beta))
+        assert G.tolist() == [[np.inf, 0.0], [0.0, 0.0]]
+        assert spectral_radius(G) == np.inf
+
     def test_nonintegrable_powerlaw(self):
         spec = pwl_spec()
         with pytest.raises(DomainError):
@@ -269,6 +306,10 @@ class TestSpectralRadius:
     def test_rejected(self, G, message):
         with pytest.raises(ValueError, match=message):
             spectral_radius(G)
+
+    @pytest.mark.parametrize("G", [[[np.inf]], [[0.0, np.inf], [0.0, 0.5]]])
+    def test_infinite_entry_has_radius_inf(self, G):
+        assert spectral_radius(np.array(G)) == np.inf
 
     def test_empty_matrix_has_radius_zero(self):
         assert spectral_radius(np.zeros((0, 0))) == 0.0

@@ -55,6 +55,15 @@ Seven entries kept their final objective bit for bit.  The runs that follow
 accepted Anderson candidates moved most: ``k5-aa-ipalm`` by 9.1e-11 relative
 and its ``-lowrank`` entry by 1.0e-9.  The other four moved by at most
 2.7e-15.
+
+The ``pwl-fit-stream-m10`` entry, and no other, was re-recorded when the
+power-law kernel's Phi, dPhi/dbeta and Phi^-1 became the exponential
+kernel's formulas in log time s = log1p(u / c).  The recipe stream it fits
+kept its bits (its 29 events drew no offset whose rounding moved), but the
+compensator sums S and Sd now round differently: 80 of the 150 trace
+objectives moved, by at most 4.3e-16 relative, and 6 of the 13 final
+parameters by at most 1.6e-15.  Rows, step kinds, accepted/rejected counts
+and the final objective kept their bits.
 """
 
 import hashlib

@@ -416,9 +416,9 @@ class TestStreamDigests:
     DIGESTS = {
         ("cluster", "exp"): "4ac5063214219b78f780102c188682481fcbba444759fe22388b80d11ea6aac6",
         ("thinning", "exp"): "81ec2e95a5b01d22de6d932767661db3c4a6b4b8b5da5dd28c0f9b0c6713fca8",
-        ("cluster", "pwl"): "d3f6b6df8718a92f2b1c02e34b606d55f1f4513b67d27cbb09f2cf897c7de78b",
+        ("cluster", "pwl"): "0abeeff82f0a4830b90652b966ddfbaa9e796d247418f720ee67aae301a8b402",
         ("thinning", "pwl"): "b28b9b791fc6fea90313bfca8815831fc24bb61160cbe776204022e0e393a02b",
-        ("cluster", "mixed"): "e632e1e4eb4227bf0239ae595685b470b9095902845f6cce1dc6993c3588bf4b",
+        ("cluster", "mixed"): "83ec715e94ba84ed31be9e5ce1d9e7ddf10a9fdb2c2478c30753dafed9085e0e",
         ("thinning", "mixed"): "96e6b897ed29da46cabbe0ec991beb197ce717396af88dbd8cf088ef7e69874b",
         ("cluster", "exp2"): "21b156a20e89e45dd909788fc60eb86621efbe68f39d3379e92dec6028bbadf7",
         ("thinning", "exp2"): "684f794cb86ec85143bcc8684cacc2904ace5e190edc03c6c2175fa96895969e",
@@ -426,7 +426,7 @@ class TestStreamDigests:
         ("thinning", "sparse"): "9b3024d93ad6ae5ebee9461888f12b7ce69bcd24d821cd4b2462f2da9cd408db",
         ("cluster", "exp-k10"): "0c41b0e256a9a4b5b9242e164be88ea0efe8524583aaa346a5ac0ad9e1ed1f96",
         ("thinning", "exp-k10"): "cf3ce652c250f307cffe3d2de8d37515f8b876ec8c2e734a20f934ae74ad1100",
-        ("cluster", "pwl-k10"): "0adc1f268e8a28ce336a76046e2c323efcc36a8a65ad2ed93a7693af0f48c416",
+        ("cluster", "pwl-k10"): "48232ad228751e7696720c19520b8a735c2e9742a27639324a4d584257b70dd5",
         ("thinning", "pwl-k10"): "b1e21206d5c5210f0d16f2ff2cf1216f99a41a99af919bfabe2d2314ceff357f",
     }
 
