@@ -29,7 +29,6 @@ from .simulate import (
     EventSequence,
     SimConfig,
     SimulationCapError,
-    offspring_offsets,
     simulate_cluster,
     simulate_thinning,
 )

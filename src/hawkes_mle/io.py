@@ -445,7 +445,7 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
                 t = _finite_time(parts[0])
                 code = str(int(float(parts[1])))
                 direction = int(float(parts[5]))
-            except ValueError:
+            except (ValueError, OverflowError):  # NaN, or an infinite code or direction
                 bad += 1
                 continue
             if direction not in (1, -1):

@@ -282,13 +282,12 @@ class LikelihoodProblem:
 
     # -- kernel sums ----------------------------------------------------------
 
-    def _kernel_sums(self, m, beta, want_dbeta):
+    def _kernel_sums(self, m, beta):
         """Per-event kernel sums of base kernel m at shape parameter beta.
 
         Returns (R, D), both n x K with one row per event in the problem's
         row order (by type, then time): R[r, j] = sum_{s < t_r, type j}
-        phi_m(t_r - s) and D the same sum of d phi_m / d beta (None unless
-        ``want_dbeta``).
+        phi_m(t_r - s) and D the same sum of d phi_m / d beta.
         """
         n, K = self.n, self.spec.K
         kern = self.spec.kernels[m]
@@ -305,8 +304,6 @@ class LikelihoodProblem:
             R = np.zeros_like(Y)
             np.multiply(a[1:, :, None], Y[:-1], out=R[1:])
             np.multiply(a[0, 1:, None], Y[-1, :-1], out=R[0, 1:])
-            if not want_dbeta:
-                return _nan_rows(R[at]), None
             D = _decay_scan(a, np.multiply(-gaps[:, :, None], R, out=Y), products)  # Y's memory
             return _nan_rows(R[at]), _nan_rows(D[at])
 
@@ -316,7 +313,7 @@ class LikelihoodProblem:
         starts, cells, parts = self._cell_start, self._cell_index, self._parts
         size = max(q - p for (_, p), (_, q) in zip(parts, parts[1:]))
         r = np.empty(cells.size)
-        d = np.empty(cells.size) if want_dbeta else None
+        d = np.empty(cells.size)
         scratch = np.empty(size)
         # Each cell is summed by one reduceat, so the bits do not depend on
         # the number of parts.
@@ -325,16 +322,15 @@ class LikelihoodProblem:
             np.multiply(L[p0:p1], -beta, out=x)
             np.exp(x, out=x)
             np.add.reduceat(x, seg, out=r[c0:c1])
-            if want_dbeta:
-                np.multiply(x, L[p0:p1], out=x)
-                np.add.reduceat(x, seg, out=d[c0:c1])
+            np.multiply(x, L[p0:p1], out=x)
+            np.add.reduceat(x, seg, out=d[c0:c1])
 
         def rows(sums):
             S = np.zeros(n * K)
             S[cells] = sums
             return _nan_rows(S.reshape(n, K))
 
-        return rows(r), (-rows(d) if want_dbeta else None)
+        return rows(r), -rows(d)
 
     def _type_sums(self, x):
         """Sums of the rows of ``x`` over each type's block, one per type.
@@ -363,7 +359,7 @@ class LikelihoodProblem:
         sums = []
         for m, kern in enumerate(self.spec.kernels):
             b = float(beta[m])
-            R, D = self._kernel_sums(m, b, True)
+            R, D = self._kernel_sums(m, b)
             S = self._type_sums(kern.antiderivative(self._comp_dt, b))
             Sd = self._type_sums(kern.antideriv_dbeta(self._comp_dt, b))
             for a in (R, D, S, Sd):

@@ -409,15 +409,15 @@ def stationary_mean_intensity(spec, params):
     return lam_bar
 
 
-def intensities(spec, params, times, types, t, strict=True):
+def intensities(spec, params, times, types, t):
     """Per-type intensities lam(t) given a history (times, types).
 
-    The excitation sums over s < t when ``strict``, else over s <= t, with
-    one kernel evaluation per earlier event.  The inputs are not validated;
-    ``likelihood.intensity_at`` checks t and the type before calling this.
+    The excitation sums over s < t, with one kernel evaluation per earlier
+    event.  The inputs are not validated; ``likelihood.intensity_at`` checks
+    t and the type before calling this.
     """
     lam = params.mu.copy()
-    mask = times < t if strict else times <= t
+    mask = times < t
     if not np.any(mask):
         return lam
     dt = t - times[mask]

@@ -7,12 +7,13 @@ Two independent samplers are shipped:
   with offsets drawn by exact inverse-CDF sampling of the truncated kernel.
   A generation is held as sorted arrays: its kernel masses, and after the
   draws its offsets, take one array call per kernel.  The Poisson counts and
-  the offsets' uniforms are read, in per-(event, target) order, off a block
-  of uniform doubles drawn ahead, as numpy's ``poisson`` and ``random``
-  would read them, so the streams are byte-identical to those of one
-  :func:`offspring_offsets` call per (event, target, kernel).  A generation
-  with no mean of 10 or more, or no event at T, skips the work each needs,
-  after one ``count_nonzero`` or one look at its last window.
+  the offsets' uniforms are read, in per-(event, target) order, off one
+  reader of the offspring generator's doubles, as numpy's ``poisson`` and
+  ``random`` would read them, so the streams are byte-identical to those of
+  one scalar ``poisson`` and ``random`` call per (event, target, kernel), as
+  the per-event reference in ``tests/sampler_oracle.py`` makes them.  A
+  generation with no mean of 10 or more, or no event at T, skips the work
+  each needs, after one ``count_nonzero`` or one look at its last window.
 * :func:`simulate_thinning` -- Ogata-style rejection sampling under a
   piecewise-constant dominating rate (valid because both shipped kernel
   families are nonincreasing in elapsed time).  The rate is reused, not
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -49,7 +50,6 @@ __all__ = [
     "EventSequence",
     "SimConfig",
     "SimulationCapError",
-    "offspring_offsets",
     "simulate_cluster",
     "simulate_thinning",
 ]
@@ -121,27 +121,6 @@ class EventSequence:
         return np.bincount(self.types, minlength=K)
 
 
-def offspring_offsets(family, alpha_total, beta, window, rng):
-    """Offsets of one event's offspring of a single kernel within ``window``.
-
-    The count is Poisson(alpha_total * Phi(window; beta)); each offset is the
-    analytic inverse of the truncated antiderivative CDF u -> Phi(u)/Phi(window).
-    ``rng.random`` is ``rng.uniform`` without its argument handling: the same
-    draws, bit for bit.
-    """
-    if alpha_total < 0:
-        raise ValueError("alpha_total must be nonnegative")
-    if not window > 0:
-        raise ValueError("window must be positive")
-    family.validate_beta(beta)
-    mass = float(family.antiderivative(window, beta))
-    n = int(rng.poisson(alpha_total * mass))
-    if n == 0:
-        return np.empty(0)
-    p = rng.random(n)
-    return family.inverse_antiderivative(p * mass, beta)
-
-
 def _child_generator(seed, i):
     """The generator of child stream i of ``seed``: ``SeedSequence(seed).spawn(3)[i]``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
@@ -169,66 +148,51 @@ def _by_time_type(times, types):
     return times[order], types[order]
 
 
-# Doubles drawn each time the block of ``_poisson_walk`` runs short, so that
-# the block adds little to the memory of a large generation.
+# Doubles drawn each time a ``_Doubles`` reader runs short, so that a block
+# adds little to the memory of a large generation.
 _BLOCK_DOUBLES = 4096
 
 
-def _knuth_rows(thresholds, lo, stop, block, rng, hits, counts, uniforms):
-    """Rows lo..stop-1 by Knuth's method, reading ``block`` from its start.
+class _Doubles:
+    """The uniform doubles of ``rng``, drawn ahead in blocks and read by ``next``.
 
-    A row with threshold e = exp(-lam) reads doubles until their running
-    product falls to e or below; its count c is the number of products above
-    e, and after c > 0 the next c doubles are its offsets' uniforms.  Read
-    doubles leave the block; when it runs out, it is extended from ``rng``
-    and the unfinished row is read again from its first double.
+    A reader of ``next`` adds to ``read`` the doubles it read.  A block is
+    drawn only when a read needs it, so the doubles drawn and not read are
+    the rest of the last block, and ``rewind`` returns ``rng`` to the state
+    after the last double read: the next call on ``rng`` draws as if none
+    were drawn ahead.  The blocks are drawn by a closure over ``rng`` alone,
+    since one over the reader would keep it, and its block, alive until a
+    cyclic garbage collection.
     """
-    while lo < stop:
-        done, read = len(hits), len(uniforms)
-        nxt = iter(block).__next__
-        try:
-            for r in range(lo, stop):
-                e = thresholds[r]
-                u = nxt()
-                if u > e:
-                    c = 1
-                    u *= nxt()
-                    while u > e:
-                        c += 1
-                        u *= nxt()
-                    for _ in range(c):
-                        uniforms.append(nxt())
-                    hits.append(r)
-                    counts.append(c)
-            r = stop
-        except StopIteration:
-            pass
-        # Rows lo..r-1 are whole, and each read 1 + 2c doubles.
-        drawn = sum(counts[done:])
-        del uniforms[read + drawn :]
-        del block[: r - lo + 2 * drawn]
-        if r < stop:
-            block += rng.random(_BLOCK_DOUBLES).tolist()
-        lo = r
+
+    def __init__(self, rng):
+        self.rng, self.read = rng, 0
+        self.rewind()
+
+    def rewind(self):
+        self.rng.bit_generator.advance(-(-self.read % _BLOCK_DOUBLES))
+        self.read = 0
+        random = self.rng.random
+        blocks = iter(lambda: random(_BLOCK_DOUBLES).tolist(), None)
+        self.next = chain.from_iterable(blocks).__next__
 
 
-def _poisson_walk(means, block, rng):
-    """Poisson(means) counts and the offsets' uniforms, read off ``block``.
+def _poisson_walk(means, doubles):
+    """Poisson(means) counts and the offsets' uniforms, read off ``doubles``.
 
     Each row is read as ``c = rng.poisson(lam)`` followed, when c > 0, by
     ``rng.random(c)``, without either call.  For 0 < lam < 10 numpy's
     ``poisson`` runs Knuth's multiplication method, with e = exp(-lam) from
     libm (``math.exp``; ``np.exp`` may differ in the last bit), and reads
-    nothing but uniform doubles, as ``random`` does.  A row with lam == 0
-    reads nothing.  At lam >= 10 numpy runs another method, so the generator
-    is rewound past the unread doubles, the row takes a scalar ``poisson``
-    call, and the block is emptied.
+    nothing but uniform doubles, as ``random`` does: it reads doubles until
+    their running product falls to e or below, and the count c is the number
+    of products above e.  So such a row reads 1 + 2c doubles.  A row with
+    lam == 0 reads nothing.  At lam >= 10 numpy runs another method, so the
+    reader is rewound and the row takes a scalar ``poisson`` call.
 
-    One ``count_nonzero`` finds means all below 10, which skip the scan for
-    rows that need a scalar call.
-
-    ``block`` is a list of the doubles drawn ahead from ``rng`` and not yet
-    read.  Returns the rows with a nonzero count, as an integer array, their
+    The rows are read in runs, each ending at a row with lam >= 10 (or NaN)
+    or at the end; one ``count_nonzero`` finds means all below 10, one run.
+    Returns the rows with a nonzero count, as an integer array, their
     counts, and all their uniforms in draw order.
     """
     hits, counts, uniforms = [], [], []
@@ -236,31 +200,44 @@ def _poisson_walk(means, block, rng):
     lams = means[live]
     thresholds = list(map(math.exp, memoryview(-lams)))
     small = lams < 10.0
+    ends = [] if np.count_nonzero(small) == small.size else np.flatnonzero(~small).tolist()
     lo = 0
-    # Rows with lam >= 10, or NaN.
-    for r in [] if np.count_nonzero(small) == small.size else np.flatnonzero(~small).tolist():
-        _knuth_rows(thresholds, lo, r, block, rng, hits, counts, uniforms)
-        rng.bit_generator.advance(-len(block))
-        block.clear()
-        c = int(rng.poisson(lams[r]))
-        if c:
-            hits.append(r)
-            counts.append(c)
-            uniforms += rng.random(c).tolist()
-        lo = r + 1
-    _knuth_rows(thresholds, lo, lams.size, block, rng, hits, counts, uniforms)
+    for end in ends + [lams.size]:
+        nxt, done = doubles.next, len(counts)
+        for r in range(lo, end):
+            e = thresholds[r]
+            u = nxt()
+            if u > e:
+                c = 1
+                u *= nxt()
+                while u > e:
+                    c += 1
+                    u *= nxt()
+                for _ in range(c):
+                    uniforms.append(nxt())
+                hits.append(r)
+                counts.append(c)
+        doubles.read += end - lo + 2 * sum(counts[done:])
+        if end < lams.size:
+            doubles.rewind()
+            c = int(doubles.rng.poisson(lams[end]))
+            if c:
+                hits.append(end)
+                counts.append(c)
+                uniforms += doubles.rng.random(c).tolist()
+        lo = end + 1
     return live[hits], counts, uniforms
 
 
-def _offspring(times, types, horizon, kernels, weights, block, rng):
+def _offspring(times, types, horizon, kernels, weights, doubles):
     """The next generation of (times, types), ordered by (time, type).
 
     ``weights[j, i, m]`` is alpha[m, i, j].  An event of type j at s < T has
     one row per (i, m), in C order; a row draws
     c ~ Poisson(weights[j, i, m] * Phi_m(T - s)) and then, if c > 0, the c
-    uniforms of its offsets, all read by :func:`_poisson_walk` from the
-    doubles of ``block``.  A row of zero mean (a zero weight, or an event at
-    T) reads no double, as ``rng.poisson(0)`` reads none.  The masses and the
+    uniforms of its offsets, all read by :func:`_poisson_walk` off the reader
+    ``doubles``.  A row of zero mean (a zero weight, or an event at T) reads
+    no double, as ``rng.poisson(0)`` reads none.  The masses and the
     offsets take one call per kernel.
     """
     K, M = len(weights), len(kernels)
@@ -271,7 +248,7 @@ def _offspring(times, types, horizon, kernels, weights, block, rng):
     # Row (s, i, m) of the flat means sits at s * K * M + i * M + m.
     means = (weights.take(types, axis=0) * masses.T[:, None, :]).ravel()
 
-    hits, counts, uniforms = _poisson_walk(means, block, rng)
+    hits, counts, uniforms = _poisson_walk(means, doubles)
     if not counts:
         return np.empty(0), np.empty(0, dtype=np.int64)
 
@@ -300,10 +277,11 @@ def simulate_cluster(spec, params, horizon, config):
     (time, type): its masses Phi_m(T - s) take one call per kernel, and after
     the draws its offsets take one more.  Per (event, i, m) with a nonzero
     mean, in the generation's order, a Poisson count and then its offsets'
-    uniforms are read off one block of doubles from the offspring generator,
-    drawn ahead and kept across generations (see :func:`_poisson_walk`), so
-    the output is byte-identical to calling :func:`offspring_offsets` per
-    (event, i, m).
+    uniforms are read off one reader of the offspring generator's doubles,
+    kept across generations (see :func:`_poisson_walk`), so the output is
+    byte-identical to one scalar ``poisson`` and ``random`` call per
+    (event, i, m), as the per-event reference in ``tests/sampler_oracle.py``
+    makes them.
     """
     horizon = _check_inputs(spec, params, horizon)
 
@@ -320,7 +298,7 @@ def simulate_cluster(spec, params, horizon, config):
     times, types = _by_time_type(np.concatenate(times), np.concatenate(types))
 
     gen_times, gen_types = [], []
-    block = []  # doubles drawn ahead from rng_off, kept across generations
+    doubles = _Doubles(rng_off)  # kept across generations
     total = 0
     while True:
         gen_times.append(times)
@@ -330,7 +308,7 @@ def simulate_cluster(spec, params, horizon, config):
             raise SimulationCapError(total, config.max_events)
         if not times.size:
             break
-        times, types = _offspring(times, types, horizon, kernels, weights, block, rng_off)
+        times, types = _offspring(times, types, horizon, kernels, weights, doubles)
 
     return _finalize(np.concatenate(gen_times), np.concatenate(gen_types), horizon)
 

@@ -4,7 +4,7 @@
 are the package's samplers as they were written before the per-call set-up
 was hoisted out of their loops.  The cluster sampler calls
 ``offspring_offsets`` once per (event, target type, kernel), with its checks;
-the thinning sampler evaluates ``intensities`` over the whole history twice
+the thinning sampler evaluates the intensities over the whole history twice
 per candidate and rebuilds the history arrays on every acceptance.  That
 costs O(n) per candidate, so they are only for small test streams; each
 quantity is computed directly from its definition, which is what makes them
@@ -51,6 +51,18 @@ def offspring_offsets(family, alpha_total, beta, window, rng):
         return np.empty(0)
     p = rng.uniform(size=n)
     return family.inverse_antiderivative(p * mass, beta)
+
+
+def intensities_through(spec, params, times, types, t):
+    """Per-type intensities just after t, summing every event of a history
+    that ends at or before t (``intensities`` sums only s < t)."""
+    lam = params.mu.copy()
+    if not times.size:
+        return lam
+    for m, kern in enumerate(spec.kernels):
+        phi = kern.value(t - times, float(params.beta[m]))
+        lam += params.alpha[m] @ np.bincount(types, weights=phi, minlength=spec.K)
+    return lam
 
 
 def simulate_cluster(spec, params, horizon, config):
@@ -125,12 +137,12 @@ def simulate_thinning(spec, params, horizon, config):
     hist_types = np.empty(0, dtype=np.int64)
     t = 0.0
     while True:
-        lam_dom = intensities(spec, params, hist_times, hist_types, t, strict=False)
+        lam_dom = intensities_through(spec, params, hist_times, hist_types, t)
         big_lambda = float(lam_dom.sum())
         t = t + rng.exponential(1.0 / big_lambda)
         if t > horizon:
             break
-        lam = intensities(spec, params, hist_times, hist_types, t, strict=True)
+        lam = intensities(spec, params, hist_times, hist_types, t)
         lam_tot = float(lam.sum())
         if rng.uniform() * big_lambda <= lam_tot:
             u = rng.uniform() * lam_tot

@@ -395,6 +395,21 @@ class TestIngestLobster:
         assert code == 3
         assert "1/2 rows unparseable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["2.0,inf,1,1,1,1", "2.0,1e400,1,1,1,1",
+                                     "2.0,1,1,1,1,-inf", "2.0,1,1,1,1,1e400"])
+    def test_infinite_code_or_direction_is_bad(self, tmp_path, capsys, row):
+        msg = tmp_path / "msg.csv"
+        msg.write_text(f"1.0,1,1,1,1,1\n{row}\n")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"1": "L"}))
+        summary = ingest_lobster(str(msg), str(mapping), str(tmp_path / "e.csv"),
+                                 max_bad_fraction=0.5)
+        assert (summary["rows_bad"], summary["rows_written"]) == (1, 1)
+        code = main(["ingest-lobster", "--messages", str(msg), "--types", str(mapping),
+                     "--out", str(tmp_path / "strict.csv")])
+        assert code == 3
+        assert "1/2 rows unparseable" in capsys.readouterr().err
+
     def test_bad_mapping_letter(self, tmp_path):
         msg = tmp_path / "msg.csv"
         msg.write_text("1.0,1,1,1,1,1\n")

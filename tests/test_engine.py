@@ -262,7 +262,7 @@ def test_exponential_pass_takes_the_same_steps_at_every_beta():
         calls = []
         sys.setprofile(lambda frame, event, arg: calls.append(event == "c_call"))
         try:
-            prob._kernel_sums(0, beta, True)
+            prob._kernel_sums(0, beta)
         finally:
             sys.setprofile(None)
         return sum(calls)
@@ -290,7 +290,7 @@ def test_event_intensities_match_intensity_at(kernels):
     times, types = times[rows], types[rows]
     lam = pv.mu[types].copy()
     for m in range(spec.M):
-        R, _ = prob._kernel_sums(m, float(pv.beta[m]), False)
+        R, _ = prob._kernel_sums(m, float(pv.beta[m]))
         lam += np.einsum("aj,aj->a", pv.alpha[m][types], R)
     direct = [intensity_at(prob, pv, t, i) for t, i in zip(times, types)]
     np.testing.assert_allclose(lam, direct, rtol=1e-12, atol=0.0)
@@ -423,7 +423,7 @@ def force_parts(prob, parts):
 def split_pass(prob, flat):
     """Every power-law kernel's (R, D) at ``flat``, then objective and gradient."""
     beta = flat[prob.index_map.beta_slice]
-    sums = [prob._kernel_sums(m, float(beta[m]), True)
+    sums = [prob._kernel_sums(m, float(beta[m]))
             for m, k in enumerate(prob.spec.kernels) if k.name == "powerlaw"]
     return sums, prob.objective_and_grad_flat(flat)
 

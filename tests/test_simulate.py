@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import kstest
 
 import sampler_oracle
+from sampler_oracle import offspring_offsets
 from common import exp_spec, params, pwl_spec
 from hawkes_mle import (
     DomainError,
@@ -19,7 +20,6 @@ from hawkes_mle import (
     SimulationCapError,
     branching_matrix,
     intensities,
-    offspring_offsets,
     simulate_cluster,
     simulate_thinning,
     spectral_radius,
@@ -36,6 +36,9 @@ def _rates(sim, spec, pv, T, seeds):
 
 
 class TestOffspringOffsets:
+    """The per-event offspring reference that the cluster sampler's bytes are
+    checked against."""
+
     def test_zero_alpha_empty(self):
         rng = np.random.default_rng(0)
         out = offspring_offsets(Exponential(), 0.0, 1.0, 5.0, rng)
@@ -321,10 +324,11 @@ class TestClusterBookkeeping:
         weights = np.full((1, 1, 2), 0.8)
 
         def generation(times):
-            rng, block = np.random.default_rng(5), []
+            rng = np.random.default_rng(5)
+            doubles = simulate._Doubles(rng)
             out = simulate._offspring(np.array(times), np.zeros(len(times), dtype=np.int64),
-                                      5.0, kernels, weights, block, rng)
-            rng.bit_generator.advance(-len(block))
+                                      5.0, kernels, weights, doubles)
+            doubles.rewind()
             return out, rng.bit_generator.state
 
         (times, types), state = generation([1.0, 2.0])
@@ -463,8 +467,9 @@ class _RecordingGenerator:
 
 def _recorded_cluster(monkeypatch, spec, pv, horizon, seed):
     """``simulate_cluster`` with its offspring generator recorded, and per
-    generation the row means, the doubles left in the block on entry and the
-    times the block was extended."""
+    generation the row means, the doubles drawn ahead and not read on entry,
+    and the generator's ``random`` calls (blocks drawn, and the offsets of
+    rows of mean 10 or more)."""
     from hawkes_mle import simulate
 
     child, walk = simulate._child_generator, simulate._poisson_walk
@@ -476,10 +481,10 @@ def _recorded_cluster(monkeypatch, spec, pv, horizon, seed):
             rng = rec["rng"] = _RecordingGenerator(rng)
         return rng
 
-    def walk_recording(means, block, rng):
-        left, calls = len(block), rng.random_calls
-        out = walk(means, block, rng)
-        rec["walks"].append((means.copy(), left, rng.random_calls - calls))
+    def walk_recording(means, doubles):
+        left, calls = -doubles.read % simulate._BLOCK_DOUBLES, rec["rng"].random_calls
+        out = walk(means, doubles)
+        rec["walks"].append((means.copy(), left, rec["rng"].random_calls - calls))
         return out
 
     with monkeypatch.context() as m:
@@ -496,18 +501,29 @@ def _two_type_case(a10, a01, beta):
 
 
 class TestPoissonWalk:
-    """Counts read off a block of uniforms, as ``Generator.poisson`` reads them."""
+    """Counts read off a reader of uniform doubles, as ``Generator.poisson`` reads them."""
 
-    @pytest.mark.parametrize("case", ["zero-mean", "tiny-mean", "large-mean", "past-block"])
+    @pytest.mark.parametrize("case", ["zero-mean", "tiny-mean", "large-mean", "past-block",
+                                      "rewind-past-block"])
     def test_edge_rows_bit_identical(self, monkeypatch, case):
         from hawkes_mle import simulate
 
-        if case == "past-block":
-            # Extensions of 50 doubles end inside rows that read about 20.
+        if case in ("past-block", "rewind-past-block"):
+            # Blocks of 50 doubles end inside rows that read about 20.
             monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", 50)
+        if case == "rewind-past-block":
+            # The doubles read before each rewind.
+            rewinds, rewind = [], simulate._Doubles.rewind
+
+            def recorded_rewind(self):
+                rewinds.append(self.read)
+                rewind(self)
+
+            monkeypatch.setattr(simulate._Doubles, "rewind", recorded_rewind)
         spec, pv = _two_type_case(*{
             "zero-mean": (5e-324, 0.1, 3.0), "tiny-mean": (1e-18, 0.1, 1.0),
-            "large-mean": (12.0, 0.0, 1.0), "past-block": (9.5, 0.0, 1.0)}[case])
+            "large-mean": (12.0, 0.0, 1.0), "past-block": (9.5, 0.0, 1.0),
+            "rewind-past-block": (12.0, 0.0, 1.0)}[case])
         for seed in range(3):
             got, rec = _recorded_cluster(monkeypatch, spec, pv, 100.0, seed)
             want = sampler_oracle.simulate_cluster(spec, pv, 100.0, SimConfig(seed=seed))
@@ -525,9 +541,15 @@ class TestPoissonWalk:
                 assert tiny.size and all(math.exp(-lam) == 1.0 for lam in tiny)
             elif case == "large-mean":
                 assert np.any(means >= 10.0)
-            else:
+            elif case == "past-block":
                 assert means.max() < 10.0
                 assert any(left and extended > 1 for _, left, extended in rec["walks"])
+            else:
+                # Means on both sides of 10, and rewinds that return doubles
+                # of a block drawn after the first since the last rewind.
+                assert np.any(means >= 10.0) and np.any((means > 0) & (means < 10.0))
+                assert any(read > 50 and read % 50 for read in rewinds)
+                rewinds.clear()
             assert rec["rng"].poisson_means == means[means >= 10.0].tolist()
 
     @pytest.mark.parametrize("case", ["exp", "pwl", "mixed", "sparse"])
@@ -537,9 +559,11 @@ class TestPoissonWalk:
         assert rec["means"].max() < 10.0 and rec["rng"].random_calls > 0
         assert rec["rng"].poisson_means == []
 
-    def test_walk_matches_scalar_calls(self):
+    def test_walk_matches_scalar_calls(self, monkeypatch):
         """Per row: the counts, the uniforms and the generator's final state of
-        one ``poisson`` call and, after a nonzero count, one ``random`` call."""
+        one ``poisson`` call and, after a nonzero count, one ``random`` call;
+        with blocks of the default size, and of 50 doubles, which end inside
+        the runs that rows of mean 10 or more cut."""
         from hawkes_mle import simulate
 
         g = np.random.default_rng(7)
@@ -548,21 +572,24 @@ class TestPoissonWalk:
             g.choice([0.0, 5e-324, 1e-17, 9.999999, 10.0, 25.0], 500),
         ])
         g.shuffle(means)
-        walked = np.random.Generator(np.random.PCG64(3))
-        scalar = np.random.Generator(np.random.PCG64(3))
-        block = []
-        for part in np.array_split(means, 3):  # generations share the block
-            hits, counts, uniforms = simulate._poisson_walk(part, block, walked)
-            want = []
-            for r, lam in enumerate(part.tolist()):
-                c = scalar.poisson(lam)
-                if c:
-                    want.append((r, c, scalar.random(c)))
-            assert hits.tolist() == [r for r, _, _ in want]
-            assert counts == [c for _, c, _ in want]
-            assert np.array(uniforms).tobytes() == np.concatenate([u for *_, u in want]).tobytes()
-        walked.bit_generator.advance(-len(block))
-        assert walked.bit_generator.state == scalar.bit_generator.state
+        for size in (simulate._BLOCK_DOUBLES, 50):
+            monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", size)
+            walked = np.random.Generator(np.random.PCG64(3))
+            scalar = np.random.Generator(np.random.PCG64(3))
+            doubles = simulate._Doubles(walked)
+            for part in np.array_split(means, 3):  # generations share the reader
+                hits, counts, uniforms = simulate._poisson_walk(part, doubles)
+                want = []
+                for r, lam in enumerate(part.tolist()):
+                    c = scalar.poisson(lam)
+                    if c:
+                        want.append((r, c, scalar.random(c)))
+                assert hits.tolist() == [r for r, _, _ in want]
+                assert counts == [c for _, c, _ in want]
+                assert (np.array(uniforms).tobytes()
+                        == np.concatenate([u for *_, u in want]).tobytes())
+            doubles.rewind()
+            assert walked.bit_generator.state == scalar.bit_generator.state
 
 
 def test_cluster_kernel_math_once_per_generation(monkeypatch):
@@ -642,15 +669,13 @@ class TestSamplerGuard:
 
 
 class TestIntensities:
-    def test_strict_and_inclusive_sums(self):
+    def test_strict_sums(self):
         spec = exp_spec(K=2)
         pv = params([0.3, 0.2], [[0.5, 0.1], [0.2, 0.4]], 2.0)
         times, types = np.array([1.0, 2.0]), np.array([0, 1])
         e = np.exp(-2.0)
         strict = intensities(spec, pv, times, types, 2.0)
         assert strict == pytest.approx([0.3 + 0.5 * e, 0.2 + 0.2 * e], rel=1e-15)
-        both = intensities(spec, pv, times, types, 2.0, strict=False)
-        assert both == pytest.approx([0.3 + 0.5 * e + 0.1, 0.2 + 0.2 * e + 0.4], rel=1e-15)
 
     def test_empty_history_is_mu(self):
         spec = exp_spec()
