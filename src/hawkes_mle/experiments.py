@@ -27,6 +27,7 @@ from .model import (
     ModelSpec,
     ParamVector,
     PowerLawCutoff,
+    _is_integer,
     branching_matrix,
     project_onto_box,
     spectral_radius,
@@ -226,6 +227,9 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     algorithms = tuple(algorithms)
     runners = {algo: RUNNERS[algo] for algo in algorithms}  # KeyError before any work
     seeds = tuple(int(s) for s in seeds)
+    for name, values in (("algorithms", algorithms), ("seeds", seeds)):
+        if not values:
+            raise ValueError(f"{name} must not be empty")
 
     objectives, seconds, regrets, best, n_events = {}, {}, {}, {}, {}
     for seed in seeds:
@@ -373,6 +377,12 @@ def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=
     box has a long flat ridge in beta that desk-scale budgets cannot cross.
     Pass ``None`` to keep the recipe's own domain.
     """
+    T_grid = [float(T) for T in T_grid]
+    if not T_grid:
+        raise ValueError("T_grid must not be empty")
+    for name, value in (("seeds_per_T", seeds_per_T), ("iters", iters)):
+        if not (_is_integer(value) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     instance = generate_instance(recipe)
     if box_scale is not None:
         instance.domain = _scaled_domain(
@@ -382,10 +392,9 @@ def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=
     truth_flat = im.pack(instance.params)
     truth_norm = float(np.linalg.norm(truth_flat))
 
-    T_grid = [float(T) for T in T_grid]
     rows = []
     for ti, T in enumerate(T_grid):
-        for rep in range(int(seeds_per_T)):
+        for rep in range(seeds_per_T):
             sim_seed = recipe.seed * 1_000_003 + ti * 10_007 + rep
             ev = simulate_cluster(
                 instance.spec, instance.params, T, SimConfig(seed=sim_seed)

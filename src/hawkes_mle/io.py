@@ -419,15 +419,13 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
     """
     if not 0.0 <= max_bad_fraction <= 1.0:
         raise ValueError(f"max_bad_fraction must be a number in [0, 1], got {max_bad_fraction!r}")
-    raw_map = _load_json(mapping_path, DataError)
-    if not isinstance(raw_map, dict):
+    code_map = _load_json(mapping_path, DataError)  # a JSON object's keys are strings
+    if not isinstance(code_map, dict):
         raise DataError(f"{mapping_path}: expected an object of code -> letter")
-    code_map = {}
-    for code, letter in raw_map.items():
+    for code, letter in code_map.items():
         if letter not in ("L", "M", "C"):
             raise DataError(f"{mapping_path}: code {code!r} maps to {letter!r}, "
                             "expected one of L, M, C")
-        code_map[str(code)] = letter
 
     rows, bad, unmapped = [], 0, 0
     total = 0
@@ -438,20 +436,19 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
                 continue
             total += 1
             parts = line.split(",")
-            if len(parts) < 6:
-                bad += 1
-                continue
+            # A row is bad when it is short or a field is malformed, when its
+            # code is not an integral number ("1.0" is one; 1.9, NaN and inf
+            # are not), or when its direction is not +1 or -1 ("-1e0" is one).
             try:
                 t = _finite_time(parts[0])
-                code = str(int(float(parts[1])))
-                direction = int(float(parts[5]))
-            except (ValueError, OverflowError):  # NaN, or an infinite code or direction
+                code, direction = float(parts[1]), float(parts[5])
+                ok = code.is_integer() and direction in (1, -1)
+            except (ValueError, IndexError):
+                ok = False
+            if not ok:
                 bad += 1
                 continue
-            if direction not in (1, -1):
-                bad += 1
-                continue
-            letter = code_map.get(code)
+            letter = code_map.get(str(int(code)))
             if letter is None:
                 unmapped += 1
                 continue

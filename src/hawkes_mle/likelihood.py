@@ -17,25 +17,27 @@ coordinates including beta.
 
 Every evaluation reduces to the kernel sums R[a, j] = sum_{s < t_a, type j}
 phi(t_a - s) and their beta-derivatives, computed exactly and without any
-n x n array:
+n x n array.  They depend on t_a alone, so both engines fill one layout with
+a row per distinct time stamp, and one gather gives each event its row:
 
 * an exponential kernel uses the linear recursion over distinct time stamps
   (Ozaki 1979), run as a blocked scan whose cost depends on the stamp count
   alone: O(n K) time and memory per kernel, whatever beta;
-* a power-law kernel is summed over the list of strictly earlier (source,
-  destination) pairs built once at construction: O(#pairs) time and 8 bytes
-  per pair (8 more per further distinct cutoff), at most n^2 / 2 pairs,
-  plus O(n K) cell bounds.  The pairs are grouped by cell (destination,
-  source type), sources in time order inside a cell, and the list keeps
+* a power-law kernel is summed over the list of (source, destination stamp)
+  pairs with the source strictly earlier, built once at construction:
+  O(#pairs) time and 8 bytes per pair (8 more per further distinct cutoff),
+  at most n(n-1)/2 pairs and fewer with ties, plus O(n K) cell bounds.  The
+  pairs are grouped by cell (destination stamp, source type), sources in
+  time order inside a cell, and the list keeps
   L = log(dt + c) rather than the elapsed time dt, one array per distinct
   cutoff c (one of them in dt's own storage).  A pass computes
   phi = exp(-beta L) and d phi / d beta = -L phi, with no power or
   logarithm, and sums each cell's segment.  It goes through the segments
   in parts of a fixed number of pairs, cut at cell starts, so its scratch
   stays in cache.  A cell is never split, so the sums carry the same bits
-  for any number of parts.  A list over ``_PAIR_BUDGET`` pairs times
-  distinct cutoffs (2 GiB) is refused with a ``DataError`` before anything
-  pair-sized is allocated.
+  for any number of parts.  A list over ``_PAIR_BUDGET`` pairs (counted per
+  stamp) times distinct cutoffs (2 GiB) is refused with a ``DataError``
+  before anything pair-sized is allocated.
 
 The events are held in one row order, by type and then time, fixed at
 construction; R, D and the per-event terms all come in it.  Each type's rows
@@ -79,13 +81,13 @@ _SCAN_BLOCK = 16
 _PAIR_BUDGET = 1 << 28
 
 
-def _pair_list(times, order, counts, cutoffs):
+def _pair_list(times, order, stamps, W, cutoffs):
     """Elapsed times of all kernel pairs, grouped into cells, and the cells.
 
-    Row r is event ``order[r]``: rows go by type, then time, ``counts[j]``
-    rows of type j.  A pair (source b, destination row r) enters the sums
-    when t_b < t_r; it belongs to the cell ``r * K + types[b]``.  Pairs are
-    ordered by cell and, inside a cell, by source time, so each cell is one
+    A pair (source b, distinct stamp u_g of ``stamps``) enters the sums when
+    t_b < u_g, once for all the events tied at u_g (W[g, j] counts those of
+    type j); it belongs to the cell ``g * K + types[b]``.  Pairs are ordered
+    by cell and, inside a cell, by source time, so each cell is one
     contiguous segment.  Returns (dt, starts, cells): ``starts`` are the
     segments' first positions and ``cells`` their flat cells, nonempty cells
     only, in order.
@@ -94,34 +96,27 @@ def _pair_list(times, order, counts, cutoffs):
     Over ``_PAIR_BUDGET`` pairs times cutoffs this raises ``DataError``,
     naming n, the pairs and the bytes, before any pair-sized allocation.
     """
-    grouped = times[order]
-    # The sources of type j strictly earlier than a row are a prefix of j's
-    # block of rows; sizes[r, j] is its length.
-    sizes = np.empty((times.size, counts.size), dtype=np.intp)
-    for j, block in enumerate(np.split(grouped, np.cumsum(counts)[:-1])):
-        sizes[:, j] = np.searchsorted(block, grouped, side="left")
+    # sizes[g, j]: the events of type j strictly earlier than u_g.
+    sizes = np.cumsum(W, axis=0) - W
     pairs = int(sizes.sum())
     if pairs * cutoffs > _PAIR_BUDGET:
         raise DataError(
-            f"{times.size} events make {pairs} power-law kernel pairs; with "
-            f"{cutoffs} distinct cutoff(s) the pair list would take "
-            f"{8 * pairs * cutoffs} bytes, over its budget of "
-            f"{8 * _PAIR_BUDGET} bytes"
+            f"{times.size} events at {stamps.size} distinct time stamps make "
+            f"{pairs} power-law kernel pairs; with {cutoffs} distinct "
+            f"cutoff(s) the pair list would take {8 * pairs * cutoffs} bytes, "
+            f"over its budget of {8 * _PAIR_BUDGET} bytes"
         )
-    hi = sizes.sum(axis=1)  # sources of each row: the hi earliest events
-    sizes = sizes.ravel()  # pairs per cell (r, j)
+    hi = sizes.sum(axis=1)  # sources of each stamp: the hi earliest events
+    sizes = sizes.ravel()  # pairs per cell (g, j)
     cells = np.flatnonzero(sizes)
     starts = np.cumsum(sizes) - sizes
     dt = np.empty(pairs)
-    # One destination row at a time: no pair-sized scratch.  Events come in
-    # time order, so the hi earliest are those numbered below hi, and in row
-    # order they fall in cell order.
-    o = 0
-    for r, b in enumerate(hi.tolist()):
-        if b:
-            e = o + b
-            np.subtract(grouped[r], grouped[order < b], out=dt[o:e])
-            o = e
+    # One stamp at a time: no pair-sized scratch.  Events come in time order,
+    # so the hi earliest are those numbered below hi; taken in the row order
+    # (by type, then time), they fall in cell order.
+    grouped = times[order]
+    for u, b, o in zip(stamps.tolist(), hi.tolist(), (np.cumsum(hi) - hi).tolist()):
+        np.subtract(u, grouped[order < b], out=dt[o : o + b])
     return dt, starts[cells], cells
 
 
@@ -224,11 +219,12 @@ class LikelihoodProblem:
     Its rows are the events ordered by type, then time, so that each type's
     events are one block of rows and every per-type sum is a segment sum.
     Precomputes what every evaluation shares: that order and each type's
-    count, the distinct time stamps with their per-type event counts (for the
-    exponential recursion), and, when some kernel needs it, the list of kernel
-    pairs.  No array of size n x n is built.  The kernel sums of the last two
-    distinct beta vectors are kept; ``kernel_passes`` counts how often they
-    were computed.
+    count, the distinct time stamps with their per-type event counts (the
+    layout both engines fill) and each row's stamp, and, when some kernel
+    needs it, the list of kernel pairs per (stamp, source type) cell.  No
+    array of size n x n is built.  The kernel sums of the last two distinct
+    beta vectors are kept; ``kernel_passes`` counts how often they were
+    computed.
     """
 
     def __init__(self, spec, events, domain, reg_c=0.0):
@@ -262,19 +258,19 @@ class LikelihoodProblem:
         # each other's sums), their gaps u_g - u_{g-1} (0 for the first) and
         # type counts in the scan's layout, and each row's stamp in it.
         stamps, stamp_of = np.unique(times, return_inverse=True)
+        W = np.bincount(stamp_of * K + types, minlength=stamps.size * K).reshape(-1, K)
         self._gaps = _blocked(np.diff(stamps, prepend=stamps[:1]))
-        self._counts = _blocked(
-            np.bincount(stamp_of * K + types, minlength=stamps.size * K).reshape(-1, K))
+        self._counts = _blocked(W)
         self._stamp_at = np.divmod(stamp_of[order], _SCAN_BLOCK)[::-1]
         # Exponential kernels take the recursion; power-law kernels sum over
-        # the pair list.
+        # the pair list, its cells (g, j) kept at their places in that layout.
         cutoffs = [k.c for k in spec.kernels if not isinstance(k, Exponential)]
         if cutoffs:
-            dt, self._cell_start, self._cell_index = _pair_list(
-                times, order, counts, len(set(cutoffs)))
+            dt, self._cell_start, cells = _pair_list(times, order, stamps, W, len(set(cutoffs)))
+            g, j = np.divmod(cells, K)
+            self._cell_index = (g % _SCAN_BLOCK * self._counts.shape[1] + g // _SCAN_BLOCK) * K + j
             self._pair_logs = _pair_logs(dt, cutoffs)
-            pairs = dt.size
-            self._parts = _split(self._cell_start, pairs, max(1, -(-pairs // _PART_PAIRS)))
+            self._parts = _split(self._cell_start, dt.size, max(1, -(-dt.size // _PART_PAIRS)))
         else:
             self._pair_logs = None
         self.kernel_passes = 0
@@ -287,9 +283,9 @@ class LikelihoodProblem:
 
         Returns (R, D), both n x K with one row per event in the problem's
         row order (by type, then time): R[r, j] = sum_{s < t_r, type j}
-        phi_m(t_r - s) and D the same sum of d phi_m / d beta.
+        phi_m(t_r - s) and D the same sum of d phi_m / d beta.  Both engines
+        sum once per distinct stamp, into one layout, then gather the rows.
         """
-        n, K = self.n, self.spec.K
         kern = self.spec.kernels[m]
         if isinstance(kern, Exponential):
             # Ozaki's recursion over stamps, with W_g the type counts at u_g
@@ -297,7 +293,7 @@ class LikelihoodProblem:
             # R_g = a_g Y_{g-1} (R_0 = 0; g-1 is the row above, or the previous
             # block's last row), and the scan of -gap_g R_g gives D_g, the sum
             # of d phi / d beta = -(u_g - s) e^{-beta (u_g - s)}.
-            gaps, at = self._gaps, self._stamp_at
+            gaps = self._gaps
             a = np.exp(-beta * gaps)
             products = _scan_products(a)
             Y = _decay_scan(a, self._counts.copy(), products)
@@ -305,32 +301,29 @@ class LikelihoodProblem:
             np.multiply(a[1:, :, None], Y[:-1], out=R[1:])
             np.multiply(a[0, 1:, None], Y[-1, :-1], out=R[0, 1:])
             D = _decay_scan(a, np.multiply(-gaps[:, :, None], R, out=Y), products)  # Y's memory
-            return _nan_rows(R[at]), _nan_rows(D[at])
-
-        # phi = (dt + c)^-beta = exp(-beta L), summed over each cell's segment;
-        # the scratch then holds L phi, and d phi / d beta = -L phi sums to -D.
-        L = self._pair_logs[kern.c]
-        starts, cells, parts = self._cell_start, self._cell_index, self._parts
-        size = max(q - p for (_, p), (_, q) in zip(parts, parts[1:]))
-        r = np.empty(cells.size)
-        d = np.empty(cells.size)
-        scratch = np.empty(size)
-        # Each cell is summed by one reduceat, so the bits do not depend on
-        # the number of parts.
-        for (c0, p0), (c1, p1) in zip(parts, parts[1:]):
-            seg, x = starts[c0:c1] - p0, scratch[: p1 - p0]
-            np.multiply(L[p0:p1], -beta, out=x)
-            np.exp(x, out=x)
-            np.add.reduceat(x, seg, out=r[c0:c1])
-            np.multiply(x, L[p0:p1], out=x)
-            np.add.reduceat(x, seg, out=d[c0:c1])
-
-        def rows(sums):
-            S = np.zeros(n * K)
-            S[cells] = sums
-            return _nan_rows(S.reshape(n, K))
-
-        return rows(r), -rows(d)
+        else:
+            # phi = (dt + c)^-beta = exp(-beta L), summed over each cell's
+            # segment; the scratch then holds L phi, and d phi / d beta =
+            # -L phi sums to -D.  D is negated after the scatter, so a cell
+            # without pairs holds -0, as the exponential scan's D does.
+            L = self._pair_logs[kern.c]
+            starts, cells, parts = self._cell_start, self._cell_index, self._parts
+            r, d = np.empty((2, cells.size))
+            scratch = np.empty(max(q - p for (_, p), (_, q) in zip(parts, parts[1:])))
+            # Each cell is summed by one reduceat, so the bits do not depend
+            # on the number of parts.
+            for (c0, p0), (c1, p1) in zip(parts, parts[1:]):
+                seg, x = starts[c0:c1] - p0, scratch[: p1 - p0]
+                np.multiply(L[p0:p1], -beta, out=x)
+                np.exp(x, out=x)
+                np.add.reduceat(x, seg, out=r[c0:c1])
+                np.multiply(x, L[p0:p1], out=x)
+                np.add.reduceat(x, seg, out=d[c0:c1])
+            R, D = np.zeros((2, *self._counts.shape))
+            R.reshape(-1)[cells] = r
+            D.reshape(-1)[cells] = d
+            np.negative(D, out=D)
+        return _nan_rows(R[self._stamp_at]), _nan_rows(D[self._stamp_at])
 
     def _type_sums(self, x):
         """Sums of the rows of ``x`` over each type's block, one per type.

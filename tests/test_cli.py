@@ -396,8 +396,11 @@ class TestIngestLobster:
         assert "1/2 rows unparseable" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["2.0,inf,1,1,1,1", "2.0,1e400,1,1,1,1",
-                                     "2.0,1,1,1,1,-inf", "2.0,1,1,1,1,1e400"])
+                                     "2.0,1,1,1,1,-inf", "2.0,1,1,1,1,1e400",
+                                     "2.0,1.9,1,1,1,1", "2.0,1,1,1,1,-1.7"])
     def test_infinite_code_or_direction_is_bad(self, tmp_path, capsys, row):
+        """A code or direction that is not an integral number, infinite or
+        fractional, makes the row unparseable rather than truncated."""
         msg = tmp_path / "msg.csv"
         msg.write_text(f"1.0,1,1,1,1,1\n{row}\n")
         mapping = tmp_path / "map.json"
@@ -409,6 +412,16 @@ class TestIngestLobster:
                      "--out", str(tmp_path / "strict.csv")])
         assert code == 3
         assert "1/2 rows unparseable" in capsys.readouterr().err
+
+    def test_integral_spellings_are_read(self, tmp_path):
+        msg = tmp_path / "msg.csv"
+        msg.write_text("1.0,1.0,1,1,1,1e0\n2.0,1e0,1,1,1,-1.0\n3.0,2.00,1,1,1,-1e0\n")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"1": "L", "2": "C"}))
+        out = tmp_path / "e.csv"
+        summary = ingest_lobster(str(msg), str(mapping), str(out), max_bad_fraction=0.0)
+        assert (summary["rows_bad"], summary["rows_written"]) == (0, 3)
+        assert read_events(str(out)).types.tolist() == [0, 1, 5]
 
     def test_bad_mapping_letter(self, tmp_path):
         msg = tmp_path / "msg.csv"

@@ -385,6 +385,51 @@ def test_pair_budget_refuses_before_allocating(monkeypatch):
     assert traced_peak(lambda: LikelihoodProblem(two, ev, wide_domain(two))) < 1.1 * 16 * pairs
 
 
+def tied_problem(kernels):
+    """A stream whose stamps fall on a 0.5 tick, so most events share one:
+    (spec, events, a point of the box)."""
+    n, K = 600, 3
+    spec = ModelSpec(K=K, M=len(kernels), kernels=[KERNELS[k] for k in kernels])
+    rng = np.random.default_rng(9)
+    times = np.floor(np.sort(rng.uniform(0.0, 100.0, n)) / 0.5) * 0.5
+    ev = events(times, rng.integers(0, K, n), horizon=100.0)
+    flat = spec.index_map.pack(params(rng.uniform(0.1, 1.0, K),
+                                      rng.uniform(0.0, 0.05, (spec.M, K, K)),
+                                      [1.7, 2.3][: spec.M]))
+    return spec, ev, flat
+
+
+def pair_counts(times):
+    """(pairs per distinct stamp, pairs per event): the events strictly
+    earlier than each distinct stamp, and than each event, summed."""
+    before = np.searchsorted(times, np.unique(times), side="left").sum()
+    return int(before), int(np.searchsorted(times, times, side="left").sum())
+
+
+def test_tied_stamps_share_cells():
+    """Tied events share their stamp's cells, so each earlier event makes one
+    pair per distinct stamp, not one per event at it."""
+    spec, ev, _ = tied_problem(("pwl", "exp"))
+    per_stamp, per_event = pair_counts(ev.times)
+    assert 2 * per_stamp < per_event
+    prob = LikelihoodProblem(spec, ev, wide_domain(spec))
+    assert prob._pair_logs[0.05].size == per_stamp
+    assert prob._cell_start.size == prob._cell_index.size <= spec.K * np.unique(ev.times).size
+
+
+def test_pair_budget_counts_pairs_per_stamp(monkeypatch):
+    """A tied stream over the budget per event but within it per stamp builds,
+    and matches the dense oracle."""
+    spec, ev, flat = tied_problem(("pwl", "pwl-wide"))
+    per_stamp, per_event = pair_counts(ev.times)
+    monkeypatch.setattr(likelihood, "_PAIR_BUDGET", 2 * per_stamp)
+    assert 2 * per_event > likelihood._PAIR_BUDGET
+    assert_agrees(LikelihoodProblem(spec, ev, wide_domain(spec), reg_c=0.1), flat)
+    monkeypatch.setattr(likelihood, "_PAIR_BUDGET", 2 * per_stamp - 1)
+    with pytest.raises(DataError, match=f"{per_stamp} power-law kernel pairs"):
+        LikelihoodProblem(spec, ev, wide_domain(spec))
+
+
 # -- power-law passes split into parts ------------------------------------------
 
 SPLIT_CASES = {

@@ -14,6 +14,7 @@ from hawkes_mle import (
     spectral_radius,
     branching_matrix,
 )
+from hawkes_mle import experiments
 from hawkes_mle.experiments import REGRET_FLOOR, _scaled_domain
 
 
@@ -156,6 +157,34 @@ class TestBenchmark:
         b = run_benchmark(inst, iters=15, seeds=(0,))
         for key in a.objectives:
             assert np.array_equal(a.objectives[key], b.objectives[key])
+
+
+def refuse_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew an instance or a stream before checking the sizes")
+
+    monkeypatch.setattr(experiments, "simulate_cluster", refuse)
+    monkeypatch.setattr(experiments, "generate_instance", refuse)
+
+
+class TestEmptySizes:
+    """Empty or zero sizes are refused, naming the argument, before anything
+    is drawn (the config reader refuses the same values)."""
+
+    @pytest.mark.parametrize("name", ["algorithms", "seeds"])
+    def test_benchmark_refuses_empty(self, name, monkeypatch):
+        inst = small_instance()
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match=name):
+            run_benchmark(inst, **{name: ()})
+
+    @pytest.mark.parametrize("name, value", [
+        ("seeds_per_T", 0), ("seeds_per_T", -1), ("iters", 0), ("T_grid", ()),
+    ])
+    def test_consistency_refuses_empty_or_zero(self, name, value, monkeypatch):
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match=name):
+            run_consistency_study(experiments.RECIPES["exp-k10"], **{name: value})
 
 
 class TestConsistencyStudy:
