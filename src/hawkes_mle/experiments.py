@@ -223,6 +223,8 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     algorithms and iterations of the same stream (objectives of different
     streams are not comparable).
     """
+    if not (iters is None or (_is_integer(iters) and iters >= 1)):
+        raise ValueError(f"iters must be None or a positive integer, got {iters!r}")
     hp = instance.hp if iters is None else replace(instance.hp, max_iters=iters)
     algorithms = tuple(algorithms)
     runners = {algo: RUNNERS[algo] for algo in algorithms}  # KeyError before any work

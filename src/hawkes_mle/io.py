@@ -62,10 +62,9 @@ def _finite_time(text):
 
 
 def write_events(path, events):
+    rows = map("{!r},{}\n".format, events.times.tolist(), events.types.tolist())
     with open(path, "w") as f:
-        f.write(EVENT_HEADER + "\n")
-        for t, k in zip(events.times, events.types):
-            f.write(f"{float(t)!r},{int(k)}\n")
+        f.write(EVENT_HEADER + "\n" + "".join(rows))
 
 
 def read_events(path, horizon=None):

@@ -209,7 +209,9 @@ def _nan_rows(S):
     extrapolated candidate fails the same way whichever way its sums are
     taken.
     """
-    S[~np.isfinite(S @ np.ones(S.shape[1]))] = np.nan
+    bad = ~np.isfinite(S @ np.ones(S.shape[1]))
+    if bad.any():
+        S[bad] = np.nan
     return S
 
 
@@ -256,12 +258,15 @@ class LikelihoodProblem:
         self._comp_dt = self.T - times[order]  # elapsed time entering the compensator
         # Distinct stamps u_g (grouping ties keeps simultaneous events out of
         # each other's sums), their gaps u_g - u_{g-1} (0 for the first) and
-        # type counts in the scan's layout, and each row's stamp in it.
+        # type counts in the scan's layout, and each row's stamp in it, as
+        # an index into that layout's rows taken flat: stamp g sits at
+        # [g % B, g // B], flat row (g % B) * nb + g // B.
         stamps, stamp_of = np.unique(times, return_inverse=True)
         W = np.bincount(stamp_of * K + types, minlength=stamps.size * K).reshape(-1, K)
         self._gaps = _blocked(np.diff(stamps, prepend=stamps[:1]))
         self._counts = _blocked(W)
-        self._stamp_at = np.divmod(stamp_of[order], _SCAN_BLOCK)[::-1]
+        block, at = np.divmod(stamp_of[order], _SCAN_BLOCK)
+        self._stamp_row = at * self._counts.shape[1] + block
         # Exponential kernels take the recursion; power-law kernels sum over
         # the pair list, its cells (g, j) kept at their places in that layout.
         cutoffs = [k.c for k in spec.kernels if not isinstance(k, Exponential)]
@@ -323,7 +328,9 @@ class LikelihoodProblem:
             R.reshape(-1)[cells] = r
             D.reshape(-1)[cells] = d
             np.negative(D, out=D)
-        return _nan_rows(R[self._stamp_at]), _nan_rows(D[self._stamp_at])
+        rows, K = self._stamp_row, self.spec.K
+        return (_nan_rows(np.take(R.reshape(-1, K), rows, axis=0)),
+                _nan_rows(np.take(D.reshape(-1, K), rows, axis=0)))
 
     def _type_sums(self, x):
         """Sums of the rows of ``x`` over each type's block, one per type.

@@ -11,7 +11,12 @@ Two independent samplers are shipped:
   reader of the offspring generator's doubles, as numpy's ``poisson`` and
   ``random`` would read them, so the streams are byte-identical to those of
   one scalar ``poisson`` and ``random`` call per (event, target, kernel), as
-  the per-event reference in ``tests/sampler_oracle.py`` makes them.  A
+  the per-event reference in ``tests/sampler_oracle.py`` makes them.  A row
+  whose first double lies at or below a vectorized bound, ``np.exp(-lam)``
+  times 1 - 2**-40, is a zero count; only the rows above it call libm's
+  ``exp``, the threshold numpy's ``poisson`` compares against.  ``np.exp``
+  and libm differ by at most one unit in the last place, far inside that
+  margin, so the bound decides a row as the exact threshold would.  A
   generation with no mean of 10 or more, or no event at T, skips the work
   each needs, after one ``count_nonzero`` or one look at its last window.
 * :func:`simulate_thinning` -- Ogata-style rejection sampling under a
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -154,10 +159,13 @@ _BLOCK_DOUBLES = 4096
 
 
 class _Doubles:
-    """The uniform doubles of ``rng``, drawn ahead in blocks and read by ``next``.
+    """The uniform doubles of ``rng``, drawn ahead in blocks and read off ``stream``.
 
-    A reader of ``next`` adds to ``read`` the doubles it read.  A block is
-    drawn only when a read needs it, so the doubles drawn and not read are
+    ``stream`` is an iterator of the doubles, and ``next`` its ``__next__``;
+    a block is read through a memoryview, which makes each double a Python
+    float only as it is read, the float ``tolist`` would make.  A reader of
+    ``stream`` adds to ``read`` the doubles it read.  A block is drawn only
+    when a read needs it, so the doubles drawn and not read are
     the rest of the last block, and ``rewind`` returns ``rng`` to the state
     after the last double read: the next call on ``rng`` draws as if none
     were drawn ahead.  The blocks are drawn by a closure over ``rng`` alone,
@@ -173,8 +181,15 @@ class _Doubles:
         self.rng.bit_generator.advance(-(-self.read % _BLOCK_DOUBLES))
         self.read = 0
         random = self.rng.random
-        blocks = iter(lambda: random(_BLOCK_DOUBLES).tolist(), None)
-        self.next = chain.from_iterable(blocks).__next__
+        blocks = iter(lambda: memoryview(random(_BLOCK_DOUBLES)), None)
+        self.stream = chain.from_iterable(blocks)
+        self.next = self.stream.__next__
+
+
+# The factor that takes numpy's exp(-lam) below libm's: over 1.1 million lam
+# in (0, 10] the two differed by at most one unit in the last place (2**-52
+# relative), and this margin is 4096 times that.
+_EXP_MARGIN = 1.0 - 2.0**-40
 
 
 def _poisson_walk(means, doubles):
@@ -190,31 +205,50 @@ def _poisson_walk(means, doubles):
     lam == 0 reads nothing.  At lam >= 10 numpy runs another method, so the
     reader is rewound and the row takes a scalar ``poisson`` call.
 
+    Most rows are zero counts decided by their first double alone, so the
+    rows are first held against one vectorized bound, ``np.exp(-lams)``
+    times ``_EXP_MARGIN``: a double at or below it is at or below e, a zero
+    count.  Only a row whose first double lies above the bound calls libm's
+    ``math.exp`` for the exact e and runs the comparisons above against it,
+    so a double in (bound, e] is still a zero count, decided exactly.  As the
+    bound lies below e by far more than ``np.exp`` and libm ever differ, the
+    counts, and so the bytes, are those of ``poisson``.  A run zips the
+    bounds with the doubles; a row's index is worked out, from the bounds
+    not yet read, only when its first double lies above its bound.
+
     The rows are read in runs, each ending at a row with lam >= 10 (or NaN)
     or at the end; one ``count_nonzero`` finds means all below 10, one run.
     Returns the rows with a nonzero count, as an integer array, their
     counts, and all their uniforms in draw order.
     """
     hits, counts, uniforms = [], [], []
+    append, exp = uniforms.append, math.exp
     live = np.flatnonzero(means)
     lams = means[live]
-    thresholds = list(map(math.exp, memoryview(-lams)))
+    neg_lams = memoryview(-lams)
+    below = (np.exp(-lams) * _EXP_MARGIN).tolist()
     small = lams < 10.0
     ends = [] if np.count_nonzero(small) == small.size else np.flatnonzero(~small).tolist()
     lo = 0
     for end in ends + [lams.size]:
-        nxt, done = doubles.next, len(counts)
-        for r in range(lo, end):
-            e = thresholds[r]
-            u = nxt()
+        stream, nxt, done = doubles.stream, doubles.next, len(counts)
+        rows = iter(below[lo:end])
+        left = rows.__length_hint__  # exact for a list: the rows not yet read
+        for b, u in zip(rows, stream):
+            if u <= b:
+                continue
+            r = end - 1 - left()
+            e = exp(neg_lams[r])
             if u > e:
                 c = 1
                 u *= nxt()
                 while u > e:
                     c += 1
                     u *= nxt()
-                for _ in range(c):
-                    uniforms.append(nxt())
+                if c == 1:
+                    append(nxt())
+                else:
+                    uniforms += islice(stream, c)
                 hits.append(r)
                 counts.append(c)
         doubles.read += end - lo + 2 * sum(counts[done:])

@@ -9,6 +9,7 @@ import pytest
 from hawkes_mle import experiments
 from hawkes_mle.cli import main
 from hawkes_mle.io import (
+    EVENT_HEADER,
     TRACE_HEADER,
     ConfigError,
     DataError,
@@ -710,6 +711,29 @@ class TestEventFileRoundTrip:
         back = read_events(str(path), horizon=100.0)
         assert np.array_equal(back.times, ev.times)
         assert np.array_equal(back.types, ev.types)
+
+    @staticmethod
+    def write_per_row(path, events):
+        """The event file as one write per row of numpy scalars."""
+        with open(path, "w") as f:
+            f.write(EVENT_HEADER + "\n")
+            for t, k in zip(events.times, events.types):
+                f.write(f"{float(t)!r},{int(k)}\n")
+
+    @pytest.mark.parametrize("times, types", [
+        ([5e-324, 1e-300, 0.1 + 0.2, 2.0**53 + 1, 1e16], [0, 3, 1, 12, 0]),
+        ([], []),
+    ])
+    def test_bytes_match_per_row_writer(self, tmp_path, times, types):
+        ev = EventSequence(np.array(times, dtype=float), np.array(types, dtype=np.int64),
+                           max(times, default=0.0))
+        path, reference = tmp_path / "e.csv", tmp_path / "ref.csv"
+        write_events(str(path), ev)
+        self.write_per_row(str(reference), ev)
+        assert path.read_bytes() == reference.read_bytes()
+        back = read_events(str(path), horizon=ev.horizon)
+        assert back.times.tobytes() == ev.times.tobytes()
+        assert back.types.tobytes() == ev.types.tobytes()
 
     def test_unsorted_rejected(self, tmp_path):
         path = tmp_path / "e.csv"

@@ -178,6 +178,13 @@ class TestEmptySizes:
         with pytest.raises(ValueError, match=name):
             run_benchmark(inst, **{name: ()})
 
+    @pytest.mark.parametrize("iters", [0, -1, 2.5, True])
+    def test_benchmark_refuses_bad_iters(self, iters, monkeypatch):
+        inst = small_instance()
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match="iters"):
+            run_benchmark(inst, iters=iters)
+
     @pytest.mark.parametrize("name, value", [
         ("seeds_per_T", 0), ("seeds_per_T", -1), ("iters", 0), ("T_grid", ()),
     ])

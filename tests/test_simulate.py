@@ -591,6 +591,59 @@ class TestPoissonWalk:
             doubles.rewind()
             assert walked.bit_generator.state == scalar.bit_generator.state
 
+    @pytest.mark.parametrize("lams", ["log-spaced", "uniform"])
+    def test_bound_below_libm_exp(self, lams):
+        """The vectorized bound lies at or below libm's exp(-lam), so a double
+        at or below it is a zero count, as ``poisson`` decides it."""
+        from hawkes_mle import simulate
+
+        assert simulate._EXP_MARGIN == 1 - 2**-40
+        lams = (np.logspace(-300, 1, 10**6) if lams == "log-spaced"
+                else 10.0 - np.random.default_rng(0).uniform(0.0, 10.0, 10**6))
+        assert lams.min() > 0 and lams.max() <= 10.0
+        exact = np.array(list(map(math.exp, (-lams).tolist())))
+        assert np.all(np.exp(-lams) * simulate._EXP_MARGIN <= exact)
+
+    @staticmethod
+    def _counting_exp(monkeypatch):
+        """Count the walk's libm ``exp`` calls, the rows that take the exact path."""
+        from types import SimpleNamespace
+
+        from hawkes_mle import simulate
+
+        calls = []
+
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+        monkeypatch.setattr(simulate, "math", SimpleNamespace(exp=exp))
+        return calls
+
+    @pytest.mark.parametrize("margin", [0.5, 0.0])
+    @pytest.mark.parametrize("case", ["zero-mean", "tiny-mean", "large-mean", "past-block",
+                                      "rewind-past-block"])
+    def test_edge_rows_exact_path(self, monkeypatch, case, margin):
+        """The edge rows, bit for bit, with the bound moved so far below
+        exp(-lam) that most rows are decided by libm's exp."""
+        from hawkes_mle import simulate
+
+        monkeypatch.setattr(simulate, "_EXP_MARGIN", margin)
+        calls = self._counting_exp(monkeypatch)
+        self.test_edge_rows_bit_identical(monkeypatch, case)
+        assert calls
+
+    @pytest.mark.parametrize("margin", [0.5, 0.0])
+    def test_walk_exact_path_matches_scalar_calls(self, monkeypatch, margin):
+        from hawkes_mle import simulate
+
+        monkeypatch.setattr(simulate, "_EXP_MARGIN", margin)
+        calls = self._counting_exp(monkeypatch)
+        self.test_walk_matches_scalar_calls(monkeypatch)
+        # Each of the two block sizes walks the same 4500 rows: most of them
+        # take the exact path.
+        assert len(calls) > 4500
+
 
 def test_cluster_kernel_math_once_per_generation(monkeypatch):
     """Masses and offsets take one kernel call per generation, not per event."""
