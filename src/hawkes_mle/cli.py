@@ -30,6 +30,7 @@ from .io import (
     spec_from_config,
     write_events,
     write_params,
+    write_report,
     write_trace,
 )
 from .likelihood import LikelihoodProblem
@@ -129,7 +130,7 @@ def cmd_check_stationarity(args):
 def cmd_benchmark(args):
     _, instance, kwargs = experiment_from_config(args.config, "benchmark")
     report = experiments.run_benchmark(instance, **kwargs)
-    report.write(args.out)
+    write_report(args.out, report)
     for algo in report.algorithms:
         print(f"{algo}: median final objective {report.median_final(algo):.6f}")
     print(f"wrote report to {args.out}")
@@ -139,7 +140,7 @@ def cmd_benchmark(args):
 def cmd_consistency(args):
     recipe, _, kwargs = experiment_from_config(args.config, "consistency")
     report = experiments.run_consistency_study(recipe, **kwargs)
-    report.write(args.out)
+    write_report(args.out, report)
     for T, med in sorted(report.medians.items()):
         print(f"T={T:g}: median relative error {med:.6g}")
     print(f"wrote report to {args.out}")

@@ -9,14 +9,13 @@ all-ones initialization with beta = 3, step sizes 1e-7 and momentum 0.9 for
 
 Benchmark cells (one simulated stream per seed, three algorithms from a
 shared initial point) and consistency cells run in order in the calling
-thread, so each run's ``seconds`` are its own wall-clock time.
+thread, so each run's ``seconds`` are its own wall-clock time.  A report's
+``manifest`` and CSV ``tables()`` are written by ``io.write_report``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -192,28 +191,16 @@ class BenchmarkReport:
     def median_final(self, algo):
         return float(np.median(self.final_objectives(algo)))
 
-    def write(self, outdir):
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "regret_iter.csv", "w") as f:
-            f.write("algorithm,seed,iter,objective,log_regret\n")
-            for algo in self.algorithms:
-                for seed in self.seeds:
-                    obj = self.objectives[(algo, seed)]
-                    reg = self.regrets[(algo, seed)]
-                    for k in range(obj.size):
-                        f.write(f"{algo},{seed},{k},{obj[k]!r},{reg[k]!r}\n")
-        with open(outdir / "regret_time.csv", "w") as f:
-            f.write("algorithm,seed,seconds,log_regret\n")
-            for algo in self.algorithms:
-                for seed in self.seeds:
-                    sec = self.seconds[(algo, seed)]
-                    reg = self.regrets[(algo, seed)]
-                    for k in range(sec.size):
-                        f.write(f"{algo},{seed},{sec[k]!r},{reg[k]!r}\n")
-        with open(outdir / "manifest.json", "w") as f:
-            json.dump(self.manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+    def tables(self):
+        """The report's CSV files: file name -> (header, rows)."""
+        per_iter, per_second = [], []
+        for cell in [(algo, seed) for algo in self.algorithms for seed in self.seeds]:
+            objectives, seconds = self.objectives[cell].tolist(), self.seconds[cell].tolist()
+            regrets = self.regrets[cell].tolist()
+            per_iter += [(*cell, k, *pair) for k, pair in enumerate(zip(objectives, regrets))]
+            per_second += [(*cell, sec, reg) for sec, reg in zip(seconds, regrets)]
+        return {"regret_iter.csv": ("algorithm,seed,iter,objective,log_regret", per_iter),
+                "regret_time.csv": ("algorithm,seed,seconds,log_regret", per_second)}
 
 
 def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3, 4)):
@@ -248,8 +235,7 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
                 [r.objective for r in res.trace] + [res.final_objective]
             )
             seconds[(algo, seed)] = np.array(
-                [r.seconds for r in res.trace]
-                + [res.trace[-1].seconds if res.trace else 0.0]
+                [r.seconds for r in res.trace] + [res.trace[-1].seconds]
             )
         best[seed] = max(float(objectives[(a, seed)].max()) for a in algorithms)
         for algo in algorithms:
@@ -280,23 +266,15 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
 
 @dataclass
 class ConsistencyReport:
-    rows: list  # dicts: horizon, seed, rel_error, final_objective, n_events
+    rows: list  # dicts: horizon, seed, n_events, rel_error, final_objective
     medians: dict  # horizon -> median relative error
     manifest: dict
 
-    def write(self, outdir):
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "consistency.csv", "w") as f:
-            f.write("horizon,seed,n_events,rel_error,final_objective\n")
-            for r in self.rows:
-                f.write(
-                    f"{r['horizon']!r},{r['seed']},{r['n_events']},"
-                    f"{r['rel_error']!r},{r['final_objective']!r}\n"
-                )
-        with open(outdir / "manifest.json", "w") as f:
-            json.dump(self.manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+    def tables(self):
+        """The report's CSV file: file name -> (header, rows)."""
+        columns = ("horizon", "seed", "n_events", "rel_error", "final_objective")
+        rows = [[r[c] for c in columns] for r in self.rows]
+        return {"consistency.csv": (",".join(columns), rows)}
 
 
 def _fit_init(prob, domain):

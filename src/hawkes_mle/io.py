@@ -1,9 +1,10 @@
-"""File formats: event CSV, parameter JSON, trace CSV, config JSON, ingestion.
+"""File formats: event CSV, parameter JSON, trace CSV, config JSON, reports, ingestion.
 
-Event files are CSV with the exact header ``time,type``: times are seconds
-from stream start, types are integers in [0, K).  Parameter files are JSON
-documents with keys mu, alpha ([m][i][j]), beta, kernels, objective, meta.
-Floats are written with ``repr``, so every file parses back losslessly.
+The one module that reads or writes files.  Event files are CSV with the exact header
+``time,type``: times are seconds from stream start, types are integers in [0, K).  Parameter
+files are JSON documents with keys mu, alpha ([m][i][j]), beta, kernels, objective, meta.
+CSV values are written with ``str`` (floats, Python or numpy, as their shortest round-trip
+digits) and CSV readers skip blank rows, so every file parses back losslessly.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 import math
 import warnings
 from dataclasses import asdict, fields, replace
+from itertools import starmap
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +33,7 @@ __all__ = [
     "write_params",
     "write_trace",
     "read_trace",
+    "write_report",
     "load_config",
     "spec_from_config",
     "domain_from_config",
@@ -48,6 +52,65 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration document."""
 
 
+# -- tables and JSON documents -------------------------------------------------
+
+
+def _write_table(path, header, rows):
+    """A CSV: the header, then one line per row with each value written with ``str``."""
+    line = ",".join(["{}"] * (header.count(",") + 1)) + "\n"
+    text = header + "\n" + "".join(starmap(line.format, rows))
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _rows(path, header):
+    """(row number, fields) per nonblank row; a wrong header or field count is a DataError."""
+    n = header.count(",") + 1
+    with open(path) as f:
+        first = f.readline().rstrip("\n")
+        if first != header:
+            raise DataError(f"{path}: expected header {header!r}, got {first!r}")
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if line:
+                parts = line.split(",")
+                if len(parts) != n:
+                    raise DataError(f"{path}: row {lineno}: expected {n} fields, got {len(parts)}")
+                yield lineno, parts
+
+
+def _plain(value):
+    """A numpy scalar's Python value, for ``json.dumps``."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(path, doc):
+    """``doc`` as JSON, indented by 2 with sorted keys; the text is built before the file opens."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _load_json(path, error=ConfigError):
+    """Parse a JSON file; an unreadable or malformed file raises ``error``."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def write_report(outdir, report):
+    """Write a report's ``tables()`` and its ``manifest.json`` into ``outdir``, made if missing."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in report.tables().items():
+        _write_table(outdir / name, header, rows)
+    _write_json(outdir / "manifest.json", report.manifest)
+
+
 # -- event files --------------------------------------------------------------
 
 EVENT_HEADER = "time,type"
@@ -62,53 +125,32 @@ def _finite_time(text):
 
 
 def write_events(path, events):
-    rows = map("{!r},{}\n".format, events.times.tolist(), events.types.tolist())
-    with open(path, "w") as f:
-        f.write(EVENT_HEADER + "\n" + "".join(rows))
+    _write_table(path, EVENT_HEADER, zip(events.times.tolist(), events.types.tolist()))
 
 
 def read_events(path, horizon=None):
     """Parse an event CSV; the horizon defaults to the last arrival time."""
-    times, types = [], []
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        if header != EVENT_HEADER:
-            raise DataError(f"{path}: expected header {EVENT_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}: row {lineno}: expected 2 fields")
-            try:
-                t = _finite_time(parts[0])
-                k = int(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from None
-            if t < 0 or k < 0:
-                raise DataError(f"{path}: row {lineno}: negative time or type")
-            if times and t < times[-1]:
-                raise DataError(f"{path}: row {lineno}: times not sorted")
-            times.append(t)
-            types.append(k)
+    times, types, last = [], [], 0.0
+    for lineno, (t, k) in _rows(path, EVENT_HEADER):
+        try:
+            t, k = float(t), int(k)
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from None
+        if not (last <= t < math.inf and k >= 0):
+            fault = (f"non-finite time {t}" if not math.isfinite(t)
+                     else "negative time or type" if t < 0 or k < 0 else "times not sorted")
+            raise DataError(f"{path}: row {lineno}: {fault}")
+        last = t
+        times.append(t)
+        types.append(k)
     if horizon is None:
-        horizon = times[-1] if times else 0.0
-    if times and times[-1] > horizon:
+        horizon = last
+    if times and last > horizon:
         raise DataError(f"{path}: arrival beyond the declared horizon {horizon}")
     return EventSequence(np.asarray(times), np.asarray(types, dtype=np.int64), horizon)
 
 
 # -- kernels and parameters ----------------------------------------------------
-
-
-def _load_json(path, error=ConfigError):
-    """Parse a JSON file; an unreadable or malformed file raises ``error``."""
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError) as exc:
-        raise error(f"{path}: {exc}") from None
 
 
 def kernels_to_json(kernels):
@@ -138,9 +180,7 @@ def write_params(path, spec, params, objective=None, meta=None):
         "objective": objective,
         "meta": meta or {},
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(path, doc)
 
 
 def read_params(path):
@@ -161,40 +201,19 @@ TRACE_HEADER = "iter,objective,residual,step_kind,lyapunov,seconds"
 
 
 def write_trace(path, trace):
-    with open(path, "w") as f:
-        f.write(TRACE_HEADER + "\n")
-        for r in trace:
-            f.write(
-                f"{r.iteration},{float(r.objective)!r},{float(r.residual)!r},"
-                f"{r.step_kind},{float(r.lyapunov)!r},{float(r.seconds)!r}\n"
-            )
+    _write_table(path, TRACE_HEADER, ((r.iteration, r.objective, r.residual, r.step_kind,
+                                        r.lyapunov, r.seconds) for r in trace))
 
 
 def read_trace(path):
     """Parse a trace CSV into one dict per row; a malformed row raises DataError."""
     rows = []
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        if header != TRACE_HEADER:
-            raise DataError(f"{path}: expected header {TRACE_HEADER!r}")
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 6:
-                raise DataError(f"{path}: row {lineno}: expected 6 fields, got {len(parts)}")
-            it, obj, res, kind, lyap, sec = parts
-            try:
-                rows.append(
-                    {
-                        "iteration": int(it),
-                        "objective": float(obj),
-                        "residual": float(res),
-                        "step_kind": kind,
-                        "lyapunov": float(lyap),
-                        "seconds": float(sec),
-                    }
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from None
+    for lineno, (it, obj, res, kind, lyap, sec) in _rows(path, TRACE_HEADER):
+        try:
+            rows.append({"iteration": int(it), "objective": float(obj), "residual": float(res),
+                         "step_kind": kind, "lyapunov": float(lyap), "seconds": float(sec)})
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from None
     return rows
 
 

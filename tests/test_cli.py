@@ -509,11 +509,11 @@ class TestParamsJsonRoundTrip:
             beta=np.array([1.7]),
         )
         path = tmp_path / "p.json"
-        write_params(str(path), spec, pv, objective=-1.5, meta={"note": "x"})
+        write_params(str(path), spec, pv, objective=-1.5, meta={"note": "x", "n": np.int64(3)})
         spec2, pv2, objective, meta = read_params(str(path))
         assert spec2.kernels[0].c == 0.07
         assert np.array_equal(pv2.mu, pv.mu)
-        assert objective == -1.5 and meta == {"note": "x"}
+        assert objective == -1.5 and meta == {"note": "x", "n": 3}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "p.json"
@@ -1088,6 +1088,35 @@ def test_read_trace_malformed_row_names_file_and_row(tmp_path, row, fragment):
     with pytest.raises(DataError, match=fragment) as exc:
         read_trace(str(path))
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("row,fragment", [
+    ("3.0,0,7", "row 3: expected 2 fields, got 3"),
+    ("3.0", "row 3: expected 2 fields, got 1"),
+    ("abc,0", "row 3: could not convert"),
+])
+def test_read_events_malformed_row_names_file_and_row(tmp_path, row, fragment):
+    path = tmp_path / "events.csv"
+    path.write_text(f"{EVENT_HEADER}\n1.0,0\n{row}\n")
+    with pytest.raises(DataError, match=fragment) as exc:
+        read_events(str(path))
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("reader,header,rows", [
+    (read_events, EVENT_HEADER, ["1.0,0", "2.5,1"]),
+    (read_trace, TRACE_HEADER, ["0,0.5,0.1,PALM,0.2,0.0", "1,0.4,0.1,PALM,0.1,0.5"]),
+], ids=["events", "trace"])
+def test_readers_skip_blank_rows(tmp_path, reader, header, rows):
+    dense, sparse = tmp_path / "dense.csv", tmp_path / "sparse.csv"
+    dense.write_text(header + "\n" + "".join(row + "\n" for row in rows))
+    sparse.write_text(f"{header}\n{rows[0]}\n\n{rows[1]}\n\n")  # a blank row and a blank end
+
+    def plain(read):  # an event sequence or a list of trace rows, as comparable values
+        return read if isinstance(read, list) else (read.times.tolist(), read.types.tolist(),
+                                                    read.horizon)
+
+    assert plain(reader(str(sparse))) == plain(reader(str(dense)))
 
 
 def test_read_trace_wrong_header(tmp_path):

@@ -16,6 +16,7 @@ from hawkes_mle import (
 )
 from hawkes_mle import experiments
 from hawkes_mle.experiments import REGRET_FLOOR, _scaled_domain
+from hawkes_mle.io import write_report
 
 
 def small_instance(seed=3):
@@ -141,7 +142,7 @@ class TestBenchmark:
             assert len(set(r0.values())) == 1
 
         outdir = tmp_path / "bench"
-        rep.write(outdir)
+        write_report(outdir, rep)
         lines = (outdir / "regret_iter.csv").read_text().splitlines()
         assert lines[0] == "algorithm,seed,iter,objective,log_regret"
         assert len(lines) == 1 + 3 * 2 * 31
@@ -150,6 +151,22 @@ class TestBenchmark:
         assert "hyperparams" in manifest and "recipe" in manifest
         tlines = (outdir / "regret_time.csv").read_text().splitlines()
         assert tlines[0] == "algorithm,seed,seconds,log_regret"
+        # every value parses back to exactly the report's own
+        cells = [(a, s) for a in rep.algorithms for s in rep.seeds]
+        assert [
+            (a, int(s), int(k), float(obj), float(reg))
+            for a, s, k, obj, reg in (line.split(",") for line in lines[1:])
+        ] == [
+            (*cell, k, obj, reg) for cell in cells for k, (obj, reg) in
+            enumerate(zip(rep.objectives[cell].tolist(), rep.regrets[cell].tolist()))
+        ]
+        assert [
+            (a, int(s), float(sec), float(reg))
+            for a, s, sec, reg in (line.split(",") for line in tlines[1:])
+        ] == [
+            (*cell, sec, reg) for cell in cells
+            for sec, reg in zip(rep.seconds[cell].tolist(), rep.regrets[cell].tolist())
+        ]
 
     def test_deterministic(self):
         inst = small_instance()
@@ -198,7 +215,7 @@ class TestConsistencyStudy:
     def test_smoke_and_report(self, tmp_path):
         recipe = SyntheticRecipe(
             kind="custom",
-            K=2,
+            K=np.int64(2),  # an integer the recipe accepts; the manifest writes it as 2
             family="exponential",
             beta_true=1.0,
             alpha_low=0.05,
@@ -217,12 +234,20 @@ class TestConsistencyStudy:
             assert np.isfinite(r["final_objective"])
         assert set(rep.medians) == {60.0, 150.0}
         outdir = tmp_path / "cons"
-        rep.write(outdir)
+        write_report(outdir, rep)
         lines = (outdir / "consistency.csv").read_text().splitlines()
         assert lines[0] == "horizon,seed,n_events,rel_error,final_objective"
         assert len(lines) == 5
+        assert [
+            (float(T), int(seed), int(n), float(err), float(obj))
+            for T, seed, n, err, obj in (line.split(",") for line in lines[1:])
+        ] == [
+            (r["horizon"], r["seed"], r["n_events"], r["rel_error"], r["final_objective"])
+            for r in rep.rows
+        ]
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["seeds_per_T"] == 2
+        assert manifest["recipe"]["K"] == 2
 
     def test_scaled_domain_contains_truth(self):
         inst = small_instance()
