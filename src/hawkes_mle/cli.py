@@ -86,10 +86,7 @@ def cmd_fit(args):
     hp, algorithm = hyperparams_from_config(
         doc, allow_noncompliant=args.allow_noncompliant_hp, algo=args.algo, iters=args.iters)
     events = read_events(args.events, horizon=horizon)
-    try:
-        problem = LikelihoodProblem(spec, events, domain, reg_c=reg_c)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    problem = LikelihoodProblem(spec, events, domain, reg_c=reg_c)
     res = _RUNNERS[algorithm](problem, hp, init)
     meta = {
         "algorithm": algorithm,

@@ -93,13 +93,16 @@ def _write_json(path, doc):
         f.write(text)
 
 
-def _load_json(path, error=ConfigError):
-    """Parse a JSON file; an unreadable or malformed file raises ``error``."""
+def _load_json_object(path, error):
+    """A JSON file's top-level object; a bad or non-object file raises ``error``."""
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except (OSError, ValueError) as exc:
         raise error(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top level must be an object")
+    return doc
 
 
 def write_report(outdir, report):
@@ -185,7 +188,7 @@ def write_params(path, spec, params, objective=None, meta=None):
 
 def read_params(path):
     """Returns (spec, params, objective, meta) from a parameter JSON file."""
-    return _read(path, _params, _load_json_object(path))
+    return _read(path, _params, _load_json_object(path, ConfigError))
 
 
 def _params(doc):
@@ -253,8 +256,7 @@ _NONNEGATIVE = (lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"
 _LIST = (lambda v: isinstance(v, list)), "a list"
 _ITERS = (lambda v: v is None or _COUNT[0](v)), "a positive integer or null"
 _ALGORITHM = (lambda v: v in experiments.ALGORITHMS), f"one of {', '.join(experiments.ALGORITHMS)}"
-_RECIPE_FLOATS = ("cutoff", "beta_true", "alpha_low", "alpha_high", "alpha_divisor", "mu_low",
-                  "mu_high", "mu_divisor")
+_RECIPE_FLOATS = ("cutoff", "beta_true", "alpha_low", "alpha_high", "mu_low", "mu_high")
 
 
 def _fields(cls, **checks):
@@ -290,7 +292,8 @@ _SECTIONS = {
     },
     "recipe": _fields(
         experiments.SyntheticRecipe, K=_COUNT, M=_COUNT, seed=_SEED, horizon=_POSITIVE,
-        reg_c=_NONNEGATIVE, **dict.fromkeys(_RECIPE_FLOATS, (_is_finite, "a finite number")),
+        reg_c=_NONNEGATIVE, alpha_divisor=_POSITIVE, mu_divisor=_POSITIVE,
+        **dict.fromkeys(_RECIPE_FLOATS, (_is_finite, "a finite number")),
     ),
 }
 
@@ -311,17 +314,9 @@ def _section(doc, name):
     return doc
 
 
-def _load_json_object(path):
-    """A JSON file's top-level object (config or params), or a ConfigError."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return doc
-
-
 def load_config(path, require=("model", "init", "horizon")):
     """A simulate/fit config document, every section and key in it checked."""
-    return _read("", _config, _load_json_object(path), require)
+    return _read("", _config, _load_json_object(path, ConfigError), require)
 
 
 def _config(doc, require):
@@ -376,7 +371,7 @@ def experiment_from_config(path, command):
     holds the other arguments the config sets for ``run_benchmark`` or
     ``run_consistency_study``; the rest keep those functions' defaults.  The instance is
     generated here, so a bad recipe fails before any stream is simulated."""
-    return _read("", _experiment, _load_json_object(path), command)
+    return _read("", _experiment, _load_json_object(path, ConfigError), command)
 
 
 def _experiment(doc, command):
@@ -422,8 +417,7 @@ def _write_rebased(out_path, rows):
     t0 = rows[0][0] if rows else 0.0
     times = np.asarray([t - t0 for t, _ in rows])
     types = np.asarray([k for _, k in rows], dtype=np.int64)
-    horizon = float(times[-1]) if times.size else 0.0
-    write_events(out_path, EventSequence(times, types, horizon))
+    write_events(out_path, EventSequence(times, types, times[-1] if rows else 0.0))
 
 
 def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01):
@@ -437,9 +431,7 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
     """
     if not 0.0 <= max_bad_fraction <= 1.0:
         raise ValueError(f"max_bad_fraction must be a number in [0, 1], got {max_bad_fraction!r}")
-    code_map = _load_json(mapping_path, DataError)  # a JSON object's keys are strings
-    if not isinstance(code_map, dict):
-        raise DataError(f"{mapping_path}: expected an object of code -> letter")
+    code_map = _load_json_object(mapping_path, DataError)  # its keys are strings
     for code, letter in code_map.items():
         if letter not in ("L", "M", "C"):
             raise DataError(f"{mapping_path}: code {code!r} maps to {letter!r}, "
@@ -494,9 +486,7 @@ def ingest_memetracker(posts_path, groups_path, out_path):
     nonnegative integer; posts with unmapped urls are dropped and counted.
     Times are rebased to zero.
     """
-    groups = _load_json(groups_path, DataError)
-    if not isinstance(groups, dict):
-        raise DataError(f"{groups_path}: expected an object of url -> type index")
+    groups = _load_json_object(groups_path, DataError)
     for url, idx in groups.items():
         if type(idx) is not int or idx < 0:
             raise DataError(f"{groups_path}: url {url!r} maps to {idx!r}, "

@@ -231,11 +231,11 @@ class LikelihoodProblem:
 
     def __init__(self, spec, events, domain, reg_c=0.0):
         if events.horizon <= 0:
-            raise ValueError("observation horizon T must be positive")
+            raise DataError("observation horizon T must be positive")
         if not 0 <= reg_c < np.inf:
             raise ValueError(f"regularization coefficient must be finite and >= 0, got {reg_c}")
         if np.any(events.types >= spec.K):
-            raise ValueError("event type index out of range for the model spec")
+            raise DataError("event type index out of range for the model spec")
         domain.validate_kernels(spec)
         self.spec = spec
         self.events = events

@@ -44,8 +44,8 @@ class DomainError(ValueError):
 
 
 class DataError(ValueError):
-    """Malformed data file (event CSV, message CSV, mapping), or a stream
-    whose power-law pair list would exceed ``likelihood._PAIR_BUDGET``."""
+    """Malformed data file (event CSV, message CSV, mapping) or event stream: ``EventSequence``
+    and ``LikelihoodProblem`` raise it for library callers too, and the command line exits 3."""
 
 
 def _is_integer(value):

@@ -372,8 +372,10 @@ def _accept(problem, hp, u, u_hat, u_tilde, obj, grad, residual):
     """The four safeguard conditions on the extrapolated candidate u_tilde."""
     P = problem.dim
     theta = u_tilde[:P]
+    # ||grad|| >= max |grad_i|: a larger or NaN entry fails before the norm could overflow.
     if not (
-        float(np.linalg.norm(grad)) <= hp.c1 * residual
+        np.abs(grad).max() <= hp.c1 * residual
+        and float(np.linalg.norm(grad)) <= hp.c1 * residual
         and problem.domain.contains(theta)
         and float(np.linalg.norm(u_tilde[P:] - u[P:]))
         <= hp.c2 * float(np.linalg.norm(u_hat[P:] - u[P:]))

@@ -49,7 +49,7 @@ from itertools import accumulate, chain, islice
 
 import numpy as np
 
-from .model import Exponential, _is_integer, _stationary_branching_matrix
+from .model import DataError, Exponential, _is_integer, _stationary_branching_matrix
 
 __all__ = [
     "EventSequence",
@@ -72,10 +72,10 @@ class SimulationCapError(RuntimeError):
 
 
 def _finite_horizon(horizon):
-    """float(horizon), or ValueError unless it is finite and nonnegative."""
+    """float(horizon), or DataError unless it is finite and nonnegative."""
     horizon = float(horizon)
     if not 0.0 <= horizon < np.inf:
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+        raise DataError(f"horizon must be finite and nonnegative, got {horizon}")
     return horizon
 
 
@@ -93,7 +93,7 @@ class SimConfig:
 
 @dataclass
 class EventSequence:
-    """Sorted, typed arrival times on [0, T]."""
+    """Sorted, typed arrival times on [0, T]; a malformed stream raises ``DataError``."""
 
     times: np.ndarray
     types: np.ndarray
@@ -104,20 +104,20 @@ class EventSequence:
         types = np.asarray(self.types)
         # A cast would truncate 1.7 to 1 and fail on NaN with numpy's message.
         if types.dtype.kind == "f" and not np.all(np.isfinite(types) & (np.floor(types) == types)):
-            raise ValueError("types must be integers")
+            raise DataError("types must be integers")
         self.types = types.astype(np.int64, copy=False)
         self.horizon = _finite_horizon(self.horizon)
         if self.times.shape != self.types.shape or self.times.ndim != 1:
-            raise ValueError("times and types must be 1-d arrays of equal length")
+            raise DataError("times and types must be 1-d arrays of equal length")
         if not np.all(np.isfinite(self.times)):
-            raise ValueError("times must be finite")
+            raise DataError("times must be finite")
         if self.times.size:
             if np.any(np.diff(self.times) < 0):
-                raise ValueError("times must be nondecreasing")
+                raise DataError("times must be nondecreasing")
             if self.times[0] < 0 or self.times[-1] > self.horizon:
-                raise ValueError("times must lie in [0, horizon]")
+                raise DataError("times must lie in [0, horizon]")
         if np.any(self.types < 0):
-            raise ValueError("types must be nonnegative integers")
+            raise DataError("types must be nonnegative integers")
 
     def __len__(self):
         return self.times.size
@@ -185,6 +185,9 @@ class _Doubles:
         self.stream = chain.from_iterable(blocks)
         self.next = self.stream.__next__
 
+
+# The largest mean numpy's ``poisson`` draws from; it raises on a larger one.
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 # The factor that takes numpy's exp(-lam) below libm's: over 1.1 million lam
 # in (0, 10] the two differed by at most one unit in the last place (2**-52
@@ -263,7 +266,7 @@ def _poisson_walk(means, doubles):
     return live[hits], counts, uniforms
 
 
-def _offspring(times, types, horizon, kernels, weights, doubles):
+def _offspring(times, types, horizon, kernels, weights, doubles, total, max_events):
     """The next generation of (times, types), ordered by (time, type).
 
     ``weights[j, i, m]`` is alpha[m, i, j].  An event of type j at s < T has
@@ -272,7 +275,8 @@ def _offspring(times, types, horizon, kernels, weights, doubles):
     uniforms of its offsets, all read by :func:`_poisson_walk` off the reader
     ``doubles``.  A row of zero mean (a zero weight, or an event at T) reads
     no double, as ``rng.poisson(0)`` reads none.  The masses and the
-    offsets take one call per kernel.
+    offsets take one call per kernel.  If ``total``, the events before it, plus its
+    count exceed ``max_events``, SimulationCapError is raised before any array is built.
     """
     K, M = len(weights), len(kernels)
     windows = horizon - times
@@ -283,6 +287,9 @@ def _offspring(times, types, horizon, kernels, weights, doubles):
     means = (weights.take(types, axis=0) * masses.T[:, None, :]).ravel()
 
     hits, counts, uniforms = _poisson_walk(means, doubles)
+    total += sum(counts)
+    if total > max_events:
+        raise SimulationCapError(total, max_events)
     if not counts:
         return np.empty(0), np.empty(0, dtype=np.int64)
 
@@ -324,25 +331,29 @@ def simulate_cluster(spec, params, horizon, config):
     kernels = [(kern, float(b)) for kern, b in zip(spec.kernels, params.beta)]
     weights = np.ascontiguousarray(params.alpha.transpose(2, 1, 0))  # [j, i, m]
 
-    times, types = [], []
+    means = params.mu * horizon
+    if not np.all(means <= _POISSON_LAM_MAX):  # numpy's poisson refuses such a mean
+        raise SimulationCapError(0, config.max_events)
+    times, counts = [], []
     for k in range(K):
-        n_k = rng_imm.poisson(params.mu[k] * horizon)
-        times.append(rng_imm.uniform(0.0, horizon, size=n_k))
-        types.append(np.full(n_k, k, dtype=np.int64))
-    times, types = _by_time_type(np.concatenate(times), np.concatenate(types))
+        counts.append(int(rng_imm.poisson(means[k])))
+        if sum(counts) > config.max_events:  # past the cap: skip its uniforms, unmade
+            rng_imm.bit_generator.advance(counts[-1])
+        else:
+            times.append(rng_imm.uniform(0.0, horizon, size=counts[-1]))
+    total = sum(counts)
+    if total > config.max_events:
+        raise SimulationCapError(total, config.max_events)
+    times, types = _by_time_type(np.concatenate(times), np.repeat(np.arange(K), counts))
 
-    gen_times, gen_types = [], []
+    gen_times, gen_types = [times], [types]
     doubles = _Doubles(rng_off)  # kept across generations
-    total = 0
-    while True:
+    while times.size:
+        times, types = _offspring(times, types, horizon, kernels, weights, doubles, total,
+                                  config.max_events)
+        total += times.size
         gen_times.append(times)
         gen_types.append(types)
-        total += times.size
-        if total > config.max_events:
-            raise SimulationCapError(total, config.max_events)
-        if not times.size:
-            break
-        times, types = _offspring(times, types, horizon, kernels, weights, doubles)
 
     return _finalize(np.concatenate(gen_times), np.concatenate(gen_types), horizon)
 

@@ -117,6 +117,29 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("horizon", ["1e20", "1e200", "1e300"])
+    def test_cluster_mean_past_numpy_poisson_exit_1(self, tmp_path, capsys, horizon):
+        """An immigrant mean mu * T that numpy's ``poisson`` cannot draw (past
+        about 2**63) is refused before any draw, as the thinning sampler stops
+        at the cap."""
+        cfg = write_config(tmp_path / "cfg.json", base_config())
+        out = tmp_path / "e.csv"
+        code = main(["simulate", "--config", cfg, "--out", str(out), "--horizon", horizon])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: simulation exceeded max_events=10000000 (generated 0)\n")
+        assert not out.exists()
+
+    def test_cluster_immigrants_past_cap_are_counted_unallocated(self, tmp_path, capsys):
+        """5e17 immigrants: the count is drawn and reported, their times are not."""
+        cfg = write_config(tmp_path / "cfg.json", base_config())
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "e.csv"),
+                     "--horizon", "1e18"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: simulation exceeded max_events=10000000 (generated ")
+        assert int(err.split("generated ")[1].rstrip(")\n")) > 4e17
+
 
 class TestFitCommand:
     def test_poisson_fit_recovers_rate(self, tmp_path):
@@ -424,6 +447,21 @@ class TestIngestLobster:
         assert (summary["rows_bad"], summary["rows_written"]) == (0, 3)
         assert read_events(str(out)).types.tolist() == [0, 1, 5]
 
+    def test_time_span_past_largest_double_exit_3(self, tmp_path, capsys):
+        """Rebased to start at zero, times -1e308 and 1e308 give an infinite
+        horizon, which the event stream refuses as a data error."""
+        msg = tmp_path / "msg.csv"
+        msg.write_text("-1e308,1,1,1,1,1\n1e308,1,1,1,1,1\n")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"1": "L"}))
+        out = tmp_path / "e.csv"
+        code = main(["ingest-lobster", "--messages", str(msg), "--types", str(mapping),
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "data error: horizon must be finite and nonnegative, got inf\n"
+        assert not out.exists()
+
     def test_bad_mapping_letter(self, tmp_path):
         msg = tmp_path / "msg.csv"
         msg.write_text("1.0,1,1,1,1,1\n")
@@ -523,6 +561,24 @@ class TestParamsJsonRoundTrip:
 
 
 class TestFitDataErrors:
+    def test_aa_ipalm_at_huge_horizon_is_silent(self, tmp_path, capsys):
+        """T = 1e300 makes the gradient's entries about 1e300, whose squares
+        overflow; the safeguard's c1 comparison is taken without them."""
+        rng = np.random.default_rng(0)
+        times = np.sort(rng.uniform(0.0, 100.0, 50))
+        events = tmp_path / "e.csv"
+        events.write_text("time,type\n" + "".join(
+            f"{t!r},{k}\n" for t, k in zip(times.tolist(), rng.integers(0, 2, 50).tolist())))
+        cfg = write_config(tmp_path / "cfg.json",
+                           base_config(K=2, alpha=0.2, horizon=1e300, algorithm="aa-ipalm",
+                                       max_iters=30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["fit", "--events", str(events), "--config", cfg,
+                         "--out", str(tmp_path / "p.json")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_event_type_beyond_model_k_exit_3(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", base_config())  # K = 1
         bad = tmp_path / "bad.csv"
@@ -1124,3 +1180,21 @@ def test_read_trace_wrong_header(tmp_path):
     path.write_text("iter,objective\n1,0.5\n")
     with pytest.raises(DataError, match="expected header"):
         read_trace(str(path))
+
+
+@pytest.mark.parametrize("command, data_flag, map_flag", [
+    ("ingest-lobster", "--messages", "--types"),
+    ("ingest-memetracker", "--posts", "--groups"),
+])
+@pytest.mark.parametrize("mapping", [["L"], "L", None])
+def test_ingestion_map_not_an_object_exit_3(tmp_path, capsys, command, data_flag, map_flag,
+                                            mapping):
+    """A map is read by the one JSON-object loader, as config and params files are."""
+    data = tmp_path / "data.csv"
+    data.write_text("time,url\n1.0,a\n")
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(mapping))
+    code = main([command, data_flag, str(data), map_flag, str(map_path),
+                 "--out", str(tmp_path / "e.csv")])
+    assert code == 3
+    assert capsys.readouterr().err == f"data error: {map_path}: top level must be an object\n"

@@ -1,9 +1,10 @@
 """Derandomized fuzz test of the command line.
 
 Each example runs ``cli.main`` once on a generated input: a valid config of
-some command with one value mutated, an event CSV for ``fit``, or an
-ingestion map with its messages or posts.  Every run must exit 0, 1, 2 or 3
-without a traceback, and every params or trace file it writes must parse back
+some command with one value mutated, an event CSV for ``fit``, an ingestion
+map with its messages or posts, or a horizon or time stamps at extreme
+magnitudes.  Every run must exit 0, 1, 2 or 3 without a traceback or a
+``RuntimeWarning``, and every params or trace file it writes must parse back
 with only finite numbers.  The inputs are tiny (K <= 2, <= 30 events, <= 3
 iterations, one seed) so the whole module runs in seconds.
 """
@@ -95,12 +96,18 @@ def mutated(draw, doc):
 
 
 def run(argv, workdir):
-    """Run the command line; check the exit code, stderr and the files written."""
+    """Run the command line; check the exit code, stderr, the warnings and the files written.
+
+    A ``UserWarning`` (non-compliant hyperparameters) may be issued; a ``RuntimeWarning``,
+    numpy's overflow or invalid-value warning outside the likelihood's floating-point
+    guard, fails the run."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
     assert code in (0, 1, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     for path in workdir.iterdir():
@@ -217,3 +224,55 @@ def test_ingestion(mapping, messages, posts, fraction):
              "--max-bad-fraction", fraction], wd)
         run(["ingest-memetracker", "--posts", write(wd, "p.csv", "\n".join(["time,url", *posts])),
              "--groups", map_path, "--out", str(wd / "out_events_meme.csv")], wd)
+
+
+# Horizons far past any stream: mu * T passes 2**63, numpy's largest Poisson
+# mean, from T = 2e19 on (mu = 0.5).  Even the smallest, 1e15, passes the
+# default event cap at once, so no draw simulates a long stream.
+HUGE = st.sampled_from([1e15, 1e19, 2e19, 1e100, 1e200, 1e300]) | st.floats(1e15, 1e300)
+
+
+@settings(FUZZ, max_examples=40)
+@given(st.sampled_from([FIT_CONFIG, POWERLAW_CONFIG]), HUGE,
+       st.sampled_from([[], ["--method", "thinning", "--max-events", "50"],
+                        ["--max-events", "50"]]))
+def test_simulate_at_extreme_horizons(config, horizon, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        wd = Path(tmp)
+        run(["simulate", "--config", write(wd, "c.json", config), "--horizon", repr(horizon),
+             "--out", str(wd / "out_events.csv"), *flags], wd)
+
+
+@settings(FUZZ, max_examples=40)
+@given(st.sampled_from([FIT_CONFIG, POWERLAW_CONFIG]), HUGE, ROWS,
+       st.sampled_from(["palm", "ipalm", "aa-ipalm"]))
+def test_fit_at_extreme_horizons(config, horizon, rows, algo):
+    with tempfile.TemporaryDirectory() as tmp:
+        wd = Path(tmp)
+        lines = "".join(f"{t!r},{k}\n" for t, k in sorted(rows))
+        config = {**config, "horizon": horizon}
+        run(["fit", "--events", write(wd, "e.csv", "time,type\n" + lines),
+             "--config", write(wd, "c.json", config), "--algo", algo,
+             "--out", str(wd / "out_params.json"), "--trace", str(wd / "out_trace.csv")], wd)
+
+
+# Time stamps up to the largest double, either sign: rebased to start at zero,
+# a log spanning more than it has an infinite horizon.
+MAX_DOUBLE = 1.7976931348623157e308
+EXTREME_TIMES = (st.sampled_from([-MAX_DOUBLE, -1e308, -1.0, 0.0, 5e-324, 1e308, MAX_DOUBLE])
+                 | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@FUZZ
+@given(st.lists(EXTREME_TIMES, max_size=6))
+def test_ingestion_at_extreme_times(times):
+    with tempfile.TemporaryDirectory() as tmp:
+        wd = Path(tmp)
+        messages = "".join(f"{t!r},1,1,1,1,1\n" for t in times)
+        posts = "time,url\n" + "".join(f"{t!r},a\n" for t in times)
+        run(["ingest-lobster", "--messages", write(wd, "m.csv", messages),
+             "--types", write(wd, "map.json", {"1": "L"}),
+             "--out", str(wd / "out_events_lob.csv")], wd)
+        run(["ingest-memetracker", "--posts", write(wd, "p.csv", posts),
+             "--groups", write(wd, "groups.json", {"a": 0}),
+             "--out", str(wd / "out_events_meme.csv")], wd)

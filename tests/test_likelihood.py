@@ -24,6 +24,7 @@ from hawkes_mle import (
     regularized_objective,
     simulate_cluster,
 )
+from hawkes_mle.model import DataError
 
 
 class TestIntensity:
@@ -221,3 +222,9 @@ class TestStructuralProperties:
         spec = exp_spec(K=1)
         with pytest.raises(ValueError):
             problem(spec, events([1.0], [1], horizon=2.0))
+
+    @pytest.mark.parametrize("times, types, horizon", [([1.0], [1], 2.0), ([], [], 0.0)],
+                             ids=["type-beyond-K", "zero-horizon"])
+    def test_stream_that_does_not_fit_the_model_is_a_data_error(self, times, types, horizon):
+        with pytest.raises(DataError):
+            problem(exp_spec(K=1), events(times, np.array(types, dtype=np.int64), horizon))

@@ -25,6 +25,7 @@ from hawkes_mle import (
     spectral_radius,
     stationary_mean_intensity,
 )
+from hawkes_mle.model import DataError
 
 
 def _rates(sim, spec, pv, T, seeds):
@@ -146,6 +147,13 @@ class TestClusterSimulator:
         with pytest.raises(SimulationCapError) as exc:
             simulate_cluster(spec, pv, 100.0, SimConfig(seed=0, max_events=50))
         assert exc.value.n_events > 50
+
+    @pytest.mark.parametrize("horizon", [2e19, 1e300])
+    def test_mean_past_numpy_poisson_refused_before_any_draw(self, horizon):
+        """mu * T past numpy's largest Poisson mean (about 2**63) draws nothing."""
+        with pytest.raises(SimulationCapError) as exc:
+            simulate_cluster(exp_spec(), params(0.5, 0.2, 1.0), horizon, SimConfig(seed=0))
+        assert (exc.value.n_events, exc.value.max_events) == (0, 10_000_000)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "3"])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
@@ -327,7 +335,7 @@ class TestClusterBookkeeping:
             rng = np.random.default_rng(5)
             doubles = simulate._Doubles(rng)
             out = simulate._offspring(np.array(times), np.zeros(len(times), dtype=np.int64),
-                                      5.0, kernels, weights, doubles)
+                                      5.0, kernels, weights, doubles, 0, 100)
             doubles.rewind()
             return out, rng.bit_generator.state
 
@@ -765,6 +773,14 @@ class TestEventSequence:
     def test_malformed_stream(self, times, types, message):
         with pytest.raises(ValueError, match=message):
             EventSequence(np.array(times), np.array(types), 10.0)
+
+    @pytest.mark.parametrize("times, types, horizon", [
+        ([1.0], [0], np.inf), ([2.0, 1.0], [0, 0], 10.0), ([1.0], [-1], 10.0),
+    ], ids=["infinite-horizon", "unsorted", "negative-type"])
+    def test_malformed_stream_is_a_data_error(self, times, types, horizon):
+        """For library callers too, not only for the command line."""
+        with pytest.raises(DataError):
+            EventSequence(np.array(times), np.array(types), horizon)
 
     def test_integral_float_types_accepted(self):
         ev = EventSequence(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 10.0)
