@@ -26,6 +26,7 @@ from .model import (
     ModelSpec,
     ParamVector,
     PowerLawCutoff,
+    _is_finite,
     _is_integer,
     branching_matrix,
     project_onto_box,
@@ -117,6 +118,10 @@ def _kernel_for(recipe):
 
 def generate_instance(recipe):
     """Sample ground truth until stationary, then build box, init, defaults."""
+    for name in ("alpha_divisor", "mu_divisor"):
+        value = getattr(recipe, name)
+        if not (_is_finite(value) and value > 0):
+            raise ValueError(f"{name}: expected a finite number > 0, got {value!r}")
     spec = ModelSpec(K=recipe.K, M=recipe.M, kernels=[_kernel_for(recipe)] * recipe.M)
     rng = np.random.default_rng(recipe.seed)
     K, M = recipe.K, recipe.M
@@ -203,6 +208,12 @@ class BenchmarkReport:
                 "regret_time.csv": ("algorithm,seed,seconds,log_regret", per_second)}
 
 
+def _simulated_problem(instance, horizon, seed):
+    """The likelihood problem of one cluster-sampled stream of ``instance`` on [0, horizon]."""
+    events = simulate_cluster(instance.spec, instance.params, horizon, SimConfig(seed=seed))
+    return LikelihoodProblem(instance.spec, events, instance.domain, reg_c=instance.reg_c)
+
+
 def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3, 4)):
     """Simulate one stream per seed, run each algorithm from the shared init.
 
@@ -222,13 +233,8 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
 
     objectives, seconds, regrets, best, n_events = {}, {}, {}, {}, {}
     for seed in seeds:
-        ev = simulate_cluster(
-            instance.spec, instance.params, instance.horizon, SimConfig(seed=seed)
-        )
-        prob = LikelihoodProblem(
-            instance.spec, ev, instance.domain, reg_c=instance.reg_c
-        )
-        n_events[seed] = len(ev)
+        prob = _simulated_problem(instance, instance.horizon, seed)
+        n_events[seed] = prob.n
         for algo in algorithms:
             res = runners[algo](prob, hp, instance.init)
             objectives[(algo, seed)] = np.array(
@@ -376,12 +382,7 @@ def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=
     for ti, T in enumerate(T_grid):
         for rep in range(seeds_per_T):
             sim_seed = recipe.seed * 1_000_003 + ti * 10_007 + rep
-            ev = simulate_cluster(
-                instance.spec, instance.params, T, SimConfig(seed=sim_seed)
-            )
-            prob = LikelihoodProblem(
-                instance.spec, ev, instance.domain, reg_c=instance.reg_c
-            )
+            prob = _simulated_problem(instance, T, sim_seed)
             res = fit_stream(prob, iters=iters)
             err = float(
                 np.linalg.norm(im.pack(res.params) - truth_flat) / truth_norm
@@ -390,7 +391,7 @@ def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=
                 {
                     "horizon": T,
                     "seed": sim_seed,
-                    "n_events": len(ev),
+                    "n_events": prob.n,
                     "rel_error": err,
                     "final_objective": res.final_objective,
                 }

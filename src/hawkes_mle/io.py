@@ -265,9 +265,10 @@ def _fields(cls, **checks):
 
 
 # Each section's keys: a key maps to its check, to the name of the section it
-# holds, or to None when its value's constructor checks it.  The domain, init,
-# optimizer and recipe sections are the dataclasses' own fields, and
-# allow_noncompliant is a command-line flag, not a config key.
+# holds, or to None when its value's constructor (for a recipe's divisors,
+# ``generate_instance``) checks it.  The domain, init, optimizer and recipe
+# sections are the dataclasses' own fields, and allow_noncompliant is a
+# command-line flag, not a config key.
 _SECTIONS = {
     "config": {"model": "model", "domain": "domain", "init": "init",
                "regularization": "regularization", "optimizer": "optimizer",
@@ -292,7 +293,7 @@ _SECTIONS = {
     },
     "recipe": _fields(
         experiments.SyntheticRecipe, K=_COUNT, M=_COUNT, seed=_SEED, horizon=_POSITIVE,
-        reg_c=_NONNEGATIVE, alpha_divisor=_POSITIVE, mu_divisor=_POSITIVE,
+        reg_c=_NONNEGATIVE,
         **dict.fromkeys(_RECIPE_FLOATS, (_is_finite, "a finite number")),
     ),
 }

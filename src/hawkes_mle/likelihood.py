@@ -82,28 +82,32 @@ _PAIR_BUDGET = 1 << 28
 
 
 def _pair_list(times, order, stamps, W, cutoffs):
-    """Elapsed times of all kernel pairs, grouped into cells, and the cells.
+    """Log-shifted elapsed times of all kernel pairs, grouped into cells, and the cells.
 
     A pair (source b, distinct stamp u_g of ``stamps``) enters the sums when
     t_b < u_g, once for all the events tied at u_g (W[g, j] counts those of
     type j); it belongs to the cell ``g * K + types[b]``.  Pairs are ordered
     by cell and, inside a cell, by source time, so each cell is one
-    contiguous segment.  Returns (dt, starts, cells): ``starts`` are the
-    segments' first positions and ``cells`` their flat cells, nonempty cells
-    only, in order.
+    contiguous segment.  Returns (logs, starts, cells): ``logs`` maps each
+    distinct cutoff c of ``cutoffs`` to log(dt + c) over the pairs, dt the
+    elapsed time; ``starts`` are the segments' first positions and ``cells``
+    their flat cells, nonempty cells only, in order.
 
-    Each of the ``cutoffs`` distinct cutoffs keeps one array of the pairs.
-    Over ``_PAIR_BUDGET`` pairs times cutoffs this raises ``DataError``,
-    naming n, the pairs and the bytes, before any pair-sized allocation.
+    Each log is taken in place, the last one in dt's own storage, so the
+    lists hold one pair-sized array per distinct cutoff and no temporary.
+    Over ``_PAIR_BUDGET`` pairs times distinct cutoffs this raises
+    ``DataError``, naming n, the pairs and the bytes, before any pair-sized
+    allocation.
     """
+    *others, last = distinct = dict.fromkeys(cutoffs)
     # sizes[g, j]: the events of type j strictly earlier than u_g.
     sizes = np.cumsum(W, axis=0) - W
     pairs = int(sizes.sum())
-    if pairs * cutoffs > _PAIR_BUDGET:
+    if pairs * len(distinct) > _PAIR_BUDGET:
         raise DataError(
             f"{times.size} events at {stamps.size} distinct time stamps make "
-            f"{pairs} power-law kernel pairs; with {cutoffs} distinct "
-            f"cutoff(s) the pair list would take {8 * pairs * cutoffs} bytes, "
+            f"{pairs} power-law kernel pairs; with {len(distinct)} distinct "
+            f"cutoff(s) the pair list would take {8 * pairs * len(distinct)} bytes, "
             f"over its budget of {8 * _PAIR_BUDGET} bytes"
         )
     hi = sizes.sum(axis=1)  # sources of each stamp: the hi earliest events
@@ -117,23 +121,13 @@ def _pair_list(times, order, stamps, W, cutoffs):
     grouped = times[order]
     for u, b, o in zip(stamps.tolist(), hi.tolist(), (np.cumsum(hi) - hi).tolist()):
         np.subtract(u, grouped[order < b], out=dt[o : o + b])
-    return dt, starts[cells], cells
-
-
-def _pair_logs(dt, cutoffs):
-    """{c: log(dt + c)} for each distinct cutoff; the last one overwrites dt.
-
-    Each log is taken in place, so the lists hold one pair-sized array per
-    cutoff and no temporary: the peak is what ``_pair_list`` budgets.
-    """
-    *others, last = dict.fromkeys(cutoffs)
     logs = {}
     for c in others:
         shifted = dt + c
         logs[c] = np.log(shifted, out=shifted)
     np.add(dt, last, out=dt)
     logs[last] = np.log(dt, out=dt)
-    return logs
+    return logs, starts[cells], cells
 
 
 def _split(starts, pairs, parts):
@@ -258,24 +252,23 @@ class LikelihoodProblem:
         self._comp_dt = self.T - times[order]  # elapsed time entering the compensator
         # Distinct stamps u_g (grouping ties keeps simultaneous events out of
         # each other's sums), their gaps u_g - u_{g-1} (0 for the first) and
-        # type counts in the scan's layout, and each row's stamp in it, as
-        # an index into that layout's rows taken flat: stamp g sits at
-        # [g % B, g // B], flat row (g % B) * nb + g // B.
+        # type counts in the scan's layout.  Stamp g sits there at
+        # [g % B, g // B], so its row of the layout taken flat is flat_row[g].
         stamps, stamp_of = np.unique(times, return_inverse=True)
         W = np.bincount(stamp_of * K + types, minlength=stamps.size * K).reshape(-1, K)
         self._gaps = _blocked(np.diff(stamps, prepend=stamps[:1]))
         self._counts = _blocked(W)
-        block, at = np.divmod(stamp_of[order], _SCAN_BLOCK)
-        self._stamp_row = at * self._counts.shape[1] + block
+        g = np.arange(stamps.size)
+        flat_row = g % _SCAN_BLOCK * self._counts.shape[1] + g // _SCAN_BLOCK
+        self._stamp_row = flat_row[stamp_of[order]]
         # Exponential kernels take the recursion; power-law kernels sum over
         # the pair list, its cells (g, j) kept at their places in that layout.
         cutoffs = [k.c for k in spec.kernels if not isinstance(k, Exponential)]
         if cutoffs:
-            dt, self._cell_start, cells = _pair_list(times, order, stamps, W, len(set(cutoffs)))
-            g, j = np.divmod(cells, K)
-            self._cell_index = (g % _SCAN_BLOCK * self._counts.shape[1] + g // _SCAN_BLOCK) * K + j
-            self._pair_logs = _pair_logs(dt, cutoffs)
-            self._parts = _split(self._cell_start, dt.size, max(1, -(-dt.size // _PART_PAIRS)))
+            self._pair_logs, self._cell_start, cells = _pair_list(times, order, stamps, W, cutoffs)
+            self._cell_index = flat_row[cells // K] * K + cells % K
+            pairs = self._pair_logs[cutoffs[0]].size
+            self._parts = _split(self._cell_start, pairs, max(1, -(-pairs // _PART_PAIRS)))
         else:
             self._pair_logs = None
         self.kernel_passes = 0

@@ -79,13 +79,14 @@ def _decay_mass_drate(u, rate):
     """d/drate of ``_decay_mass``, (e^{-x} (1 + x) - 1) / rate^2 at x = rate u, by a
     series where |x| < 1e-3 (that form cancels there); -u^2/2 at rate 0.  Where
     x >= 708, e^{-x} (1 + x) < 1e-300 vanishes against the 1, so e^{-x} is set
-    to 0: the same bits, without numpy's slow path."""
+    to 0 and 1 + x capped at 709: the same bits, without numpy's slow path,
+    and 0 rather than 0 * inf = NaN at x = inf."""
     u = np.asarray(u, dtype=float)
     if rate == 0.0:
         return -0.5 * u * u
     x = rate * u
     decay = np.exp(-x, out=np.zeros_like(x), where=x < 708.0)
-    out = np.asarray((decay * (1.0 + x) - 1.0) / (rate * rate))
+    out = np.asarray((decay * (1.0 + np.minimum(x, 708.0)) - 1.0) / (rate * rate))
     small = np.abs(x) < 1e-3
     if small.any():
         out[small] = (u * u * (-0.5 + x / 3.0 - x * x / 8.0))[small]

@@ -973,6 +973,14 @@ class TestExperimentConfigErrors:
         assert capsys.readouterr().err.startswith("config error: recipe: ")
 
     @pytest.mark.parametrize("command", ["benchmark", "consistency"])
+    @pytest.mark.parametrize("divisor", ["alpha_divisor", "mu_divisor"])
+    def test_zero_divisor_exit_1(self, tmp_path, capsys, monkeypatch, command, divisor):
+        doc = self.with_recipe(command, {divisor: 0})
+        assert self.run(tmp_path, monkeypatch, command, doc) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: recipe: {divisor}: expected a finite number > 0, got 0\n"
+
+    @pytest.mark.parametrize("command", ["benchmark", "consistency"])
     def test_recipe_without_stationary_draw_exit_2(
         self, tmp_path, capsys, monkeypatch, command
     ):

@@ -18,6 +18,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -226,10 +227,13 @@ def test_ingestion(mapping, messages, posts, fraction):
              "--groups", map_path, "--out", str(wd / "out_events_meme.csv")], wd)
 
 
-# Horizons far past any stream: mu * T passes 2**63, numpy's largest Poisson
-# mean, from T = 2e19 on (mu = 0.5).  Even the smallest, 1e15, passes the
-# default event cap at once, so no draw simulates a long stream.
-HUGE = st.sampled_from([1e15, 1e19, 2e19, 1e100, 1e200, 1e300]) | st.floats(1e15, 1e300)
+# Horizons far past any stream, up to the largest double: mu * T passes 2**63,
+# numpy's largest Poisson mean, from T = 2e19 on (mu = 0.5).  Even the
+# smallest, 1e15, passes the default event cap at once, so no draw simulates a
+# long stream.
+MAX_DOUBLE = 1.7976931348623157e308
+HUGE = (st.sampled_from([1e15, 1e19, 2e19, 1e100, 1e200, 1e300, MAX_DOUBLE])
+        | st.floats(1e15, MAX_DOUBLE))
 
 
 @settings(FUZZ, max_examples=40)
@@ -247,18 +251,31 @@ def test_simulate_at_extreme_horizons(config, horizon, flags):
 @given(st.sampled_from([FIT_CONFIG, POWERLAW_CONFIG]), HUGE, ROWS,
        st.sampled_from(["palm", "ipalm", "aa-ipalm"]))
 def test_fit_at_extreme_horizons(config, horizon, rows, algo):
+    fit_at(config, horizon, rows, algo)
+
+
+@pytest.mark.parametrize("algo", ["palm", "ipalm", "aa-ipalm"])
+@pytest.mark.parametrize("config", [FIT_CONFIG, POWERLAW_CONFIG], ids=["exp", "pwl"])
+def test_fit_at_the_largest_double(config, algo):
+    """At T the largest double, the beta-gradient's compensator term takes
+    e^{-x} (1 + x) at x = inf, where its limit is 0: the fit succeeds."""
+    assert fit_at(config, MAX_DOUBLE, [(0.5, 0)], algo) == 0
+
+
+def fit_at(config, horizon, rows, algo):
+    """Exit code of ``fit`` on ``rows`` (time, type) with the config at ``horizon``."""
     with tempfile.TemporaryDirectory() as tmp:
         wd = Path(tmp)
         lines = "".join(f"{t!r},{k}\n" for t, k in sorted(rows))
         config = {**config, "horizon": horizon}
-        run(["fit", "--events", write(wd, "e.csv", "time,type\n" + lines),
-             "--config", write(wd, "c.json", config), "--algo", algo,
-             "--out", str(wd / "out_params.json"), "--trace", str(wd / "out_trace.csv")], wd)
+        argv = ["fit", "--events", write(wd, "e.csv", "time,type\n" + lines),
+                "--config", write(wd, "c.json", config), "--algo", algo,
+                "--out", str(wd / "out_params.json"), "--trace", str(wd / "out_trace.csv")]
+        return run(argv, wd)
 
 
 # Time stamps up to the largest double, either sign: rebased to start at zero,
 # a log spanning more than it has an infinite horizon.
-MAX_DOUBLE = 1.7976931348623157e308
 EXTREME_TIMES = (st.sampled_from([-MAX_DOUBLE, -1e308, -1.0, 0.0, 5e-324, 1e308, MAX_DOUBLE])
                  | st.floats(allow_nan=False, allow_infinity=False))
 

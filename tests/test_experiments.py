@@ -1,5 +1,6 @@
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,14 @@ class TestRecipes:
     def test_bad_family(self):
         with pytest.raises(ValueError):
             generate_instance(SyntheticRecipe(family="gamma"))
+
+    @pytest.mark.parametrize("divisor", ["alpha_divisor", "mu_divisor"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_divisor_refused_before_dividing(self, divisor, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{divisor}: expected a finite number > 0"):
+                generate_instance(SyntheticRecipe(**{divisor: value}))
 
     def test_impossible_recipe_fails_cleanly(self):
         huge = SyntheticRecipe(
