@@ -22,7 +22,7 @@ from . import experiments
 from .model import BoxDomain, DataError, Exponential, ModelSpec, ParamVector, PowerLawCutoff
 from .model import _is_finite, _is_integer
 from .optim import HyperParams
-from .simulate import EventSequence
+from .simulate import EventSequence, _by_time_type
 
 __all__ = [
     "ConfigError",
@@ -63,20 +63,31 @@ def _write_table(path, header, rows):
         f.write(text)
 
 
+def _header(path, f, header):
+    """Read the open file's first line; anything but ``header`` is a DataError."""
+    first = f.readline().rstrip("\n")
+    if first != header:
+        raise DataError(f"{path}: expected header {header!r}, got {first!r}")
+
+
+def _lines(f, start):
+    """(row number, stripped line) per nonblank line left in ``f``; the next is row ``start``."""
+    for lineno, line in enumerate(f, start=start):
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
 def _rows(path, header):
     """(row number, fields) per nonblank row; a wrong header or field count is a DataError."""
     n = header.count(",") + 1
     with open(path) as f:
-        first = f.readline().rstrip("\n")
-        if first != header:
-            raise DataError(f"{path}: expected header {header!r}, got {first!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if line:
-                parts = line.split(",")
-                if len(parts) != n:
-                    raise DataError(f"{path}: row {lineno}: expected {n} fields, got {len(parts)}")
-                yield lineno, parts
+        _header(path, f, header)
+        for lineno, line in _lines(f, 2):
+            parts = line.split(",")
+            if len(parts) != n:
+                raise DataError(f"{path}: row {lineno}: expected {n} fields, got {len(parts)}")
+            yield lineno, parts
 
 
 def _plain(value):
@@ -136,13 +147,11 @@ def read_events(path, horizon=None):
     times, types, last = [], [], 0.0
     for lineno, (t, k) in _rows(path, EVENT_HEADER):
         try:
-            t, k = float(t), int(k)
+            t, k = _finite_time(t), int(k)
+            if not (last <= t and k >= 0):
+                raise ValueError("negative time or type" if t < 0 or k < 0 else "times not sorted")
         except ValueError as exc:
             raise DataError(f"{path}: row {lineno}: {exc}") from None
-        if not (last <= t < math.inf and k >= 0):
-            fault = (f"non-finite time {t}" if not math.isfinite(t)
-                     else "negative time or type" if t < 0 or k < 0 else "times not sorted")
-            raise DataError(f"{path}: row {lineno}: {fault}")
         last = t
         times.append(t)
         types.append(k)
@@ -413,12 +422,13 @@ LOB_TYPE_INDEX = {
 
 
 def _write_rebased(out_path, rows):
-    """Sort (time, type) rows, shift times to start at zero, write an event CSV."""
-    rows.sort()
-    t0 = rows[0][0] if rows else 0.0
-    times = np.asarray([t - t0 for t, _ in rows])
-    types = np.asarray([k for _, k in rows], dtype=np.int64)
-    write_events(out_path, EventSequence(times, types, times[-1] if rows else 0.0))
+    """Order (time, type) rows as the samplers do, shift times to start at zero, write an
+    event CSV.  A span past the largest double rebases to inf, which EventSequence refuses."""
+    times, types = _by_time_type(np.fromiter((t for t, _ in rows), float, len(rows)),
+                                 np.fromiter((k for _, k in rows), np.int64, len(rows)))
+    with np.errstate(over="ignore"):
+        times = times - times[:1]
+    write_events(out_path, EventSequence(times, types, times[-1] if times.size else 0.0))
 
 
 def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01):
@@ -441,10 +451,7 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
     rows, bad, unmapped = [], 0, 0
     total = 0
     with open(messages_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
+        for _, line in _lines(f, 1):
             total += 1
             parts = line.split(",")
             # A row is bad when it is short or a field is malformed, when its
@@ -463,21 +470,14 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
             if letter is None:
                 unmapped += 1
                 continue
-            side = "b" if direction == 1 else "a"
-            rows.append((t, LOB_TYPE_INDEX[(letter, side)]))
+            rows.append((t, LOB_TYPE_INDEX[(letter, "b" if direction == 1 else "a")]))
 
     if total and bad / total > max_bad_fraction:
-        raise DataError(
-            f"{messages_path}: {bad}/{total} rows unparseable "
-            f"(threshold {max_bad_fraction})"
-        )
+        raise DataError(f"{messages_path}: {bad}/{total} rows unparseable "
+                        f"(threshold {max_bad_fraction})")
     _write_rebased(out_path, rows)
-    return {
-        "rows_read": total,
-        "rows_written": len(rows),
-        "rows_unmapped": unmapped,
-        "rows_bad": bad,
-    }
+    return {"rows_read": total, "rows_written": len(rows), "rows_unmapped": unmapped,
+            "rows_bad": bad}
 
 
 def ingest_memetracker(posts_path, groups_path, out_path):
@@ -495,13 +495,8 @@ def ingest_memetracker(posts_path, groups_path, out_path):
 
     rows, unmapped = [], 0
     with open(posts_path) as f:
-        header = f.readline().rstrip("\n")
-        if header != "time,url":
-            raise DataError(f"{posts_path}: expected header 'time,url'")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
+        _header(posts_path, f, "time,url")
+        for lineno, line in _lines(f, 2):
             parts = line.split(",", 1)
             if len(parts) != 2:
                 raise DataError(f"{posts_path}: row {lineno}: expected 2 fields")

@@ -50,11 +50,9 @@ block steps ask for several evaluations at one beta.  A ``LikelihoodProblem``
 therefore keeps the sums of the last two distinct beta vectors (keyed on
 their exact bytes) and computes them once per miss; ``kernel_passes`` counts
 the misses.  Apart from this memo a problem is immutable after construction.
-Its slots are replaced whole and hold read-only arrays, and each pass writes
-only arrays of its own, so a problem may be shared across threads:
-concurrent callers at worst repeat a pass (and the count may then be off).
-Sums are reduced in fixed order, so objective values reproduce bit for bit,
-with or without a memo hit.
+The arrays its slots cache are only read: a memo entry is replaced whole, and
+each pass writes only arrays of its own.  Sums are reduced in fixed order, so
+objective values reproduce bit for bit, with or without a memo hit.
 """
 
 from __future__ import annotations
@@ -88,12 +86,14 @@ def _pair_list(times, order, stamps, W, cutoffs):
     t_b < u_g, once for all the events tied at u_g (W[g, j] counts those of
     type j); it belongs to the cell ``g * K + types[b]``.  Pairs are ordered
     by cell and, inside a cell, by source time, so each cell is one
-    contiguous segment.  Returns (logs, starts, cells): ``logs`` maps each
-    distinct cutoff c of ``cutoffs`` to log(dt + c) over the pairs, dt the
-    elapsed time; ``starts`` are the segments' first positions and ``cells``
-    their flat cells, nonempty cells only, in order.
+    contiguous segment.  Returns (logs, starts, cells, parts): ``logs`` maps
+    each distinct cutoff c of ``cutoffs`` to log(dt + c) over the pairs, dt
+    the elapsed time; ``starts`` are the segments' first positions and
+    ``cells`` their flat cells, nonempty cells only, in order; ``parts`` are
+    ``_split``'s runs of about ``_PART_PAIRS`` pairs.
 
-    Each log is taken in place, the last one in dt's own storage, so the
+    dt is filled one part at a time, so its scratch is a part's size, and
+    each log is taken in place, the last one in dt's own storage, so the
     lists hold one pair-sized array per distinct cutoff and no temporary.
     Over ``_PAIR_BUDGET`` pairs times distinct cutoffs this raises
     ``DataError``, naming n, the pairs and the bytes, before any pair-sized
@@ -110,24 +110,31 @@ def _pair_list(times, order, stamps, W, cutoffs):
             f"cutoff(s) the pair list would take {8 * pairs * len(distinct)} bytes, "
             f"over its budget of {8 * _PAIR_BUDGET} bytes"
         )
-    hi = sizes.sum(axis=1)  # sources of each stamp: the hi earliest events
+    K = W.shape[1]
     sizes = sizes.ravel()  # pairs per cell (g, j)
     cells = np.flatnonzero(sizes)
-    starts = np.cumsum(sizes) - sizes
-    dt = np.empty(pairs)
-    # One stamp at a time: no pair-sized scratch.  Events come in time order,
-    # so the hi earliest are those numbered below hi; taken in the row order
-    # (by type, then time), they fall in cell order.
+    starts = (np.cumsum(sizes) - sizes)[cells]
+    sizes = sizes[cells]
+    parts = _split(starts, pairs, max(1, -(-pairs // _PART_PAIRS)))
+    # The sources of cell (g, j) are type j's sizes[g, j] earliest events:
+    # in the row order (by type, then time), the rows from type j's first
+    # row on.  So pair p of the cell starting at s has row first + p - s.
+    counts = W.sum(axis=0)
+    first = (np.cumsum(counts) - counts)[cells % K] - starts
+    at = stamps[cells // K]
     grouped = times[order]
-    for u, b, o in zip(stamps.tolist(), hi.tolist(), (np.cumsum(hi) - hi).tolist()):
-        np.subtract(u, grouped[order < b], out=dt[o : o + b])
+    dt = np.empty(pairs)
+    for (c0, p0), (c1, p1) in zip(parts, parts[1:]):
+        rows = np.arange(p0, p1)
+        rows += np.repeat(first[c0:c1], sizes[c0:c1])
+        np.subtract(np.repeat(at[c0:c1], sizes[c0:c1]), grouped[rows], out=dt[p0:p1])
     logs = {}
     for c in others:
         shifted = dt + c
         logs[c] = np.log(shifted, out=shifted)
     np.add(dt, last, out=dt)
     logs[last] = np.log(dt, out=dt)
-    return logs, starts[cells], cells
+    return logs, starts, cells, parts
 
 
 def _split(starts, pairs, parts):
@@ -265,10 +272,9 @@ class LikelihoodProblem:
         # the pair list, its cells (g, j) kept at their places in that layout.
         cutoffs = [k.c for k in spec.kernels if not isinstance(k, Exponential)]
         if cutoffs:
-            self._pair_logs, self._cell_start, cells = _pair_list(times, order, stamps, W, cutoffs)
+            self._pair_logs, self._cell_start, cells, self._parts = _pair_list(
+                times, order, stamps, W, cutoffs)
             self._cell_index = flat_row[cells // K] * K + cells % K
-            pairs = self._pair_logs[cutoffs[0]].size
-            self._parts = _split(self._cell_start, pairs, max(1, -(-pairs // _PART_PAIRS)))
         else:
             self._pair_logs = None
         self.kernel_passes = 0

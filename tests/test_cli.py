@@ -535,6 +535,40 @@ class TestIngestMemetracker:
         assert not out.exists()
 
 
+LOBSTER_MESSAGES = (
+    "34200.5,1,1,1,1,-1\n\n34200.25,4,2,1,1,1\n34200.5,1,3,1,1,1\n   \n"
+    "34200.25,2,4,1,1,-1\n34200.5,4,5,1,1,-1\n34199.75,1,6,1,1,1\n34200.5,1,7,1,1,1\n"
+    "34200.25,9,8,1,1,1\n"
+)
+POSTING_LOG = (
+    "time,url\n7.5,b.example/x,y\n\n2.5,a.example\n7.5,a.example\n \t\n0.0,b.example/x,y\n"
+    "-0.0,a.example\n2.5,c.example\n7.5,b.example/x,y\n0.0,a.example\n"
+)
+
+
+@pytest.mark.parametrize("command, data_flag, map_flag, data, mapping, written", [
+    ("ingest-lobster", "--messages", "--types", LOBSTER_MESSAGES,
+     {"1": "L", "2": "C", "4": "M"},
+     "time,type\n0.0,0\n0.5,2\n0.5,5\n0.75,0\n0.75,0\n0.75,1\n0.75,3\n"),
+    ("ingest-memetracker", "--posts", "--groups", POSTING_LOG,
+     {"a.example": 1, "b.example/x,y": 0},
+     "time,type\n0.0,0\n-0.0,1\n0.0,1\n2.5,1\n7.5,0\n7.5,0\n7.5,1\n"),
+], ids=["lobster", "memetracker"])
+def test_ingested_bytes_are_pinned(tmp_path, command, data_flag, map_flag, data, mapping,
+                                   written):
+    """Tied times, blank lines, out-of-order rows, an unmapped row and (for
+    the posting log) a url with a comma and both signs of zero: the event
+    file keeps the bytes recorded from the ingesters' tuple sort, rows
+    ordered by (time, type) and rebased by the first."""
+    data_path, map_path = tmp_path / "data.csv", tmp_path / "map.json"
+    data_path.write_text(data)
+    map_path.write_text(json.dumps(mapping))
+    out = tmp_path / "events.csv"
+    code = main([command, data_flag, str(data_path), map_flag, str(map_path), "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == written
+
+
 class TestParamsJsonRoundTrip:
     def test_powerlaw_cutoff_preserved(self, tmp_path):
         from hawkes_mle import ModelSpec, ParamVector, PowerLawCutoff
@@ -558,6 +592,17 @@ class TestParamsJsonRoundTrip:
         path.write_text(json.dumps({"mu": [1.0], "bogus": 1}))
         with pytest.raises(ConfigError):
             read_params(str(path))
+
+    def test_unserializable_meta_leaves_no_file(self, tmp_path):
+        from hawkes_mle import ModelSpec, ParamVector, PowerLawCutoff
+        from hawkes_mle.io import write_params
+
+        spec = ModelSpec(K=1, M=1, kernels=[PowerLawCutoff(0.07)])
+        pv = ParamVector(mu=[0.1], alpha=[[[0.02]]], beta=[1.7])
+        path = tmp_path / "p.json"
+        with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+            write_params(str(path), spec, pv, meta={"note": object()})
+        assert not path.exists()
 
 
 class TestFitDataErrors:
@@ -1158,6 +1203,7 @@ def test_read_trace_malformed_row_names_file_and_row(tmp_path, row, fragment):
     ("3.0,0,7", "row 3: expected 2 fields, got 3"),
     ("3.0", "row 3: expected 2 fields, got 1"),
     ("abc,0", "row 3: could not convert"),
+    ("inf,x", "row 3: non-finite time inf"),
 ])
 def test_read_events_malformed_row_names_file_and_row(tmp_path, row, fragment):
     path = tmp_path / "events.csv"

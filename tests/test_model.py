@@ -8,6 +8,7 @@ from hawkes_mle import (
     DomainError,
     Exponential,
     FlatIndexMap,
+    ModelSpec,
     NonStationaryError,
     ParamVector,
     PowerLawCutoff,
@@ -16,6 +17,8 @@ from hawkes_mle import (
     spectral_radius,
     stationary_mean_intensity,
 )
+from hawkes_mle import experiments
+from hawkes_mle.model import _decay_mass_drate, _drate_series
 
 EXP = Exponential()
 PWL = PowerLawCutoff(c=0.05)
@@ -153,17 +156,17 @@ class TestKernelBetaDerivatives:
         """Taking e^{-x} as 0 for x >= 708 keeps every bit of the formula with
         the plain exp, for array and scalar u, through the overflows,
         underflows and infinities, and NaN stays NaN.  At x = inf the plain
-        form's 0 * inf is taken as its limit, e^{-x} (1 + x) = 0.  A NaN's
-        sign bit is not compared: numpy's exp sets it differently in its
-        vector and scalar loops."""
+        form's 0 * inf is taken as its limit, e^{-x} (1 + x) = 0.  Where
+        |x| < 0.5 both take the model's series.  A NaN's sign bit is not
+        compared: numpy's exp sets it differently in its vector and scalar loops."""
 
         def plain(u, beta):
             u = np.asarray(u, dtype=float)
             x = beta * u
             head = np.where(x == np.inf, 0.0, np.exp(-x) * (1.0 + x))
             exact = (head - 1.0) / (beta * beta)
-            series = u * u * (-0.5 + x / 3.0 - x * x / 8.0)
-            return np.where(np.abs(x) < 1e-3, series, exact)
+            series = u * u * _drate_series(x.ravel()).reshape(x.shape)
+            return np.where(np.abs(x) < 0.5, series, exact)
 
         def assert_same_bits(got, want):
             nan = np.isnan(want)
@@ -174,7 +177,7 @@ class TestKernelBetaDerivatives:
         # x = beta u at the cut, just below it, where e^{-x} leaves the
         # normal range, at the series branch's edge, and non-finite u.
         special = np.concatenate([
-            np.array([708.0, np.nextafter(708.0, 0.0), 745.2, 1e-3]) / abs(beta),
+            np.array([708.0, np.nextafter(708.0, 0.0), 745.2, 0.5]) / abs(beta),
             [0.0, np.inf, -np.inf, np.nan, -1.0],
         ])
         u = np.concatenate([
@@ -202,6 +205,70 @@ def test_inverse_antiderivative_round_trip(fam, beta):
     np.testing.assert_allclose(fam.inverse_antiderivative(y[keep], beta), u[keep], rtol=1e-13)
 
 
+def test_decay_mass_drate_at_full_precision():
+    """(e^{-x} (1 + x) - 1) / rate^2 against 50 digits at 1,000 x, log-spaced from
+    1e-4 to 10 and uniform just above 1e-3 (where a 3-term series cut at 1e-3 lost
+    6 digits), at positive and negative rates."""
+    import mpmath as mp
+
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([np.geomspace(1e-4, 10.0, 500), rng.uniform(1e-3, 2e-3, 500)])
+    with mp.workdps(50):
+        for rate in (0.5, 1.0, 3.0, -0.3):
+            u = xs / abs(rate)
+            r = mp.mpf(rate)
+            want = [float((mp.exp(-r * v) * (1 + r * v) - 1) / r**2) for v in map(mp.mpf, u)]
+            np.testing.assert_allclose(_decay_mass_drate(u, rate), want, rtol=1e-14, atol=0)
+
+
+def _kernel_references(fam, beta, u):
+    """50-digit Phi, dPhi/dbeta, value, Phi^-1 (a function of y) and total mass at (beta, u)."""
+    import mpmath as mp
+
+    b, u = mp.mpf(beta), mp.mpf(u)
+    if fam.name == "exponential":
+        return (-mp.expm1(-b * u) / b, (mp.exp(-b * u) * (1 + b * u) - 1) / b**2, mp.exp(-b * u),
+                lambda y: -mp.log1p(-b * y) / b, 1 / b)
+    c = mp.mpf(fam.c)
+    head, tail = c ** (1 - b), (u + c) ** (1 - b)
+    phi = (head - tail) / (b - 1)
+    dphi = (mp.log(u + c) * tail - mp.log(c) * head - phi) / (b - 1)
+    return (phi, dphi, (u + c) ** -b, lambda y: (head - (b - 1) * y) ** (1 / (1 - b)) - c,
+            head / (b - 1))
+
+
+@pytest.mark.parametrize("recipe", sorted(experiments.RECIPES))
+def test_kernels_match_mpmath_over_the_recipe_box(recipe):
+    """Phi, dPhi/dbeta, the value and Phi^-1 of each recipe's kernel against 50 digits,
+    to 1e-14 relative, over its beta box and lags u from 1e-6 to its horizon.  Left out:
+    dPhi/dbeta near its zero (the power law's, where it is below 1/20 of log(c) Phi, the
+    term it cancels against), the value where rounding its argument (beta u, or u + c) to a
+    double alone moves it by over 5e-15, and Phi^-1 above 0.9 of the mass."""
+    import mpmath as mp
+
+    inst = experiments.generate_instance(experiments.RECIPES[recipe])
+    fam = inst.spec.kernels[0]
+    checked = 0
+    with mp.workdps(50):
+        for beta in np.geomspace(inst.domain.beta_lb[0], inst.domain.beta_ub[0], 7):
+            for u in np.geomspace(1e-6, inst.horizon, 40):
+                phi, dphi, value, inverse, mass = _kernel_references(fam, beta, u)
+                got = {"Phi": (fam.antiderivative(u, beta), phi)}
+                if fam.name == "exponential" or abs(dphi) >= abs(mp.log(fam.c) * phi) / 20:
+                    got["dPhi/dbeta"] = (fam.antideriv_dbeta(u, beta), dphi)
+                lag = beta * u if fam.name == "exponential" else beta * u / (u + fam.c)
+                if lag * 2.0**-53 <= 5e-15:
+                    got["value"] = (fam.value(u, beta), value)
+                y = float(phi)
+                if y <= 0.9 * mass:
+                    got["Phi^-1"] = (fam.inverse_antiderivative(y, beta), inverse(mp.mpf(y)))
+                for name, (have, want) in got.items():
+                    err = abs((mp.mpf(float(have)) - want) / want)
+                    assert err <= 1e-14, (name, beta, u, float(err))
+                    checked += 1
+    assert checked > 7 * 40 * 3
+
+
 class TestFlatIndexMap:
     def test_roundtrip_pack_unpack(self):
         rng = np.random.default_rng(3)
@@ -224,6 +291,22 @@ class TestFlatIndexMap:
         im = FlatIndexMap(2, 2)
         assert im.mu_alpha_slice == slice(0, 2 + 2 * 4)
         assert im.beta_slice == slice(10, 12)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModelSpec(K=0, M=1, kernels=[]), "K and M must be positive"),
+    (lambda: ModelSpec(K=1, M=0, kernels=[]), "K and M must be positive"),
+    (lambda: FlatIndexMap(2, 1).unpack(np.zeros(6)), r"expected flat vector of dim 7, got \(6,\)"),
+    (lambda: ParamVector([0.1, 0.2], np.zeros((1, 2, 3)), [1.0]),
+     r"alpha shape \(1, 2, 3\) inconsistent with K=2, M=1"),
+    (lambda: params([0.1, 0.2], np.zeros((2, 2)), 1.0).validate(exp_spec(K=3)),
+     "parameter shapes do not match the model spec"),
+    (lambda: params([0.1, 0.2], np.zeros((2, 2)), 1.0).validate(exp_spec(K=2, M=2)),
+     "parameter shapes do not match the model spec"),
+], ids=["K=0", "M=0", "unpack-length", "alpha-shape", "validate-K", "validate-M"])
+def test_shape_checks_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestBranchingMatrix:

@@ -211,6 +211,17 @@ class TestIpalmMap:
         assert out[im.mu_slice][0] == prob.domain.mu_ub[0]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda prob, hp: run_palm(prob, hp, np.zeros(prob.dim + 1)), "expected flat vector of dim 3"),
+    (lambda prob, hp: ipalm_map(prob, hp, np.zeros(2 * prob.dim - 1)),
+     "expected doubled state of dim 6"),
+], ids=["theta0", "doubled-state"])
+def test_wrong_length_vectors_refused(call, message):
+    prob, _, lbar1 = poisson_problem()
+    with pytest.raises(ValueError, match=message):
+        call(prob, HyperParams(lbar1=lbar1, lbar2=1.0))
+
+
 class TestRunners:
     def test_palm_equals_ipalm_at_zero_momentum(self):
         prob = k2_problem()
