@@ -1,11 +1,13 @@
 """Synthetic instances, algorithm benchmarks, and consistency studies.
 
 The two built-in recipes mirror the desk-scale comparison setup: K types,
-one base kernel, excitation weights sampled uniformly then divided by a
-stationarity divisor, baselines sampled uniformly and halved, Tikhonov
-coefficient 1, box bounds spanning two orders of magnitude around the truth,
-all-ones initialization with beta = 3, step sizes 1e-7 and momentum 0.9 for
-500 iterations.
+one base kernel (the power-law one with its class's cutoff c = 0.05),
+excitation weights sampled uniformly then divided by a stationarity divisor,
+baselines sampled uniformly and halved, Tikhonov coefficient 1, box bounds
+spanning two orders of magnitude around the truth, all-ones initialization
+with beta = 3, step sizes 1e-7 and momentum 0.9 for 500 iterations.  A
+recipe gets ``MAX_DRAWS`` draws to find a stationary truth.  A consistency
+study searches the box ``STUDY_BOX_SCALE`` wide around the truth instead.
 
 Benchmark cells (one simulated stream per seed, three algorithms from a
 shared initial point) and consistency cells run in order in the calling
@@ -22,10 +24,9 @@ import numpy as np
 from .likelihood import LikelihoodProblem
 from .model import (
     BoxDomain,
-    Exponential,
     ModelSpec,
     ParamVector,
-    PowerLawCutoff,
+    _FAMILIES,
     _is_finite,
     _is_integer,
     branching_matrix,
@@ -52,10 +53,12 @@ __all__ = [
 
 REGRET_FLOOR = 1e-12
 ALGORITHMS = tuple(RUNNERS)
+# Ground-truth draws a recipe gets before NoStationaryDrawError.
+MAX_DRAWS = 100
 
 
 class NoStationaryDrawError(RuntimeError):
-    """A recipe drew no stationary ground truth within its ``max_attempts``."""
+    """A recipe drew no stationary ground truth in ``MAX_DRAWS`` (100) draws."""
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,7 @@ class SyntheticRecipe:
 
     kind: str = "exp-k10"  # "exp-k10", "pwl-k10", or "custom"
     K: int = 10
-    M: int = 1
-    family: str = "exponential"  # "exponential" or "powerlaw"
-    cutoff: float = 0.05
+    family: str = "exponential"  # "exponential" or "powerlaw", with the class's defaults
     beta_true: float = 0.5
     alpha_low: float = 0.001
     alpha_high: float = 1.0
@@ -77,7 +78,6 @@ class SyntheticRecipe:
     reg_c: float = 1.0
     seed: int = 0
     horizon: float = 1000.0
-    max_attempts: int = 100
 
 
 # The built-in recipes, by name; callers override K, seed and horizon.
@@ -108,44 +108,35 @@ class SyntheticInstance:
         return self.recipe.horizon
 
 
-def _kernel_for(recipe):
-    if recipe.family == "exponential":
-        return Exponential()
-    if recipe.family == "powerlaw":
-        return PowerLawCutoff(recipe.cutoff)
-    raise ValueError(f"unknown kernel family {recipe.family!r}")
-
-
 def generate_instance(recipe):
     """Sample ground truth until stationary, then build box, init, defaults."""
     for name in ("alpha_divisor", "mu_divisor"):
         value = getattr(recipe, name)
         if not (_is_finite(value) and value > 0):
             raise ValueError(f"{name}: expected a finite number > 0, got {value!r}")
-    spec = ModelSpec(K=recipe.K, M=recipe.M, kernels=[_kernel_for(recipe)] * recipe.M)
+    if recipe.family not in tuple(_FAMILIES):
+        raise ValueError(f"unknown kernel family {recipe.family!r}")
+    spec = ModelSpec(K=recipe.K, M=1, kernels=[_FAMILIES[recipe.family]()])
     rng = np.random.default_rng(recipe.seed)
-    K, M = recipe.K, recipe.M
+    K = recipe.K
     radius = np.inf
-    for _ in range(recipe.max_attempts):
-        alpha = rng.uniform(recipe.alpha_low, recipe.alpha_high, (M, K, K))
+    for _ in range(MAX_DRAWS):
+        alpha = rng.uniform(recipe.alpha_low, recipe.alpha_high, (1, K, K))
         alpha /= recipe.alpha_divisor
         mu = rng.uniform(recipe.mu_low, recipe.mu_high, K) / recipe.mu_divisor
-        truth = ParamVector(mu=mu, alpha=alpha, beta=np.full(M, recipe.beta_true))
+        truth = ParamVector(mu=mu, alpha=alpha, beta=[recipe.beta_true])
         radius = spectral_radius(branching_matrix(spec, truth))
         if radius < 1.0:
             break
     else:
         raise NoStationaryDrawError(
-            f"no stationary draw after {recipe.max_attempts} attempts "
-            f"(last radius {radius:.3g})"
+            f"no stationary draw after {MAX_DRAWS} attempts (last radius {radius:.3g})"
         )
 
     domain = _scaled_domain(spec, truth, 100.0)
     # All-ones start with beta = 3, clipped into the box (the power-law
     # alpha bound sits below 1, so the raw start can be infeasible).
-    raw = ParamVector(
-        mu=np.ones(K), alpha=np.ones((M, K, K)), beta=np.full(M, 3.0)
-    )
+    raw = ParamVector(mu=np.ones(K), alpha=np.ones((1, K, K)), beta=[3.0])
     im = spec.index_map
     init = im.unpack(project_onto_box(domain, im.pack(raw)))
     hp = HyperParams(
@@ -175,7 +166,7 @@ def gen_synthetic_exponential(seed, K=10, horizon=1000.0):
 
 
 def gen_synthetic_powerlaw(seed, K=10, horizon=1000.0):
-    """Power-law instance: cutoff 0.05, alpha divided by 200, beta = 1.5."""
+    """Power-law instance: ``PowerLawCutoff``'s cutoff 0.05, alpha divided by 200, beta = 1.5."""
     return generate_instance(
         replace(RECIPES["pwl-k10"], K=K, seed=seed, horizon=horizon)
     )
@@ -226,10 +217,13 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     hp = instance.hp if iters is None else replace(instance.hp, max_iters=iters)
     algorithms = tuple(algorithms)
     runners = {algo: RUNNERS[algo] for algo in algorithms}  # KeyError before any work
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(seeds)
     for name, values in (("algorithms", algorithms), ("seeds", seeds)):
         if not values:
             raise ValueError(f"{name} must not be empty")
+    if not all(_is_integer(s) and s >= 0 for s in seeds):
+        raise ValueError(f"seeds must be non-negative integers, got {seeds!r}")
+    seeds = tuple(map(int, seeds))
 
     objectives, seconds, regrets, best, n_events = {}, {}, {}, {}, {}
     for seed in seeds:
@@ -349,31 +343,32 @@ def _scaled_domain(spec, truth, scale):
     )
 
 
-def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=300,
-                          box_scale=10.0):
+# Width (both ways around the truth) of the box a consistency study searches: the
+# benchmark recipes' two-orders-of-magnitude box has a long flat ridge in beta that
+# desk-scale budgets cannot cross.
+STUDY_BOX_SCALE = 10.0
+
+
+def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=300):
     """Fit accelerated runs to streams of growing horizon; report error vs T.
 
     For each horizon and stream, the relative parameter error
     ||theta_hat - theta*||_2 / ||theta*||_2 is recorded; medians per horizon
     summarize the study.  Curvature bounds are estimated at each stream's
-    starting point, so step sizes adapt to the data volume.
-
-    ``box_scale`` searches a box of that width (both ways) around the truth
-    instead of the benchmark recipe's two-orders-of-magnitude box; the wide
-    box has a long flat ridge in beta that desk-scale budgets cannot cross.
-    Pass ``None`` to keep the recipe's own domain.
+    starting point, so step sizes adapt to the data volume.  The fits search
+    the box ``STUDY_BOX_SCALE`` wide around the truth.
     """
-    T_grid = [float(T) for T in T_grid]
+    T_grid = list(T_grid)
     if not T_grid:
         raise ValueError("T_grid must not be empty")
+    if not all(_is_finite(T) and T > 0 for T in T_grid):
+        raise ValueError(f"T_grid entries must be finite numbers > 0, got {T_grid!r}")
+    T_grid = list(map(float, T_grid))
     for name, value in (("seeds_per_T", seeds_per_T), ("iters", iters)):
         if not (_is_integer(value) and value >= 1):
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     instance = generate_instance(recipe)
-    if box_scale is not None:
-        instance.domain = _scaled_domain(
-            instance.spec, instance.params, float(box_scale)
-        )
+    instance.domain = _scaled_domain(instance.spec, instance.params, STUDY_BOX_SCALE)
     im = instance.spec.index_map
     truth_flat = im.pack(instance.params)
     truth_norm = float(np.linalg.norm(truth_flat))
@@ -404,7 +399,7 @@ def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=
     }
     manifest = {
         "recipe": asdict(recipe),
-        "T_grid": [float(T) for T in T_grid],
+        "T_grid": T_grid,
         "seeds_per_T": int(seeds_per_T),
         "iters": int(iters),
         "gamma": FIT_GAMMA,

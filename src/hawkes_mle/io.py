@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .model import BoxDomain, DataError, Exponential, ModelSpec, ParamVector, PowerLawCutoff
-from .model import _is_finite, _is_integer
+from .model import BoxDomain, DataError, ModelSpec, ParamVector
+from .model import _FAMILIES, _is_finite, _is_integer
 from .optim import HyperParams
 from .simulate import EventSequence, _by_time_type
 
@@ -177,10 +177,9 @@ def kernels_from_json(entries):
 
 def _kernel(entry):
     family = entry.get("family") if isinstance(entry, dict) else None
-    if family not in ("exponential", "powerlaw"):
-        raise ValueError(f"expected an object with family exponential or powerlaw, got {entry!r}")
-    _section(entry, family)
-    return Exponential() if family == "exponential" else PowerLawCutoff(entry.get("c", 0.05))
+    if family not in tuple(_FAMILIES):
+        raise ValueError(f"expected an object with family {' or '.join(_FAMILIES)}, got {entry!r}")
+    return _FAMILIES[family](**{k: v for k, v in _section(entry, family).items() if k != "family"})
 
 
 def write_params(path, spec, params, objective=None, meta=None):
@@ -265,7 +264,7 @@ _NONNEGATIVE = (lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"
 _LIST = (lambda v: isinstance(v, list)), "a list"
 _ITERS = (lambda v: v is None or _COUNT[0](v)), "a positive integer or null"
 _ALGORITHM = (lambda v: v in experiments.ALGORITHMS), f"one of {', '.join(experiments.ALGORITHMS)}"
-_RECIPE_FLOATS = ("cutoff", "beta_true", "alpha_low", "alpha_high", "mu_low", "mu_high")
+_RECIPE_FLOATS = ("beta_true", "alpha_low", "alpha_high", "mu_low", "mu_high")
 
 
 def _fields(cls, **checks):
@@ -298,10 +297,9 @@ _SECTIONS = {
     "consistency": {
         "recipe": None, "recipe_seed": _SEED, "seeds_per_T": _COUNT, "iters": _ITERS,
         "T_grid": _nonempty_list(_POSITIVE[0], "a non-empty list of finite numbers > 0"),
-        "box_scale": ((lambda v: v is None or _POSITIVE[0](v)), "a finite number > 0 or null"),
     },
     "recipe": _fields(
-        experiments.SyntheticRecipe, K=_COUNT, M=_COUNT, seed=_SEED, horizon=_POSITIVE,
+        experiments.SyntheticRecipe, K=_COUNT, seed=_SEED, horizon=_POSITIVE,
         reg_c=_NONNEGATIVE,
         **dict.fromkeys(_RECIPE_FLOATS, (_is_finite, "a finite number")),
     ),
@@ -483,15 +481,15 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
 def ingest_memetracker(posts_path, groups_path, out_path):
     """Convert a ``time,url`` posting log to the event format.
 
-    The groups file is JSON from url (or url group) to a type index, a
-    nonnegative integer; posts with unmapped urls are dropped and counted.
-    Times are rebased to zero.
+    The groups file is JSON from url (or url group) to a type index, an
+    integer in [0, 2**63) (an event file's int64 type); posts with unmapped
+    urls are dropped and counted.  Times are rebased to zero.
     """
     groups = _load_json_object(groups_path, DataError)
     for url, idx in groups.items():
-        if type(idx) is not int or idx < 0:
+        if not (type(idx) is int and 0 <= idx < 2**63):
             raise DataError(f"{groups_path}: url {url!r} maps to {idx!r}, "
-                            "expected a nonnegative integer")
+                            "expected an integer in [0, 2**63)")
 
     rows, unmapped = [], 0
     with open(posts_path) as f:

@@ -151,7 +151,7 @@ class Exponential:
 
 @dataclass(frozen=True)
 class PowerLawCutoff:
-    """Power-law kernel phi(t; beta) = (t + c)^(-beta) with cutoff c > 0.
+    """Power-law kernel phi(t; beta) = (t + c)^(-beta) with cutoff c > 0, 0.05 by default.
 
     Integrability over [0, inf) requires beta > 1.  In log time s = log1p(u / c),
     with h = c^(1-beta), r = beta - 1 and E the exponential kernel's Phi:
@@ -160,7 +160,7 @@ class PowerLawCutoff:
     against 50-digit references stay below 4e-15 (u in [1e-8, 1e5] away from
     dPhi/dbeta's zero at u = 1/c - c)."""
 
-    c: float
+    c: float = 0.05
     name = "powerlaw"
 
     def __post_init__(self):
@@ -197,6 +197,11 @@ class PowerLawCutoff:
         return self.c * np.expm1(_decay_mass_inverse(y / self._head(beta), beta - 1.0))
 
 
+# The kernel families by name: a config entry's or a recipe's ``family`` names one, and its
+# class's own defaults fill the parameters the entry leaves out.
+_FAMILIES = {kernel.name: kernel for kernel in (Exponential, PowerLawCutoff)}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Number of event types K, number of base kernels M, and the kernels."""
@@ -206,8 +211,8 @@ class ModelSpec:
     kernels: tuple
 
     def __post_init__(self):
-        if self.K < 1 or self.M < 1:
-            raise ValueError("K and M must be positive")
+        if not all(_is_integer(n) and n >= 1 for n in (self.K, self.M)):
+            raise ValueError(f"K and M must be positive integers, got K={self.K!r}, M={self.M!r}")
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if len(self.kernels) != self.M:
             raise ValueError(f"expected {self.M} kernels, got {len(self.kernels)}")

@@ -54,7 +54,6 @@ __all__ = [
     "run_ipalm",
     "run_aa_ipalm",
     "RUNNERS",
-    "lyapunov_value",
     "residual_diagnostics",
     "estimate_lipschitz_bounds",
 ]
@@ -352,20 +351,12 @@ def ipalm_map(problem, hp, u):
 
 
 def _lyapunov(hp, im, obj, flat_k, flat_prev):
+    """The trace's descent certificate -obj(theta_k) + (d1/2)||d_ma||^2 + (d2/2)||d_b||^2,
+    nonincreasing along every run whose hyperparameters satisfy the step-size and delta
+    relations."""
     d = flat_k - flat_prev
     ma, b = d[im.mu_alpha_slice], d[im.beta_slice]
     return -obj + 0.5 * hp.delta1 * float(ma @ ma) + 0.5 * hp.delta2 * float(b @ b)
-
-
-def lyapunov_value(problem, hp, theta_k, theta_prev):
-    """Descent certificate -obj(theta_k) + (d1/2)||d_ma||^2 + (d2/2)||d_b||^2.
-
-    Nonincreasing along every run whose hyperparameters satisfy the step-size
-    and delta relations.
-    """
-    flat_k = _as_flat(problem, theta_k)
-    obj = problem.objective_flat(flat_k)
-    return _lyapunov(hp, problem.index_map, obj, flat_k, _as_flat(problem, theta_prev))
 
 
 def _accept(problem, hp, u, u_hat, u_tilde, obj, grad, residual):

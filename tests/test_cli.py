@@ -517,7 +517,7 @@ class TestIngestMemetracker:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", [-1, 1.5, "x", True, None, [0]])
+    @pytest.mark.parametrize("bad", [-1, 1.5, "x", True, None, [0], 2**63, 2**70])
     def test_bad_group_index_exit_3(self, tmp_path, capsys, bad):
         # The map is checked up front, so a url with no posts fails too.
         posts = tmp_path / "posts.csv"
@@ -938,7 +938,6 @@ BAD_KEYS = [
     ("benchmark", "K", "x"),
     ("benchmark", "seeds", "ab"),
     ("consistency", "seeds_per_T", "x"),
-    ("consistency", "box_scale", "x"),
     ("benchmark", "K", 0),
     ("benchmark", "horizon", -5),
     ("consistency", "T_grid", [-5]),
@@ -975,10 +974,10 @@ class TestExperimentConfigErrors:
 
     @pytest.mark.parametrize("command, key", [
         ("benchmark", "sedes"), ("consistency", "box_scael"),
-        ("benchmark", "T_grid"), ("consistency", "seeds"),
+        ("benchmark", "T_grid"), ("consistency", "seeds"), ("consistency", "box_scale"),
     ])
     def test_unknown_key_exit_1(self, tmp_path, capsys, monkeypatch, command, key):
-        """A misspelt key, or one the other command reads, is not ignored."""
+        """A misspelt key, a deleted one, or one the other command reads, is not ignored."""
         doc = {**EXPERIMENT_CONFIGS[command], key: 5}
         assert self.run(tmp_path, monkeypatch, command, doc) == 1
         err = capsys.readouterr().err
@@ -1018,6 +1017,14 @@ class TestExperimentConfigErrors:
         assert capsys.readouterr().err.startswith("config error: recipe: ")
 
     @pytest.mark.parametrize("command", ["benchmark", "consistency"])
+    @pytest.mark.parametrize("key", ["M", "cutoff", "max_attempts"])
+    def test_removed_recipe_key_exit_1(self, tmp_path, capsys, monkeypatch, command, key):
+        """A recipe has one base kernel with its class's defaults and a fixed number of draws."""
+        doc = self.with_recipe(command, {key: 1})
+        assert self.run(tmp_path, monkeypatch, command, doc) == 1
+        assert capsys.readouterr().err == f"config error: recipe: unknown keys ['{key}']\n"
+
+    @pytest.mark.parametrize("command", ["benchmark", "consistency"])
     @pytest.mark.parametrize("divisor", ["alpha_divisor", "mu_divisor"])
     def test_zero_divisor_exit_1(self, tmp_path, capsys, monkeypatch, command, divisor):
         doc = self.with_recipe(command, {divisor: 0})
@@ -1029,10 +1036,10 @@ class TestExperimentConfigErrors:
     def test_recipe_without_stationary_draw_exit_2(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        recipe = {"kind": "custom", "K": 4, "alpha_divisor": 0.1, "max_attempts": 5}
+        recipe = {"kind": "custom", "K": 4, "alpha_divisor": 0.1}
         doc = self.with_recipe(command, recipe)
         assert self.run(tmp_path, monkeypatch, command, doc) == 2
-        assert "domain error: no stationary draw after 5 attempts" in capsys.readouterr().err
+        assert "domain error: no stationary draw after 100 attempts" in capsys.readouterr().err
 
 
 class TestConfigValidation:

@@ -61,7 +61,7 @@ CONSISTENCY = {
     "recipe": {"kind": "custom", "K": 1, "family": "exponential", "beta_true": 1.0,
                "alpha_low": 0.1, "alpha_high": 0.2, "alpha_divisor": 1.0, "mu_low": 0.5,
                "mu_high": 0.6, "mu_divisor": 1.0, "reg_c": 0.0, "horizon": 20.0},
-    "recipe_seed": 3, "T_grid": [20.0], "seeds_per_T": 1, "iters": 2, "box_scale": 10.0,
+    "recipe_seed": 3, "T_grid": [20.0], "seeds_per_T": 1, "iters": 2,
 }
 EVENTS = "time,type\n0.5,0\n1.25,1\n1.25,0\n4.0,1\n9.5,0\n"
 

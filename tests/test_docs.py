@@ -1,4 +1,5 @@
-"""Documented usage still runs: the README's Python example and the demos.
+"""Documented usage still runs: the README's Python example and the demos;
+the README's lists of experiment config keys match what the reader takes.
 
 Each script runs in its own interpreter inside a temporary directory (also
 its TMPDIR), so a signature change that breaks documented usage fails here.
@@ -8,9 +9,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from hawkes_mle import SyntheticRecipe, io
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +54,15 @@ def test_readme_python_example_runs(tmp_path):
 def test_demo_runs(demo, tmp_path):
     assert run_script(ROOT / "demos" / demo, tmp_path)
     assert not list(tmp_path.glob("hawkes_demo_*"))  # temp dirs are cleaned up
+
+
+def test_readme_experiment_keys_match_the_config_reader():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    reads = re.search(r"`benchmark` reads (.*?); `consistency` reads (.*?)\. ", text)
+    assert reads
+    for command, sentence in zip(("benchmark", "consistency"), reads.groups()):
+        assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(io._SECTIONS[command])
+    recipe = re.search(r"A dict `recipe` takes the `SyntheticRecipe` fields: (.*?)\. ", text)
+    assert recipe
+    named = set(re.findall(r"`(\w+)`", recipe.group(1)))
+    assert named and named <= {f.name for f in fields(SyntheticRecipe)}

@@ -100,11 +100,14 @@ class TestRecipes:
                 generate_instance(SyntheticRecipe(**{divisor: value}))
 
     def test_impossible_recipe_fails_cleanly(self):
-        huge = SyntheticRecipe(
-            kind="custom", K=4, alpha_divisor=0.1, max_attempts=5
-        )
-        with pytest.raises(RuntimeError):
+        huge = SyntheticRecipe(kind="custom", K=4, alpha_divisor=0.1)
+        with pytest.raises(RuntimeError, match="after 100 attempts"):
             generate_instance(huge)
+
+    @pytest.mark.parametrize("K", [2.5, True])
+    def test_non_integer_K_refused_by_the_spec(self, K):
+        with pytest.raises(ValueError, match="K and M must be positive"):
+            generate_instance(SyntheticRecipe(K=K))
 
 
 class TestFullScaleRecipes:
@@ -210,6 +213,19 @@ class TestEmptySizes:
         refuse_simulation(monkeypatch)
         with pytest.raises(ValueError, match="iters"):
             run_benchmark(inst, iters=iters)
+
+    @pytest.mark.parametrize("seeds", [(0.5,), (True,), (0, -1), ("1",)])
+    def test_benchmark_refuses_bad_seed(self, seeds, monkeypatch):
+        inst = small_instance()
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match="seeds"):
+            run_benchmark(inst, seeds=seeds)
+
+    @pytest.mark.parametrize("T_grid", [[20.0, -5.0], [20.0, float("inf")], [0.0], [True]])
+    def test_consistency_refuses_bad_horizon(self, T_grid, monkeypatch):
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match="T_grid"):
+            run_consistency_study(experiments.RECIPES["exp-k10"], T_grid=T_grid)
 
     @pytest.mark.parametrize("name, value", [
         ("seeds_per_T", 0), ("seeds_per_T", -1), ("iters", 0), ("T_grid", ()),

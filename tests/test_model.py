@@ -296,6 +296,9 @@ class TestFlatIndexMap:
 @pytest.mark.parametrize("build, message", [
     (lambda: ModelSpec(K=0, M=1, kernels=[]), "K and M must be positive"),
     (lambda: ModelSpec(K=1, M=0, kernels=[]), "K and M must be positive"),
+    (lambda: ModelSpec(K=2.5, M=1, kernels=[Exponential()]), "K and M must be positive"),
+    (lambda: ModelSpec(K=True, M=1, kernels=[Exponential()]), "K and M must be positive"),
+    (lambda: ModelSpec(K=1, M=1.0, kernels=[Exponential()]), "K and M must be positive"),
     (lambda: FlatIndexMap(2, 1).unpack(np.zeros(6)), r"expected flat vector of dim 7, got \(6,\)"),
     (lambda: ParamVector([0.1, 0.2], np.zeros((1, 2, 3)), [1.0]),
      r"alpha shape \(1, 2, 3\) inconsistent with K=2, M=1"),
@@ -303,7 +306,8 @@ class TestFlatIndexMap:
      "parameter shapes do not match the model spec"),
     (lambda: params([0.1, 0.2], np.zeros((2, 2)), 1.0).validate(exp_spec(K=2, M=2)),
      "parameter shapes do not match the model spec"),
-], ids=["K=0", "M=0", "unpack-length", "alpha-shape", "validate-K", "validate-M"])
+], ids=["K=0", "M=0", "K=2.5", "K=True", "M=1.0", "unpack-length", "alpha-shape", "validate-K",
+        "validate-M"])
 def test_shape_checks_raise_value_error(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -6,7 +6,6 @@ from common import (
     events,
     exp_spec,
     params,
-    random_interior,
 )
 from hawkes_mle import (
     BoxDomain,
@@ -17,7 +16,6 @@ from hawkes_mle import (
     SimConfig,
     estimate_lipschitz_bounds,
     ipalm_map,
-    lyapunov_value,
     powell_phi,
     residual_diagnostics,
     run_aa_ipalm,
@@ -310,23 +308,6 @@ class TestRunners:
 
 
 class TestLyapunov:
-    def test_equal_iterates_reduce_to_objective(self):
-        prob = k2_problem()
-        hp = compliant_hp(prob, gamma=0.5, max_iters=5)
-        theta0 = 0.5 * (prob.domain.lb_flat() + prob.domain.ub_flat())
-        val = lyapunov_value(prob, hp, theta0, theta0)
-        assert val == pytest.approx(-prob.objective_flat(theta0), rel=1e-12)
-
-    def test_zero_momentum_reduces_to_objective(self):
-        prob = k2_problem()
-        hp = compliant_hp(prob, gamma=0.0, max_iters=5)
-        rng = np.random.default_rng(1)
-        a = random_interior(prob.domain, rng)
-        b = random_interior(prob.domain, rng)
-        assert lyapunov_value(prob, hp, a, b) == pytest.approx(
-            -prob.objective_flat(a), rel=1e-12
-        )
-
     @pytest.mark.parametrize("algo", ["palm", "ipalm", "aa"])
     def test_monotone_on_compliant_runs(self, algo):
         prob = k2_problem(tight=True)
