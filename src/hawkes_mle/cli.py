@@ -17,6 +17,7 @@ from .io import (
     ConfigError,
     DataError,
     _read,
+    check_output_path,
     domain_from_config,
     experiment_from_config,
     hyperparams_from_config,
@@ -85,6 +86,9 @@ def cmd_fit(args):
     horizon = float(doc["horizon"])
     hp, algorithm = hyperparams_from_config(
         doc, allow_noncompliant=args.allow_noncompliant_hp, algo=args.algo, iters=args.iters)
+    check_output_path(args.out)
+    if args.trace:
+        check_output_path(args.trace)
     events = read_events(args.events, horizon=horizon)
     problem = LikelihoodProblem(spec, events, domain, reg_c=reg_c)
     res = _RUNNERS[algorithm](problem, hp, init)

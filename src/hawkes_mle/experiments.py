@@ -210,7 +210,8 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
 
     Log-regret is log(best + floor - objective) with the best taken over all
     algorithms and iterations of the same stream (objectives of different
-    streams are not comparable).
+    streams are not comparable).  The arguments and ``instance.hp`` (for each
+    algorithm) are checked before any stream is simulated; seeds and names must differ.
     """
     if not (iters is None or (_is_integer(iters) and iters >= 1)):
         raise ValueError(f"iters must be None or a positive integer, got {iters!r}")
@@ -218,12 +219,16 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     algorithms = tuple(algorithms)
     runners = {algo: RUNNERS[algo] for algo in algorithms}  # KeyError before any work
     seeds = tuple(seeds)
-    for name, values in (("algorithms", algorithms), ("seeds", seeds)):
-        if not values:
-            raise ValueError(f"{name} must not be empty")
     if not all(_is_integer(s) and s >= 0 for s in seeds):
         raise ValueError(f"seeds must be non-negative integers, got {seeds!r}")
     seeds = tuple(map(int, seeds))
+    for name, values in (("algorithms", algorithms), ("seeds", seeds)):
+        if not values:
+            raise ValueError(f"{name} must not be empty")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat a value, got {values!r}")
+    for algo in algorithms:
+        hp.validate(algo)  # non-compliant hyperparameters raise before any stream is simulated
 
     objectives, seconds, regrets, best, n_events = {}, {}, {}, {}, {}
     for seed in seeds:

@@ -9,9 +9,11 @@ digits) and CSV readers skip blank rows, so every file parses back losslessly.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
-import warnings
+import os
+import stat
 from dataclasses import asdict, fields, replace
 from itertools import starmap
 from pathlib import Path
@@ -34,6 +36,7 @@ __all__ = [
     "write_trace",
     "read_trace",
     "write_report",
+    "check_output_path",
     "load_config",
     "spec_from_config",
     "domain_from_config",
@@ -102,6 +105,21 @@ def _write_json(path, doc):
     text = json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
     with open(path, "w") as f:
         f.write(text)
+
+
+def check_output_path(path):
+    """Raise, before any work, the OSError that writing a file at ``path`` would: its
+    directory is missing or not a directory, or ``path`` names a directory."""
+    path = os.fspath(path)
+    parent = os.path.dirname(path.rstrip(os.sep)) or (path and ".")  # "" names no file
+    try:
+        code = None if stat.S_ISDIR(os.stat(parent).st_mode) else errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
+    if code is None and (os.path.isdir(path) or path.endswith(os.sep)):
+        code = errno.EISDIR
+    if code is not None:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _load_json_object(path, error):
@@ -362,16 +380,15 @@ def reg_c_from_config(doc):
 
 
 def hyperparams_from_config(doc, allow_noncompliant=False, algo=None, iters=None):
-    """Build and validate HyperParams from the optimizer section; returns (hp, algorithm)."""
+    """Build and validate HyperParams for the algorithm that runs; returns (hp, algorithm)."""
     opt = doc.get("optimizer", {})
     kwargs = {k: v for k, v in opt.items() if k != "algorithm"}
     if iters is not None:
         kwargs["max_iters"] = iters
+    algorithm = algo or opt.get("algorithm", "aa-ipalm")
     hp = _read("optimizer", lambda: HyperParams(allow_noncompliant=allow_noncompliant, **kwargs))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the runner warns, once per fit
-        _read("optimizer", hp.validate)
-    return hp, algo or opt.get("algorithm", "aa-ipalm")
+    _read("optimizer", hp.validate, algorithm)
+    return hp, algorithm
 
 
 def experiment_from_config(path, command):
@@ -384,6 +401,9 @@ def experiment_from_config(path, command):
 
 def _experiment(doc, command):
     kwargs = dict(_section(doc, command))
+    for key in ("algorithms", "seeds"):  # a repeat would run the same cells twice
+        if key in kwargs:
+            _read(key, _check, kwargs[key], lambda v: len(set(v)) == len(v), "distinct values")
     if "iters" in kwargs and kwargs["iters"] is None:
         del kwargs["iters"]  # null: the run's default
     overrides = {k: kwargs.pop(k) for k in ("K", "horizon") if k in kwargs}

@@ -79,7 +79,8 @@ class HyperParams:
 
     Explicit overrides that break those relations (larger steps, smaller
     delta) are rejected by :meth:`validate` unless ``allow_noncompliant`` is
-    set, in which case a warning is emitted and the values are used verbatim.
+    set, in which case each run warns and uses them verbatim.  They are judged
+    with the momenta the chosen algorithm runs with (PALM's are zero).
     """
 
     epsilon: float = 0.05
@@ -122,7 +123,12 @@ class HyperParams:
     def delta_eff(self):
         return self.delta if self.delta is not None else max(self.delta1, self.delta2)
 
-    def validate(self):
+    def for_algorithm(self, algorithm):
+        """The hyperparameters ``algorithm`` runs with: PALM is the zero-momentum case."""
+        return replace(self, gamma1=0.0, gamma2=0.0) if algorithm == "palm" else self
+
+    def validate(self, algorithm):
+        """Refuse bad values; return ``algorithm``'s rule issues, raised unless allowed."""
         for f in fields(self):  # the annotations are strings: "float", "float | None", "int"
             value = getattr(self, f.name)
             if f.type == "int" and not (_is_integer(value) and value >= 1):
@@ -149,29 +155,21 @@ class HyperParams:
         if self.delta is not None and self.delta < 0:
             raise HyperParamsError("delta must be nonnegative")
 
-        issues = []
-        for name, t, g, lb in (
-            ("tau1", self.tau1, self.gamma1, self.lbar1),
-            ("tau2", self.tau2, self.gamma2, self.lbar2),
-        ):
-            if t is not None and t > self.formula_tau(g, lb) * (1.0 + 1e-12):
-                issues.append(
-                    f"{name}={t:g} exceeds the step-size rule value "
-                    f"{self.formula_tau(g, lb):g} for the supplied lbar"
-                )
-        dmax = max(self.delta1, self.delta2)
-        if self.delta is not None and self.delta < dmax * (1.0 - 1e-12):
+        run = self.for_algorithm(algorithm)
+        issues = [
+            f"{name}={t:g} exceeds the step-size rule value {rule:g} for the supplied lbar"
+            for name, t, rule in (("tau1", run.tau1, run.formula_tau(run.gamma1, run.lbar1)),
+                                  ("tau2", run.tau2, run.formula_tau(run.gamma2, run.lbar2)))
+            if t is not None and t > rule * (1.0 + 1e-12)
+        ]
+        dmax = max(run.delta1, run.delta2)
+        if run.delta is not None and run.delta < dmax * (1.0 - 1e-12):
             issues.append(
-                f"delta={self.delta:g} is below max(delta1, delta2)={dmax:g}; "
+                f"delta={run.delta:g} is below max(delta1, delta2)={dmax:g}; "
                 "the descent safeguard is weaker than the theory requires"
             )
-        if issues:
-            if not self.allow_noncompliant:
-                raise HyperParamsError(
-                    "non-compliant hyperparameters: " + "; ".join(issues)
-                )
-            for msg in issues:
-                warnings.warn(msg, stacklevel=2)
+        if issues and not self.allow_noncompliant:
+            raise HyperParamsError("non-compliant hyperparameters: " + "; ".join(issues))
         return issues
 
 
@@ -378,9 +376,11 @@ def _accept(problem, hp, u, u_hat, u_tilde, obj, grad, residual):
     return gain >= 0.5 * (delta + hp.epsilon * delta) * float(d_theta @ d_theta)
 
 
-def _iterate(problem, hp, theta0, accelerate, keep_iterates, track_h):
+def _iterate(problem, hp, algorithm, theta0, accelerate, keep_iterates, track_h):
     """The optimizer loop: block sweeps, each optionally Anderson-extrapolated."""
-    hp.validate()
+    for issue in hp.validate(algorithm):  # the one place that warns of them, once per fit
+        warnings.warn(issue)
+    hp = hp.for_algorithm(algorithm)
     flat0 = _as_flat(problem, theta0)
     if not problem.domain.contains(flat0):
         raise InfeasibleInitError("initial point lies outside the box domain")
@@ -440,13 +440,12 @@ def _iterate(problem, hp, theta0, accelerate, keep_iterates, track_h):
 
 def run_ipalm(problem, hp, theta0, keep_iterates=False):
     """Iterate the block sweep from theta0; returns params, trace, final objective."""
-    return _iterate(problem, hp, theta0, False, keep_iterates, False)
+    return _iterate(problem, hp, "ipalm", theta0, False, keep_iterates, False)
 
 
 def run_palm(problem, hp, theta0, keep_iterates=False):
-    """Non-inertial variant: the block sweep with both momenta forced to zero."""
-    hp0 = replace(hp, gamma1=0.0, gamma2=0.0)
-    return run_ipalm(problem, hp0, theta0, keep_iterates)
+    """Non-inertial variant: the block sweep with both momenta zero, judged by PALM's rules."""
+    return _iterate(problem, hp, "palm", theta0, False, keep_iterates, False)
 
 
 def run_aa_ipalm(
@@ -456,7 +455,7 @@ def run_aa_ipalm(
 
     ``accept_aa=False`` turns the acceleration off: :func:`run_ipalm` bit for bit.
     """
-    return _iterate(problem, hp, theta0, accept_aa, keep_iterates, track_h)
+    return _iterate(problem, hp, "aa-ipalm", theta0, accept_aa, keep_iterates, track_h)
 
 
 RUNNERS = {"palm": run_palm, "ipalm": run_ipalm, "aa-ipalm": run_aa_ipalm}

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hawkes_mle import experiments
+from hawkes_mle import cli, experiments
 from hawkes_mle.cli import main
 from hawkes_mle.io import (
     EVENT_HEADER,
@@ -250,6 +250,63 @@ class TestFitCommand:
         assert code == 0
         messages = sorted(str(w.message)[:4] for w in caught)
         assert messages == ["tau1", "tau2"]
+
+
+    # The paper's step-size and delta rules depend on the momenta, and PALM runs at
+    # gamma = 0: with gamma = 0.5 and lbar = 100, iPALM's tau rule gives 0.00666667 and
+    # its delta rule 55.5556, PALM's 0.02 and 0.
+    MOMENTA = {"gamma1": 0.5, "gamma2": 0.5, "lbar1": 100.0, "lbar2": 100.0, "max_iters": 20}
+
+    def fit_with_momenta(self, tmp_path, algo, **opt):
+        cfg = write_config(tmp_path / "cfg.json", base_config(**self.MOMENTA, **opt))
+        events = tmp_path / "events.csv"
+        main(["simulate", "--config", cfg, "--seed", "1", "--out", str(events)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--events", str(events), "--config", cfg, "--algo", algo,
+                         "--out", str(tmp_path / "p.json")])
+        return code, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("opt", [{"tau1": 0.015}, {"delta": 1.0}, {"delta": 0.0}])
+    def test_palm_judged_with_its_own_momenta(self, tmp_path, capsys, opt):
+        capsys.readouterr()
+        assert self.fit_with_momenta(tmp_path, "palm", **opt) == (0, [])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("algo", ["ipalm", "aa-ipalm"])
+    def test_ipalm_keeps_its_rule_value(self, tmp_path, capsys, algo):
+        capsys.readouterr()
+        assert self.fit_with_momenta(tmp_path, algo, tau1=0.015) == (1, [])
+        assert capsys.readouterr().err == (
+            "config error: optimizer: non-compliant hyperparameters: tau1=0.015 exceeds "
+            "the step-size rule value 0.00666667 for the supplied lbar\n")
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("flag, target, errno_line", [
+        ("--out", "dir", "[Errno 21] Is a directory"),
+        ("--trace", "dir", "[Errno 21] Is a directory"),
+        ("--out", "missing/file", "[Errno 2] No such file or directory"),
+        ("--trace", "missing/file", "[Errno 2] No such file or directory"),
+        ("--trace", "events.csv/file", "[Errno 20] Not a directory"),
+        ("--out", None, "[Errno 2] No such file or directory"),  # --out ""
+    ])
+    def test_output_path_refused_before_reading_events(
+        self, tmp_path, capsys, monkeypatch, flag, target, errno_line
+    ):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("read the events before checking the output paths")
+
+        monkeypatch.setattr(cli, "read_events", no_reading)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "events.csv").write_text("time,type\n")
+        cfg = write_config(tmp_path / "cfg.json", base_config())
+        paths = {"--out": str(tmp_path / "p.json"), "--trace": str(tmp_path / "t.csv"),
+                 flag: str(tmp_path / target) if target else ""}
+        argv = ["fit", "--events", str(tmp_path / "events.csv"), "--config", cfg]
+        code = main(argv + [arg for item in paths.items() for arg in item])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {errno_line}: {paths[flag]!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dir", "events.csv"]
 
 
 class TestCheckStationarity:
@@ -946,6 +1003,8 @@ BAD_KEYS = [
     ("benchmark", "seeds", []),
     ("consistency", "seeds_per_T", 0),
     ("benchmark", "algorithms", []),
+    ("benchmark", "seeds", [0, 0]),
+    ("benchmark", "algorithms", ["palm", "ipalm", "palm"]),
 ]
 
 

@@ -1,6 +1,7 @@
 import json
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hawkes_mle import (
     spectral_radius,
     branching_matrix,
 )
-from hawkes_mle import experiments
+from hawkes_mle import HyperParamsError, experiments
 from hawkes_mle.experiments import REGRET_FLOOR, _scaled_domain
 from hawkes_mle.io import write_report
 
@@ -67,8 +68,9 @@ class TestRecipes:
         assert hp.omega_bar == 0.1 and hp.nu == 0.1
         assert hp.delta == 0.02 and hp.c1 == 1e8 and hp.c2 == 1e8
         assert hp.memory == 20 and hp.max_iters == 500
-        with pytest.warns(UserWarning):
-            hp.validate()  # delta below the rule; accepted with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # delta below the rule: accepted, and each run warns
+            assert [issue[:10] for issue in hp.validate("ipalm")] == ["delta=0.02"]
 
     def test_powerlaw_recipe(self):
         inst = gen_synthetic_powerlaw(seed=0)
@@ -220,6 +222,22 @@ class TestEmptySizes:
         refuse_simulation(monkeypatch)
         with pytest.raises(ValueError, match="seeds"):
             run_benchmark(inst, seeds=seeds)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seeds", (0, 0)), ("seeds", (3, 1, np.int64(3))), ("algorithms", ("palm", "palm")),
+    ])
+    def test_benchmark_refuses_repeats(self, name, value, monkeypatch):
+        inst = small_instance()
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
+            run_benchmark(inst, **{name: value})
+
+    def test_benchmark_checks_hyperparameters_for_each_algorithm_first(self, monkeypatch):
+        inst = small_instance()
+        inst.hp = replace(inst.hp, allow_noncompliant=False)  # delta 0.02: iPALM's rule is higher
+        refuse_simulation(monkeypatch)
+        with pytest.raises(HyperParamsError, match="delta=0.02 is below"):
+            run_benchmark(inst, algorithms=("palm", "ipalm"), iters=2)
 
     @pytest.mark.parametrize("T_grid", [[20.0, -5.0], [20.0, float("inf")], [0.0], [True]])
     def test_consistency_refuses_bad_horizon(self, T_grid, monkeypatch):

@@ -1,3 +1,7 @@
+import re
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,15 +120,15 @@ class TestHyperParams:
 
     def test_range_violations(self):
         with pytest.raises(HyperParamsError):
-            HyperParams(epsilon=0.6).validate()
+            HyperParams(epsilon=0.6).validate("ipalm")
         with pytest.raises(HyperParamsError):
-            HyperParams(epsilon=0.05, gamma1=0.95).validate()
+            HyperParams(epsilon=0.05, gamma1=0.95).validate("ipalm")
         with pytest.raises(HyperParamsError):
-            HyperParams(omega_bar=1.0).validate()
+            HyperParams(omega_bar=1.0).validate("ipalm")
         with pytest.raises(HyperParamsError):
-            HyperParams(c1=0.5).validate()
+            HyperParams(c1=0.5).validate("ipalm")
         with pytest.raises(HyperParamsError):
-            HyperParams(memory=0).validate()
+            HyperParams(memory=0).validate("ipalm")
 
     @pytest.mark.parametrize("field, value, message", [
         ("lbar1", 0.0, "lbar1 and lbar2 must be positive"),
@@ -135,42 +139,78 @@ class TestHyperParams:
     ])
     def test_sign_violations(self, field, value, message):
         with pytest.raises(HyperParamsError, match=message):
-            HyperParams(**{field: value}).validate()
+            HyperParams(**{field: value}).validate("ipalm")
+
+    @staticmethod
+    def returned_then_warned_by_the_run(lax, message):
+        """``validate`` returns the issue without warning; a run warns it once."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            issues = lax.validate("ipalm")
+        assert len(issues) == 1 and issues[0].startswith(message)
+        prob = poisson_problem()[0]
+        flat = 0.5 * (prob.domain.lb_flat() + prob.domain.ub_flat())
+        with pytest.warns(UserWarning, match=re.escape(message)) as caught:
+            run_ipalm(prob, lax, flat)
+        assert len(caught) == 1
 
     def test_oversized_tau_rejected_then_warns(self):
         hp = HyperParams(lbar1=1.0, tau1=5.0)  # rule gives 2.0
         with pytest.raises(HyperParamsError):
-            hp.validate()
-        lax = HyperParams(lbar1=1.0, tau1=5.0, allow_noncompliant=True)
-        with pytest.warns(UserWarning):
-            lax.validate()
+            hp.validate("ipalm")
+        lax = HyperParams(lbar1=1.0, tau1=5.0, max_iters=2, allow_noncompliant=True)
+        self.returned_then_warned_by_the_run(lax, "tau1=5 exceeds the step-size rule value 2 ")
 
     def test_small_delta_rejected_then_warns(self):
         hp = HyperParams(gamma1=0.9, lbar1=1.0, delta=0.02)
         with pytest.raises(HyperParamsError):
-            hp.validate()
-        lax = HyperParams(gamma1=0.9, lbar1=1.0, delta=0.02, allow_noncompliant=True)
-        with pytest.warns(UserWarning):
-            lax.validate()
+            hp.validate("ipalm")
+        lax = HyperParams(gamma1=0.9, lbar1=1.0, delta=0.02, max_iters=2,
+                          allow_noncompliant=True)
+        self.returned_then_warned_by_the_run(lax, "delta=0.02 is below max(delta1, delta2)=9")
+
+    # The paper's tau_i and delta_i depend on the momenta; PALM runs at gamma = 0, where
+    # tau_i = 2 / lbar_i and delta_i = 0.
+    @pytest.mark.parametrize("override, ipalm_rule", [
+        ({"tau1": 0.015}, "tau1=0.015 exceeds the step-size rule value 0.00666667 "),
+        ({"delta": 1.0}, "delta=1 is below max(delta1, delta2)=55.5556;"),
+    ])
+    def test_compliance_is_judged_with_the_algorithms_momenta(self, override, ipalm_rule):
+        hp = HyperParams(gamma1=0.5, gamma2=0.5, lbar1=100.0, lbar2=100.0, **override)
+        assert hp.validate("palm") == []
+        for algo in ("ipalm", "aa-ipalm"):
+            with pytest.raises(HyperParamsError, match=re.escape(ipalm_rule)):
+                hp.validate(algo)
+
+    @pytest.mark.parametrize("algo", ["palm", "ipalm", "aa-ipalm"])
+    @pytest.mark.parametrize("gamma", [0.95, -0.1, float("nan"), "0.5"])
+    def test_written_momenta_checked_for_every_algorithm(self, algo, gamma):
+        with pytest.raises(HyperParamsError, match="gamma1 must"):
+            HyperParams(gamma1=gamma).validate(algo)
+
+    def test_palm_runs_with_zero_momenta_only(self):
+        hp = HyperParams(gamma1=0.5, gamma2=0.3, lbar1=4.0)
+        assert hp.for_algorithm("palm") == replace(hp, gamma1=0.0, gamma2=0.0)
+        assert hp.for_algorithm("ipalm") is hp and hp.for_algorithm("aa-ipalm") is hp
 
     def test_small_tau_override_is_compliant(self):
-        HyperParams(lbar1=1.0, lbar2=1.0, tau1=1e-7, tau2=1e-7).validate()
+        HyperParams(lbar1=1.0, lbar2=1.0, tau1=1e-7, tau2=1e-7).validate("ipalm")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.1"])
     @pytest.mark.parametrize("name", ["epsilon", "gamma1", "gamma2", "lbar1", "lbar2", "tau1",
                                       "tau2", "omega_bar", "nu", "delta", "c1", "c2"])
     def test_float_fields_must_be_finite_numbers(self, name, bad):
         with pytest.raises(HyperParamsError, match=f"{name} must be a finite number"):
-            HyperParams(**{name: bad}).validate()
+            HyperParams(**{name: bad}).validate("ipalm")
 
     @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
     @pytest.mark.parametrize("name", ["memory", "max_iters"])
     def test_memory_and_max_iters_must_be_integers(self, name, bad):
         with pytest.raises(HyperParamsError, match=f"{name} must be a positive integer"):
-            HyperParams(**{name: bad}).validate()
+            HyperParams(**{name: bad}).validate("ipalm")
 
     def test_numpy_integers_accepted(self):
-        HyperParams(memory=np.int64(3), max_iters=np.int32(5)).validate()
+        HyperParams(memory=np.int64(3), max_iters=np.int32(5)).validate("ipalm")
 
 
 class TestIpalmMap:
