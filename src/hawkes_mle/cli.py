@@ -35,9 +35,10 @@ from .io import (
     write_trace,
 )
 from .likelihood import LikelihoodProblem
-from .model import DomainError, branching_matrix, spectral_radius, stationary_mean_intensity
+from .model import _RULES, DomainError, _require, branching_matrix, spectral_radius
+from .model import stationary_mean_intensity
 from .optim import RUNNERS, HyperParamsError, InfeasibleInitError
-from .simulate import SimConfig, SimulationCapError, _finite_horizon
+from .simulate import SimConfig, SimulationCapError
 from .simulate import simulate_cluster, simulate_thinning
 
 EXIT_OK = 0
@@ -52,7 +53,7 @@ def cmd_simulate(args):
     spec = spec_from_config(doc)
     params = init_from_config(doc, spec)
     if args.horizon is not None:
-        doc["horizon"] = _read("--horizon", _finite_horizon, args.horizon)
+        doc["horizon"] = _require("--horizon", args.horizon, _RULES["nonnegative"], ConfigError)
     horizon = float(doc["horizon"])
     sim = simulate_cluster if args.method == "cluster" else simulate_thinning
     events = sim(spec, params, horizon, config)
@@ -172,9 +173,7 @@ def cmd_ingest_memetracker(args):
 def _fraction(text):
     """The ``--max-bad-fraction`` value: a finite number in [0, 1]."""
     value = float(text)  # a malformed number is argparse's "invalid _fraction value"
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a finite number in [0, 1], got {text!r}")
-    return value
+    return _require("max_bad_fraction", value, _RULES["fraction"], argparse.ArgumentTypeError)
 
 
 def build_parser():

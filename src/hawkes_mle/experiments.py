@@ -27,8 +27,8 @@ from .model import (
     ModelSpec,
     ParamVector,
     _FAMILIES,
-    _is_finite,
-    _is_integer,
+    _RULES,
+    _require,
     branching_matrix,
     project_onto_box,
     spectral_radius,
@@ -80,6 +80,16 @@ class SyntheticRecipe:
     horizon: float = 1000.0
 
 
+# The rule each numeric recipe value keeps: ``generate_instance`` checks them before its
+# first draw, and the config reader's recipe section checks a dict recipe with them.
+_RECIPE_RULES = {
+    "K": _RULES["positive_int"], "seed": _RULES["nonnegative_int"],
+    "horizon": _RULES["positive"], "reg_c": _RULES["nonnegative"],
+    "alpha_divisor": _RULES["positive"], "mu_divisor": _RULES["positive"],
+    **dict.fromkeys(("beta_true", "alpha_low", "alpha_high", "mu_low", "mu_high"),
+                    _RULES["finite"]),
+}
+
 # The built-in recipes, by name; callers override K, seed and horizon.
 RECIPES = {
     "exp-k10": SyntheticRecipe(kind="exp-k10"),
@@ -109,11 +119,9 @@ class SyntheticInstance:
 
 
 def generate_instance(recipe):
-    """Sample ground truth until stationary, then build box, init, defaults."""
-    for name in ("alpha_divisor", "mu_divisor"):
-        value = getattr(recipe, name)
-        if not (_is_finite(value) and value > 0):
-            raise ValueError(f"{name}: expected a finite number > 0, got {value!r}")
+    """Check the recipe, sample ground truth until stationary, then build box, init, defaults."""
+    for name, rule in _RECIPE_RULES.items():
+        _require(name, getattr(recipe, name), rule)
     if recipe.family not in tuple(_FAMILIES):
         raise ValueError(f"unknown kernel family {recipe.family!r}")
     spec = ModelSpec(K=recipe.K, M=1, kernels=[_FAMILIES[recipe.family]()])
@@ -213,29 +221,25 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     streams are not comparable).  The arguments and ``instance.hp`` (for each
     algorithm) are checked before any stream is simulated; seeds and names must differ.
     """
-    if not (iters is None or (_is_integer(iters) and iters >= 1)):
-        raise ValueError(f"iters must be None or a positive integer, got {iters!r}")
+    if iters is not None:
+        _require("iters", iters, _RULES["positive_int"])
     hp = instance.hp if iters is None else replace(instance.hp, max_iters=iters)
     algorithms = tuple(algorithms)
-    runners = {algo: RUNNERS[algo] for algo in algorithms}  # KeyError before any work
-    seeds = tuple(seeds)
-    if not all(_is_integer(s) and s >= 0 for s in seeds):
-        raise ValueError(f"seeds must be non-negative integers, got {seeds!r}")
-    seeds = tuple(map(int, seeds))
+    seeds = tuple(int(_require("seeds", s, _RULES["nonnegative_int"])) for s in seeds)
     for name, values in (("algorithms", algorithms), ("seeds", seeds)):
         if not values:
             raise ValueError(f"{name} must not be empty")
         if len(set(values)) < len(values):
             raise ValueError(f"{name} must not repeat a value, got {values!r}")
     for algo in algorithms:
-        hp.validate(algo)  # non-compliant hyperparameters raise before any stream is simulated
+        hp.validate(algo)  # unknown names and non-compliant values raise before any simulation
 
     objectives, seconds, regrets, best, n_events = {}, {}, {}, {}, {}
     for seed in seeds:
         prob = _simulated_problem(instance, instance.horizon, seed)
         n_events[seed] = prob.n
         for algo in algorithms:
-            res = runners[algo](prob, hp, instance.init)
+            res = RUNNERS[algo](prob, hp, instance.init)
             objectives[(algo, seed)] = np.array(
                 [r.objective for r in res.trace] + [res.final_objective]
             )
@@ -363,15 +367,11 @@ def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=
     starting point, so step sizes adapt to the data volume.  The fits search
     the box ``STUDY_BOX_SCALE`` wide around the truth.
     """
-    T_grid = list(T_grid)
+    T_grid = [float(_require("T_grid", T, _RULES["positive"])) for T in T_grid]
     if not T_grid:
         raise ValueError("T_grid must not be empty")
-    if not all(_is_finite(T) and T > 0 for T in T_grid):
-        raise ValueError(f"T_grid entries must be finite numbers > 0, got {T_grid!r}")
-    T_grid = list(map(float, T_grid))
-    for name, value in (("seeds_per_T", seeds_per_T), ("iters", iters)):
-        if not (_is_integer(value) and value >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    _require("seeds_per_T", seeds_per_T, _RULES["positive_int"])
+    _require("iters", iters, _RULES["positive_int"])
     instance = generate_instance(recipe)
     instance.domain = _scaled_domain(instance.spec, instance.params, STUDY_BOX_SCALE)
     im = instance.spec.index_map

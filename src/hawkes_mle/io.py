@@ -22,8 +22,8 @@ import numpy as np
 
 from . import experiments
 from .model import BoxDomain, DataError, ModelSpec, ParamVector
-from .model import _FAMILIES, _is_finite, _is_integer
-from .optim import HyperParams
+from .model import _FAMILIES, _RULES, _require
+from .optim import _ALGORITHM, HyperParams
 from .simulate import EventSequence, _by_time_type
 
 __all__ = [
@@ -265,24 +265,18 @@ def _read(where, build, *args):
         raise ConfigError(f"{where}: {reason}" if where else reason) from None
 
 
-def _check(value, ok, expected):
-    if not ok(value):
-        raise ValueError(f"expected {expected}, got {value!r}")
+def _nonempty_list(rule, expected):
+    """The rule of a non-empty list whose values keep ``rule``."""
+    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(rule[0], v))), expected
 
 
-def _nonempty_list(ok, expected):
-    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v))), expected
+def _or_null(rule):
+    """``rule``, or null."""
+    return (lambda v: v is None or rule[0](v)), f"{rule[1]} or null"
 
 
-# The scalar checks: (predicate, what it expects).
-_COUNT = (lambda v: _is_integer(v) and v >= 1), "a positive integer"
-_SEED = (lambda v: _is_integer(v) and v >= 0), "a non-negative integer"
-_POSITIVE = (lambda v: _is_finite(v) and v > 0), "a finite number > 0"
-_NONNEGATIVE = (lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"
-_LIST = (lambda v: isinstance(v, list)), "a list"
-_ITERS = (lambda v: v is None or _COUNT[0](v)), "a positive integer or null"
-_ALGORITHM = (lambda v: v in experiments.ALGORITHMS), f"one of {', '.join(experiments.ALGORITHMS)}"
-_RECIPE_FLOATS = ("beta_true", "alpha_low", "alpha_high", "mu_low", "mu_high")
+# The model and params sections' kernels key: a list; ``kernels_from_json`` checks each entry.
+_KERNELS = {"kernels": ((lambda v: isinstance(v, list)), "a list")}
 
 
 def _fields(cls, **checks):
@@ -290,37 +284,36 @@ def _fields(cls, **checks):
     return {**{f.name: None for f in fields(cls) if f.name != "allow_noncompliant"}, **checks}
 
 
-# Each section's keys: a key maps to its check, to the name of the section it
-# holds, or to None when its value's constructor (for a recipe's divisors,
-# ``generate_instance``) checks it.  The domain, init, optimizer and recipe
-# sections are the dataclasses' own fields, and allow_noncompliant is a
-# command-line flag, not a config key.
+# Each section's keys: a key maps to its rule, a (predicate, phrase) pair, mostly one
+# of ``model._RULES``; to the name of the section it holds; or to None when its
+# value's constructor checks it.  The domain, init, optimizer and recipe sections
+# are the dataclasses' own fields, a recipe's values keep ``generate_instance``'s
+# rules, and allow_noncompliant is a command-line flag, not a config key.
 _SECTIONS = {
     "config": {"model": "model", "domain": "domain", "init": "init",
                "regularization": "regularization", "optimizer": "optimizer",
-               "horizon": _NONNEGATIVE},
-    "model": {"K": _COUNT, "M": _COUNT, "kernels": _LIST},
+               "horizon": _RULES["nonnegative"]},
+    "model": {"K": _RULES["positive_int"], "M": _RULES["positive_int"], **_KERNELS},
     "exponential": {"family": None},
-    "powerlaw": {"family": None, "c": _POSITIVE},
+    "powerlaw": {"family": None, "c": None},
     "domain": _fields(BoxDomain),
     "init": _fields(ParamVector),
-    "regularization": {"C": _NONNEGATIVE},
+    "regularization": {"C": _RULES["nonnegative"]},
     "optimizer": _fields(HyperParams, algorithm=_ALGORITHM),
-    "params": _fields(ParamVector, kernels=_LIST, objective=None, meta=None),
+    "params": _fields(ParamVector, **_KERNELS, objective=None, meta=None),
     "benchmark": {
-        "recipe": None, "recipe_seed": _SEED, "K": _COUNT, "horizon": _POSITIVE, "iters": _ITERS,
-        "algorithms": _nonempty_list(_ALGORITHM[0], "a non-empty list of " + _ALGORITHM[1]),
-        "seeds": _nonempty_list(_SEED[0], "a non-empty list of non-negative integers"),
+        "recipe": None, "recipe_seed": _RULES["nonnegative_int"], "K": _RULES["positive_int"],
+        "horizon": _RULES["positive"], "iters": _or_null(_RULES["positive_int"]),
+        "algorithms": _nonempty_list(_ALGORITHM, "a non-empty list of " + _ALGORITHM[1]),
+        "seeds": _nonempty_list(_RULES["nonnegative_int"],
+                                "a non-empty list of non-negative integers"),
     },
     "consistency": {
-        "recipe": None, "recipe_seed": _SEED, "seeds_per_T": _COUNT, "iters": _ITERS,
-        "T_grid": _nonempty_list(_POSITIVE[0], "a non-empty list of finite numbers > 0"),
+        "recipe": None, "recipe_seed": _RULES["nonnegative_int"],
+        "seeds_per_T": _RULES["positive_int"], "iters": _or_null(_RULES["positive_int"]),
+        "T_grid": _nonempty_list(_RULES["positive"], "a non-empty list of finite numbers > 0"),
     },
-    "recipe": _fields(
-        experiments.SyntheticRecipe, K=_COUNT, seed=_SEED, horizon=_POSITIVE,
-        reg_c=_NONNEGATIVE,
-        **dict.fromkeys(_RECIPE_FLOATS, (_is_finite, "a finite number")),
-    ),
+    "recipe": _fields(experiments.SyntheticRecipe, **experiments._RECIPE_RULES),
 }
 
 
@@ -336,7 +329,7 @@ def _section(doc, name):
         if isinstance(keys[key], str):
             _read(key, _section, value, keys[key])
         elif keys[key] is not None:
-            _read(key, _check, value, *keys[key])
+            _require(key, value, keys[key])
     return doc
 
 
@@ -403,7 +396,7 @@ def _experiment(doc, command):
     kwargs = dict(_section(doc, command))
     for key in ("algorithms", "seeds"):  # a repeat would run the same cells twice
         if key in kwargs:
-            _read(key, _check, kwargs[key], lambda v: len(set(v)) == len(v), "distinct values")
+            _require(key, kwargs[key], ((lambda v: len(set(v)) == len(v)), "distinct values"))
     if "iters" in kwargs and kwargs["iters"] is None:
         del kwargs["iters"]  # null: the run's default
     overrides = {k: kwargs.pop(k) for k in ("K", "horizon") if k in kwargs}
@@ -446,7 +439,7 @@ def _write_rebased(out_path, rows):
                                  np.fromiter((k for _, k in rows), np.int64, len(rows)))
     with np.errstate(over="ignore"):
         times = times - times[:1]
-    write_events(out_path, EventSequence(times, types, times[-1] if times.size else 0.0))
+    write_events(out_path, EventSequence(times, types, float(times[-1]) if times.size else 0.0))
 
 
 def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01):
@@ -458,8 +451,7 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
     dropped and counted.  Rows that fail to parse count as bad; more than
     ``max_bad_fraction`` of them aborts the ingestion; it must lie in [0, 1].
     """
-    if not 0.0 <= max_bad_fraction <= 1.0:
-        raise ValueError(f"max_bad_fraction must be a number in [0, 1], got {max_bad_fraction!r}")
+    _require("max_bad_fraction", max_bad_fraction, _RULES["fraction"])
     code_map = _load_json_object(mapping_path, DataError)  # its keys are strings
     for code, letter in code_map.items():
         if letter not in ("L", "M", "C"):

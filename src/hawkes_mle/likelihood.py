@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DataError, Exponential, _is_integer, intensities
+from .model import _RULES, DataError, Exponential, _require, intensities
 
 __all__ = [
     "LikelihoodProblem",
@@ -233,8 +233,7 @@ class LikelihoodProblem:
     def __init__(self, spec, events, domain, reg_c=0.0):
         if events.horizon <= 0:
             raise DataError("observation horizon T must be positive")
-        if not 0 <= reg_c < np.inf:
-            raise ValueError(f"regularization coefficient must be finite and >= 0, got {reg_c}")
+        _require("reg_c", reg_c, _RULES["nonnegative"])
         if np.any(events.types >= spec.K):
             raise DataError("event type index out of range for the model spec")
         domain.validate_kernels(spec)
@@ -438,7 +437,7 @@ def intensity_at(problem, params, t, i):
     t = float(t)
     if not 0 <= t <= problem.T:
         raise ValueError(f"t={t} outside the observation window [0, {problem.T}]")
-    if not (_is_integer(i) and 0 <= i < problem.spec.K):
+    if not (_RULES["nonnegative_int"][0](i) and i < problem.spec.K):
         raise ValueError(f"type index {i} out of range")
     events = problem.events
     return float(intensities(problem.spec, params, events.times, events.types, t)[i])

@@ -58,6 +58,27 @@ def _is_finite(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+# The rule for each kind of scalar an input takes: (predicate, the phrase a refusal prints).
+# The config reader's sections and every library entry point check values through these.
+_RULES = {
+    "positive_int": ((lambda v: _is_integer(v) and v >= 1), "a positive integer"),
+    "nonnegative_int": ((lambda v: _is_integer(v) and v >= 0), "a non-negative integer"),
+    "finite": (_is_finite, "a finite number"),
+    "positive": ((lambda v: _is_finite(v) and v > 0), "a finite number > 0"),
+    "nonnegative": ((lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
+    "fraction": ((lambda v: _is_finite(v) and 0 <= v <= 1), "a finite number in [0, 1]"),
+}
+
+
+def _require(name, value, rule, error=ValueError):
+    """``value`` if ``rule``, a (predicate, phrase) pair, holds for it; else ``error``
+    worded as the config reader words it: "<name>: expected <phrase>, got <value>"."""
+    ok, phrase = rule
+    if not ok(value):
+        raise error(f"{name}: expected {phrase}, got {value!r}")
+    return value
+
+
 class NonStationaryError(DomainError):
     """Branching matrix has spectral radius >= 1."""
 
@@ -151,7 +172,7 @@ class Exponential:
 
 @dataclass(frozen=True)
 class PowerLawCutoff:
-    """Power-law kernel phi(t; beta) = (t + c)^(-beta) with cutoff c > 0, 0.05 by default.
+    """Power-law kernel phi(t; beta) = (t + c)^(-beta) with finite cutoff c > 0, 0.05 by default.
 
     Integrability over [0, inf) requires beta > 1.  In log time s = log1p(u / c),
     with h = c^(1-beta), r = beta - 1 and E the exponential kernel's Phi:
@@ -164,8 +185,7 @@ class PowerLawCutoff:
     name = "powerlaw"
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise DomainError(f"power-law cutoff must be positive, got {self.c}")
+        _require("c", self.c, _RULES["positive"], DomainError)
 
     def validate_beta(self, beta):
         if not beta > 1:
@@ -211,8 +231,8 @@ class ModelSpec:
     kernels: tuple
 
     def __post_init__(self):
-        if not all(_is_integer(n) and n >= 1 for n in (self.K, self.M)):
-            raise ValueError(f"K and M must be positive integers, got K={self.K!r}, M={self.M!r}")
+        _require("K", self.K, _RULES["positive_int"])
+        _require("M", self.M, _RULES["positive_int"])
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if len(self.kernels) != self.M:
             raise ValueError(f"expected {self.M} kernels, got {len(self.kernels)}")

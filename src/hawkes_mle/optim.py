@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .model import ParamVector, _is_finite, _is_integer
+from .model import _RULES, ParamVector, _require
 
 __all__ = [
     "HyperParamsError",
@@ -129,14 +129,12 @@ class HyperParams:
 
     def validate(self, algorithm):
         """Refuse bad values; return ``algorithm``'s rule issues, raised unless allowed."""
+        _require("algorithm", algorithm, _ALGORITHM, HyperParamsError)
         for f in fields(self):  # the annotations are strings: "float", "float | None", "int"
             value = getattr(self, f.name)
-            if f.type == "int" and not (_is_integer(value) and value >= 1):
-                raise HyperParamsError(f"{f.name} must be a positive integer, got {value!r}")
-            if f.type.startswith("float") and not (
-                _is_finite(value) or value is None and f.type.endswith("None")
-            ):
-                raise HyperParamsError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type != "bool" and not (value is None and f.type == "float | None"):
+                rule = _RULES["positive_int" if f.type == "int" else "finite"]
+                _require(f.name, value, rule, HyperParamsError)
         if not 0.0 < self.epsilon < 0.5:
             raise HyperParamsError("epsilon must lie in (0, 1/2)")
         hi = 1.0 - 2.0 * self.epsilon
@@ -459,6 +457,9 @@ def run_aa_ipalm(
 
 
 RUNNERS = {"palm": run_palm, "ipalm": run_ipalm, "aa-ipalm": run_aa_ipalm}
+# The rule an algorithm name keeps: a name in RUNNERS (looked up in a tuple, so that an
+# unhashable value is refused as a wrong name).
+_ALGORITHM = (lambda name: name in tuple(RUNNERS)), f"one of {', '.join(RUNNERS)}"
 
 
 @dataclass(frozen=True)
@@ -478,10 +479,8 @@ def residual_diagnostics(trace, base_checkpoint=None):
     """
     if not trace:
         raise ValueError("trace must be nonempty")
-    if base_checkpoint is not None and not (
-        _is_integer(base_checkpoint) and base_checkpoint >= 1
-    ):
-        raise ValueError(f"base_checkpoint must be a positive integer, got {base_checkpoint!r}")
+    if base_checkpoint is not None:
+        _require("base_checkpoint", base_checkpoint, _RULES["positive_int"])
     res2 = np.array([r.residual**2 for r in trace], dtype=float)
     prefix_min = np.minimum.accumulate(res2)
     n = len(trace)

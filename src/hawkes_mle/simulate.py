@@ -49,7 +49,7 @@ from itertools import accumulate, chain, islice
 
 import numpy as np
 
-from .model import DataError, Exponential, _is_integer, _stationary_branching_matrix
+from .model import _RULES, DataError, Exponential, _require, _stationary_branching_matrix
 
 __all__ = [
     "EventSequence",
@@ -72,11 +72,8 @@ class SimulationCapError(RuntimeError):
 
 
 def _finite_horizon(horizon):
-    """float(horizon), or DataError unless it is finite and nonnegative."""
-    horizon = float(horizon)
-    if not 0.0 <= horizon < np.inf:
-        raise DataError(f"horizon must be finite and nonnegative, got {horizon}")
-    return horizon
+    """float(horizon), or DataError unless it is a finite number >= 0."""
+    return float(_require("horizon", horizon, _RULES["nonnegative"], DataError))
 
 
 @dataclass(frozen=True)
@@ -85,10 +82,8 @@ class SimConfig:
     max_events: int = 10_000_000
 
     def __post_init__(self):
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (_is_integer(self.max_events) and self.max_events > 0):
-            raise ValueError(f"max_events must be a positive integer, got {self.max_events!r}")
+        _require("seed", self.seed, _RULES["nonnegative_int"])
+        _require("max_events", self.max_events, _RULES["positive_int"])
 
 
 @dataclass

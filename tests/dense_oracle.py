@@ -83,7 +83,8 @@ class DenseProblem:
             comp = sum(alpha[m].sum(axis=0) @ S[m] for m in range(M))
             logterm = float(np.log(lam).sum()) if n else 0.0
             obj = float(-self.T * mu.sum() - comp + logterm)
-            obj -= self.reg_c * float(flat @ flat)
+            with np.errstate(over="ignore"):  # |theta|^2 is inf far out, as in the engine
+                obj -= self.reg_c * float(flat @ flat)
 
         grad = None
         if want_grad_ma or want_grad_beta:

@@ -516,7 +516,7 @@ class TestIngestLobster:
                      "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
-        assert err == "data error: horizon must be finite and nonnegative, got inf\n"
+        assert err == "data error: horizon: expected a finite number >= 0, got inf\n"
         assert not out.exists()
 
     def test_bad_mapping_letter(self, tmp_path):

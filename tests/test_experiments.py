@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import warnings
 from dataclasses import replace
@@ -101,6 +102,25 @@ class TestRecipes:
             with pytest.raises(ValueError, match=f"{divisor}: expected a finite number > 0"):
                 generate_instance(SyntheticRecipe(**{divisor: value}))
 
+    @pytest.mark.parametrize("name, value, phrase", [
+        ("K", 0, "a positive integer"), ("seed", -1, "a non-negative integer"),
+        ("horizon", 0.0, "a finite number > 0"), ("reg_c", -1.0, "a finite number >= 0"),
+        ("alpha_low", float("nan"), "a finite number"),
+        ("alpha_high", float("inf"), "a finite number"),
+        ("mu_low", True, "a finite number"), ("mu_high", "0.1", "a finite number"),
+        ("beta_true", None, "a finite number"),
+    ])
+    def test_recipe_values_refused_before_the_first_draw(self, name, value, phrase, monkeypatch):
+        """Each value keeps its rule, in the config reader's words, before any draw: a NaN
+        bound is not numpy's OverflowError, and a negative reg_c is not left to the fits."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the recipe")
+
+        monkeypatch.setattr(experiments.np.random, "default_rng", refuse)
+        message = f"{name}: expected {phrase}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_instance(SyntheticRecipe(**{"K": 2, name: value}))
+
     def test_impossible_recipe_fails_cleanly(self):
         huge = SyntheticRecipe(kind="custom", K=4, alpha_divisor=0.1)
         with pytest.raises(RuntimeError, match="after 100 attempts"):
@@ -108,7 +128,7 @@ class TestRecipes:
 
     @pytest.mark.parametrize("K", [2.5, True])
     def test_non_integer_K_refused_by_the_spec(self, K):
-        with pytest.raises(ValueError, match="K and M must be positive"):
+        with pytest.raises(ValueError, match="K: expected a positive integer"):
             generate_instance(SyntheticRecipe(K=K))
 
 
@@ -231,6 +251,13 @@ class TestEmptySizes:
         refuse_simulation(monkeypatch)
         with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
             run_benchmark(inst, **{name: value})
+
+    def test_benchmark_refuses_an_unknown_algorithm_first(self, monkeypatch):
+        inst = small_instance()
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match="algorithm: expected one of palm, ipalm, aa-ipalm, "
+                                             "got 'foo'"):
+            run_benchmark(inst, algorithms=("foo",))
 
     def test_benchmark_checks_hyperparameters_for_each_algorithm_first(self, monkeypatch):
         inst = small_instance()

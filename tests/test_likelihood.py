@@ -180,7 +180,7 @@ class TestRegularizedObjective:
 
     @pytest.mark.parametrize("reg_c", [float("nan"), float("inf"), -1.0])
     def test_reg_c_must_be_finite_and_nonnegative(self, reg_c):
-        with pytest.raises(ValueError, match="regularization coefficient"):
+        with pytest.raises(ValueError, match="reg_c: expected a finite number >= 0"):
             problem(exp_spec(), events([1.0, 4.0], horizon=6.0), reg_c=reg_c)
 
 

@@ -52,6 +52,12 @@ class TestKernelValue:
         with pytest.raises(DomainError):
             PowerLawCutoff(c=0.0)
 
+    @pytest.mark.parametrize("c", [-1.0, float("nan"), float("inf"), True, "0.05"])
+    def test_cutoff_keeps_the_config_rule(self, c):
+        """The cutoff is a finite number > 0, refused in the config reader's words."""
+        with pytest.raises(DomainError, match=f"c: expected a finite number > 0, got {c!r}"):
+            PowerLawCutoff(c=c)
+
 
 class TestKernelAntiderivative:
     def test_empty_integral(self):
@@ -294,11 +300,11 @@ class TestFlatIndexMap:
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ModelSpec(K=0, M=1, kernels=[]), "K and M must be positive"),
-    (lambda: ModelSpec(K=1, M=0, kernels=[]), "K and M must be positive"),
-    (lambda: ModelSpec(K=2.5, M=1, kernels=[Exponential()]), "K and M must be positive"),
-    (lambda: ModelSpec(K=True, M=1, kernels=[Exponential()]), "K and M must be positive"),
-    (lambda: ModelSpec(K=1, M=1.0, kernels=[Exponential()]), "K and M must be positive"),
+    (lambda: ModelSpec(K=0, M=1, kernels=[]), "K: expected a positive integer"),
+    (lambda: ModelSpec(K=1, M=0, kernels=[]), "M: expected a positive integer"),
+    (lambda: ModelSpec(K=2.5, M=1, kernels=[Exponential()]), "K: expected a positive integer"),
+    (lambda: ModelSpec(K=True, M=1, kernels=[Exponential()]), "K: expected a positive integer"),
+    (lambda: ModelSpec(K=1, M=1.0, kernels=[Exponential()]), "M: expected a positive integer"),
     (lambda: FlatIndexMap(2, 1).unpack(np.zeros(6)), r"expected flat vector of dim 7, got \(6,\)"),
     (lambda: ParamVector([0.1, 0.2], np.zeros((1, 2, 3)), [1.0]),
      r"alpha shape \(1, 2, 3\) inconsistent with K=2, M=1"),

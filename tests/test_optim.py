@@ -27,7 +27,7 @@ from hawkes_mle import (
     run_palm,
     simulate_cluster,
 )
-from hawkes_mle.optim import TraceRecord
+from hawkes_mle.optim import RUNNERS, TraceRecord
 
 
 def poisson_problem(n=20, T=10.0, reg_c=0.0):
@@ -118,6 +118,13 @@ class TestHyperParams:
         assert hp.delta2 == pytest.approx(0.5 / (2 * 0.45))
         assert hp.delta_eff == pytest.approx(max(hp.delta1, hp.delta2))
 
+    @pytest.mark.parametrize("algorithm", ["foo", "aa_ipalm", None, ["palm"]])
+    def test_unknown_algorithm_refused(self, algorithm):
+        names = ", ".join(RUNNERS)
+        message = f"algorithm: expected one of {names}, got {algorithm!r}"
+        with pytest.raises(HyperParamsError, match=re.escape(message)):
+            HyperParams().validate(algorithm)
+
     def test_range_violations(self):
         with pytest.raises(HyperParamsError):
             HyperParams(epsilon=0.6).validate("ipalm")
@@ -185,7 +192,7 @@ class TestHyperParams:
     @pytest.mark.parametrize("algo", ["palm", "ipalm", "aa-ipalm"])
     @pytest.mark.parametrize("gamma", [0.95, -0.1, float("nan"), "0.5"])
     def test_written_momenta_checked_for_every_algorithm(self, algo, gamma):
-        with pytest.raises(HyperParamsError, match="gamma1 must"):
+        with pytest.raises(HyperParamsError, match="gamma1(: expected a finite number| must lie)"):
             HyperParams(gamma1=gamma).validate(algo)
 
     def test_palm_runs_with_zero_momenta_only(self):
@@ -200,13 +207,13 @@ class TestHyperParams:
     @pytest.mark.parametrize("name", ["epsilon", "gamma1", "gamma2", "lbar1", "lbar2", "tau1",
                                       "tau2", "omega_bar", "nu", "delta", "c1", "c2"])
     def test_float_fields_must_be_finite_numbers(self, name, bad):
-        with pytest.raises(HyperParamsError, match=f"{name} must be a finite number"):
+        with pytest.raises(HyperParamsError, match=f"{name}: expected a finite number"):
             HyperParams(**{name: bad}).validate("ipalm")
 
     @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
     @pytest.mark.parametrize("name", ["memory", "max_iters"])
     def test_memory_and_max_iters_must_be_integers(self, name, bad):
-        with pytest.raises(HyperParamsError, match=f"{name} must be a positive integer"):
+        with pytest.raises(HyperParamsError, match=f"{name}: expected a positive integer"):
             HyperParams(**{name: bad}).validate("ipalm")
 
     def test_numpy_integers_accepted(self):
@@ -437,7 +444,7 @@ class TestResidualDiagnostics:
     @pytest.mark.parametrize("k0", [0, -1, 2.0, 1.5, True, "4"])
     def test_base_checkpoint_must_be_positive_integer(self, k0):
         trace = [TraceRecord(k, -1.0, 0.5, "PALM", 1.0, 0.0) for k in range(8)]
-        with pytest.raises(ValueError, match="base_checkpoint must be a positive integer"):
+        with pytest.raises(ValueError, match="base_checkpoint: expected a positive integer"):
             residual_diagnostics(trace, base_checkpoint=k0)
 
     def test_base_checkpoint_past_the_trace_stops_at_its_end(self):

@@ -157,12 +157,12 @@ class TestClusterSimulator:
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "3"])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed: expected a non-negative integer"):
             SimConfig(seed=seed)
 
     @pytest.mark.parametrize("max_events", [0, -3, 2.5, float("nan"), True, None, "3"])
     def test_max_events_must_be_a_positive_integer(self, max_events):
-        with pytest.raises(ValueError, match="max_events must be a positive integer"):
+        with pytest.raises(ValueError, match="max_events: expected a positive integer"):
             SimConfig(seed=0, max_events=max_events)
 
 
