@@ -17,6 +17,7 @@ thread, so each run's ``seconds`` are its own wall-clock time.  A report's
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -28,12 +29,20 @@ from .model import (
     ParamVector,
     _FAMILIES,
     _RULES,
+    _or_null,
     _require,
     branching_matrix,
     project_onto_box,
     spectral_radius,
 )
-from .optim import RUNNERS, HyperParams, estimate_lipschitz_bounds, run_aa_ipalm
+from .optim import (
+    _ALGORITHM,
+    RUNNERS,
+    HyperParams,
+    HyperParamsError,
+    estimate_lipschitz_bounds,
+    run_aa_ipalm,
+)
 from .simulate import SimConfig, simulate_cluster
 
 __all__ = [
@@ -55,6 +64,8 @@ REGRET_FLOOR = 1e-12
 ALGORITHMS = tuple(RUNNERS)
 # Ground-truth draws a recipe gets before NoStationaryDrawError.
 MAX_DRAWS = 100
+# Width (both ways around the truth) of a recipe's box.
+BOX_SCALE = 100.0
 
 
 class NoStationaryDrawError(RuntimeError):
@@ -122,6 +133,14 @@ def generate_instance(recipe):
     """Check the recipe, sample ground truth until stationary, then build box, init, defaults."""
     for name, rule in _RECIPE_RULES.items():
         _require(name, getattr(recipe, name), rule)
+    # The box's upper bounds are BOX_SCALE times the largest value a draw can take.
+    for name, divisor in (("beta_true", 1.0), ("alpha_low", recipe.alpha_divisor),
+                          ("alpha_high", recipe.alpha_divisor), ("mu_low", recipe.mu_divisor),
+                          ("mu_high", recipe.mu_divisor)):
+        value = getattr(recipe, name)
+        if not math.isfinite(BOX_SCALE * (abs(float(value)) / float(divisor))):
+            raise ValueError(f"{name}: expected a value whose {BOX_SCALE:g}-fold box bound is "
+                             f"finite, got {value!r}")
     if recipe.family not in tuple(_FAMILIES):
         raise ValueError(f"unknown kernel family {recipe.family!r}")
     spec = ModelSpec(K=recipe.K, M=1, kernels=[_FAMILIES[recipe.family]()])
@@ -141,7 +160,7 @@ def generate_instance(recipe):
             f"no stationary draw after {MAX_DRAWS} attempts (last radius {radius:.3g})"
         )
 
-    domain = _scaled_domain(spec, truth, 100.0)
+    domain = _scaled_domain(spec, truth, BOX_SCALE)
     # All-ones start with beta = 3, clipped into the box (the power-law
     # alpha bound sits below 1, so the raw start can be infeasible).
     raw = ParamVector(mu=np.ones(K), alpha=np.ones((1, K, K)), beta=[3.0])
@@ -221,10 +240,9 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     streams are not comparable).  The arguments and ``instance.hp`` (for each
     algorithm) are checked before any stream is simulated; seeds and names must differ.
     """
-    if iters is not None:
-        _require("iters", iters, _RULES["positive_int"])
+    _require("iters", iters, _or_null(_RULES["positive_int"]))
     hp = instance.hp if iters is None else replace(instance.hp, max_iters=iters)
-    algorithms = tuple(algorithms)
+    algorithms = tuple(_require("algorithms", a, _ALGORITHM, HyperParamsError) for a in algorithms)
     seeds = tuple(int(_require("seeds", s, _RULES["nonnegative_int"])) for s in seeds)
     for name, values in (("algorithms", algorithms), ("seeds", seeds)):
         if not values:
@@ -232,7 +250,7 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
         if len(set(values)) < len(values):
             raise ValueError(f"{name} must not repeat a value, got {values!r}")
     for algo in algorithms:
-        hp.validate(algo)  # unknown names and non-compliant values raise before any simulation
+        hp.validate(algo)  # non-compliant values raise before any simulation
 
     objectives, seconds, regrets, best, n_events = {}, {}, {}, {}, {}
     for seed in seeds:

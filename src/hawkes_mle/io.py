@@ -15,16 +15,16 @@ import math
 import os
 import stat
 from dataclasses import asdict, fields, replace
-from itertools import starmap
+from itertools import islice, starmap
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
 from .model import BoxDomain, DataError, ModelSpec, ParamVector
-from .model import _FAMILIES, _RULES, _require
+from .model import _FAMILIES, _RULES, _or_null, _require
 from .optim import _ALGORITHM, HyperParams
-from .simulate import EventSequence, _by_time_type
+from .simulate import EventSequence, _StreamFault, _by_time_type
 
 __all__ = [
     "ConfigError",
@@ -161,23 +161,19 @@ def write_events(path, events):
 
 
 def read_events(path, horizon=None):
-    """Parse an event CSV; the horizon defaults to the last arrival time."""
-    times, types, last = [], [], 0.0
+    """Parse an event CSV (the horizon defaults to the last time); a bad row is a DataError."""
+    times, types = [], []
     for lineno, (t, k) in _rows(path, EVENT_HEADER):
         try:
-            t, k = _finite_time(t), int(k)
-            if not (last <= t and k >= 0):
-                raise ValueError("negative time or type" if t < 0 or k < 0 else "times not sorted")
+            times.append(_finite_time(t))
+            types.append(int(k))
         except ValueError as exc:
             raise DataError(f"{path}: row {lineno}: {exc}") from None
-        last = t
-        times.append(t)
-        types.append(k)
-    if horizon is None:
-        horizon = last
-    if times and last > horizon:
-        raise DataError(f"{path}: arrival beyond the declared horizon {horizon}")
-    return EventSequence(np.asarray(times), np.asarray(types, dtype=np.int64), horizon)
+    try:  # a sorted stream's last time is its largest
+        return EventSequence(times, types, max(times, default=0.0) if horizon is None else horizon)
+    except _StreamFault as fault:  # the rows are read again rather than kept for every event
+        row, _ = next(islice(_rows(path, EVENT_HEADER), fault.event, None))
+        raise DataError(f"{path}: row {row}: {fault.rule}") from None
 
 
 # -- kernels and parameters ----------------------------------------------------
@@ -268,11 +264,6 @@ def _read(where, build, *args):
 def _nonempty_list(rule, expected):
     """The rule of a non-empty list whose values keep ``rule``."""
     return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(rule[0], v))), expected
-
-
-def _or_null(rule):
-    """``rule``, or null."""
-    return (lambda v: v is None or rule[0](v)), f"{rule[1]} or null"
 
 
 # The model and params sections' kernels key: a list; ``kernels_from_json`` checks each entry.
@@ -454,9 +445,8 @@ def ingest_lobster(messages_path, mapping_path, out_path, max_bad_fraction=0.01)
     _require("max_bad_fraction", max_bad_fraction, _RULES["fraction"])
     code_map = _load_json_object(mapping_path, DataError)  # its keys are strings
     for code, letter in code_map.items():
-        if letter not in ("L", "M", "C"):
-            raise DataError(f"{mapping_path}: code {code!r} maps to {letter!r}, "
-                            "expected one of L, M, C")
+        _require(f"{mapping_path}: code {code!r}", letter,
+                 ((lambda v: v in ("L", "M", "C")), "one of L, M, C"), DataError)
 
     rows, bad, unmapped = [], 0, 0
     total = 0
@@ -499,9 +489,7 @@ def ingest_memetracker(posts_path, groups_path, out_path):
     """
     groups = _load_json_object(groups_path, DataError)
     for url, idx in groups.items():
-        if not (type(idx) is int and 0 <= idx < 2**63):
-            raise DataError(f"{groups_path}: url {url!r} maps to {idx!r}, "
-                            "expected an integer in [0, 2**63)")
+        _require(f"{groups_path}: url {url!r}", idx, _RULES["event_type"], DataError)
 
     rows, unmapped = [], 0
     with open(posts_path) as f:

@@ -67,7 +67,15 @@ _RULES = {
     "positive": ((lambda v: _is_finite(v) and v > 0), "a finite number > 0"),
     "nonnegative": ((lambda v: _is_finite(v) and v >= 0), "a finite number >= 0"),
     "fraction": ((lambda v: _is_finite(v) and 0 <= v <= 1), "a finite number in [0, 1]"),
+    "open_fraction": ((lambda v: _is_finite(v) and 0 < v < 1), "a finite number in (0, 1)"),
+    "at_least_one": ((lambda v: _is_finite(v) and v >= 1), "a finite number >= 1"),
+    "event_type": ((lambda v: _is_integer(v) and 0 <= v < 2**63), "an integer in [0, 2**63)"),
 }
+
+
+def _or_null(rule):
+    """``rule``, or null."""
+    return (lambda v: v is None or rule[0](v)), f"{rule[1]} or null"
 
 
 def _require(name, value, rule, error=ValueError):

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import _RULES, ParamVector, _require
+from .model import _RULES, ParamVector, _or_null, _require
 
 __all__ = [
     "HyperParamsError",
@@ -65,6 +65,14 @@ class HyperParamsError(ValueError):
 
 class InfeasibleInitError(ValueError):
     """Initial point outside the box domain."""
+
+
+# Each hyperparameter's range; ``validate`` checks the coupled epsilon and gamma bounds after.
+_RANGES = {name: rule for names, rule in (
+    ("epsilon gamma1 gamma2", _RULES["finite"]), ("lbar1 lbar2", _RULES["positive"]),
+    ("tau1 tau2", _or_null(_RULES["positive"])), ("omega_bar nu", _RULES["open_fraction"]),
+    ("delta", _or_null(_RULES["nonnegative"])), ("c1 c2", _RULES["at_least_one"]),
+    ("memory max_iters", _RULES["positive_int"])) for name in names.split()}
 
 
 @dataclass(frozen=True)
@@ -130,28 +138,14 @@ class HyperParams:
     def validate(self, algorithm):
         """Refuse bad values; return ``algorithm``'s rule issues, raised unless allowed."""
         _require("algorithm", algorithm, _ALGORITHM, HyperParamsError)
-        for f in fields(self):  # the annotations are strings: "float", "float | None", "int"
-            value = getattr(self, f.name)
-            if f.type != "bool" and not (value is None and f.type == "float | None"):
-                rule = _RULES["positive_int" if f.type == "int" else "finite"]
-                _require(f.name, value, rule, HyperParamsError)
+        for name, rule in _RANGES.items():
+            _require(name, getattr(self, name), rule, HyperParamsError)
         if not 0.0 < self.epsilon < 0.5:
             raise HyperParamsError("epsilon must lie in (0, 1/2)")
         hi = 1.0 - 2.0 * self.epsilon
         for name, g in (("gamma1", self.gamma1), ("gamma2", self.gamma2)):
             if not 0.0 <= g <= hi + 1e-15:
                 raise HyperParamsError(f"{name} must lie in [0, 1 - 2 eps] = [0, {hi}]")
-        if self.lbar1 <= 0 or self.lbar2 <= 0:
-            raise HyperParamsError("lbar1 and lbar2 must be positive")
-        for name, t in (("tau1", self.tau1), ("tau2", self.tau2)):
-            if t is not None and t <= 0:
-                raise HyperParamsError(f"{name} must be positive")
-        if not 0.0 < self.omega_bar < 1.0 or not 0.0 < self.nu < 1.0:
-            raise HyperParamsError("omega_bar and nu must lie in (0, 1)")
-        if self.c1 < 1.0 or self.c2 < 1.0:
-            raise HyperParamsError("safeguard constants c1, c2 must be >= 1")
-        if self.delta is not None and self.delta < 0:
-            raise HyperParamsError("delta must be nonnegative")
 
         run = self.for_algorithm(algorithm)
         issues = [
@@ -302,8 +296,7 @@ def powell_phi(eta, omega_bar):
     Returns 1 when |eta| >= omega_bar, else (1 - sign(eta) * omega_bar) /
     (1 - eta), with sign(0) = 1.
     """
-    if not 0.0 < omega_bar < 1.0:
-        raise ValueError("omega_bar must lie in (0, 1)")
+    _require("omega_bar", omega_bar, _RULES["open_fraction"])
     eta = float(eta)
     if abs(eta) >= omega_bar:
         return 1.0
@@ -479,8 +472,7 @@ def residual_diagnostics(trace, base_checkpoint=None):
     """
     if not trace:
         raise ValueError("trace must be nonempty")
-    if base_checkpoint is not None:
-        _require("base_checkpoint", base_checkpoint, _RULES["positive_int"])
+    _require("base_checkpoint", base_checkpoint, _or_null(_RULES["positive_int"]))
     res2 = np.array([r.residual**2 for r in trace], dtype=float)
     prefix_min = np.minimum.accumulate(res2)
     n = len(trace)

@@ -71,11 +71,6 @@ class SimulationCapError(RuntimeError):
         )
 
 
-def _finite_horizon(horizon):
-    """float(horizon), or DataError unless it is a finite number >= 0."""
-    return float(_require("horizon", horizon, _RULES["nonnegative"], DataError))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     seed: int = 0
@@ -86,33 +81,50 @@ class SimConfig:
         _require("max_events", self.max_events, _RULES["positive_int"])
 
 
+_STREAM_RULES = ("time must be finite", "time must be >= 0", "time must be >= the previous event's",
+                 "time must be <= the horizon", "type must be " + _RULES["event_type"][1])
+
+
+class _StreamFault(DataError):
+    """``DataError("event i: <rule>")``, for event ``event`` and one of ``_STREAM_RULES``."""
+
+    def __init__(self, event, rule):
+        self.event, self.rule = event, rule
+        super().__init__(f"event {event}: {rule}")
+
+
 @dataclass
 class EventSequence:
-    """Sorted, typed arrival times on [0, T]; a malformed stream raises ``DataError``."""
+    """Typed arrival times on [0, T]; each event is checked against ``_STREAM_RULES`` in order."""
 
     times: np.ndarray
     types: np.ndarray
     horizon: float
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        """Raise ``_StreamFault`` at the first bad event; only object types are read one by one."""
+        self.times = times = np.asarray(self.times, dtype=float)
         types = np.asarray(self.types)
-        # A cast would truncate 1.7 to 1 and fail on NaN with numpy's message.
-        if types.dtype.kind == "f" and not np.all(np.isfinite(types) & (np.floor(types) == types)):
-            raise DataError("types must be integers")
-        self.types = types.astype(np.int64, copy=False)
-        self.horizon = _finite_horizon(self.horizon)
-        if self.times.shape != self.types.shape or self.times.ndim != 1:
+        self.horizon = float(_require("horizon", self.horizon, _RULES["nonnegative"],
+                                      DataError))
+        if times.shape != types.shape or times.ndim != 1:
             raise DataError("times and types must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(self.times)):
-            raise DataError("times must be finite")
-        if self.times.size:
-            if np.any(np.diff(self.times) < 0):
-                raise DataError("times must be nondecreasing")
-            if self.times[0] < 0 or self.times[-1] > self.horizon:
-                raise DataError("times must lie in [0, horizon]")
-        if np.any(self.types < 0):
-            raise DataError("types must be nonnegative integers")
+        if types.dtype.kind == "f" and all(isinstance(k, int) for k in self.types):
+            types = np.array(self.types, dtype=object)  # integers past int64, kept exact
+        if types.dtype.kind == "f":  # whole numbers only: a cast would truncate 1.7 to 1
+            typed = (np.floor(types) == types) & (types >= 0) & (types < np.float64(2**63))
+        elif types.dtype.kind in "iu":  # an int64 is below 2**63, a uint64 >= 0
+            typed = types >= 0 if types.dtype.kind == "i" else types < 2**63
+        else:
+            typed = np.fromiter(map(_RULES["event_type"][0], types), bool, types.size)
+        ordered = np.ones(times.shape, bool)  # at or after the previous time
+        np.greater_equal(times[1:], times[:-1], out=ordered[1:])
+        holds = (np.isfinite(times), times >= 0, ordered, times <= self.horizon, typed)
+        good = np.logical_and.reduce(holds)
+        if not good.all():
+            i = int(good.argmin())
+            raise _StreamFault(i, next(rule for rule, h in zip(_STREAM_RULES, holds) if not h[i]))
+        self.types = types.astype(np.int64, copy=False)
 
     def __len__(self):
         return self.times.size
@@ -140,7 +152,7 @@ def _finalize(times, types, horizon):
 def _check_inputs(spec, params, horizon):
     """Both samplers' guard: admissible, stationary parameters and a finite horizon >= 0."""
     _stationary_branching_matrix(spec, params)
-    return _finite_horizon(horizon)
+    return float(_require("horizon", horizon, _RULES["nonnegative"], DataError))
 
 
 def _by_time_type(times, types):

@@ -701,7 +701,8 @@ class TestFitDataErrors:
              "--out", str(tmp_path / "p.json")]
         )
         assert code == 3
-        assert "row 2: negative time or type" in capsys.readouterr().err
+        rule = "time must be >= 0" if row[0] == "-" else "type must be an integer in [0, 2**63)"
+        assert f"row 2: {rule}" in capsys.readouterr().err
 
     def test_event_beyond_horizon_exit_3(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", base_config(horizon=10.0))
@@ -712,6 +713,26 @@ class TestFitDataErrors:
              "--out", str(tmp_path / "p.json")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("rows, row, rule", [
+        ("0.5,9223372036854775808", 2, "type must be an integer in [0, 2**63)"),
+        ("1.0,0\n2.0,18446744073709551616", 3, "type must be an integer in [0, 2**63)"),
+        ("1.0,0\n2.0,-1", 3, "type must be an integer in [0, 2**63)"),
+        ("1.0,0\n-1.0,0", 3, "time must be >= 0"),
+        ("2.0,0\n1.0,1", 3, "time must be >= the previous event's"),
+        ("2.0,0\n\n1.0,1", 4, "time must be >= the previous event's"),
+        ("1.0,0\n11.0,0", 3, "time must be <= the horizon"),
+    ], ids=["type-2**63", "type-2**64", "type-negative", "time-negative", "unsorted",
+            "unsorted-after-blank", "past-horizon"])
+    def test_bad_row_exit_3_naming_row_and_rule(self, tmp_path, capsys, rows, row, rule):
+        """Each stream rule is reported at its row, as ``EventSequence`` words it."""
+        cfg = write_config(tmp_path / "cfg.json", base_config(K=2, horizon=10.0))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"time,type\n{rows}\n5.0,0\n")
+        code = main(["fit", "--events", str(bad), "--config", cfg,
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {bad}: row {row}: {rule}\n"
 
     def test_pair_budget_exit_3_naming_the_sizes(self, tmp_path, capsys, monkeypatch):
         from hawkes_mle import likelihood
@@ -1006,6 +1027,22 @@ BAD_KEYS = [
     ("benchmark", "seeds", [0, 0]),
     ("benchmark", "algorithms", ["palm", "ipalm", "palm"]),
 ]
+
+
+@pytest.mark.parametrize("field", ["beta_true", "mu_high"])
+def test_recipe_whose_box_overflows_exit_1_before_simulating(tmp_path, capsys, monkeypatch,
+                                                             field):
+    monkeypatch.setattr(experiments, "simulate_cluster", no_simulation)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recipe": {"K": 2, field: 1e308}, "iters": 1, "seeds": [0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "report")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: recipe: {field}: expected a value whose 100-fold box bound is finite, "
+        "got 1e+308\n")
+    assert not (tmp_path / "report").exists()
 
 
 class TestExperimentConfigErrors:

@@ -19,7 +19,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hawkes_mle.cli import main
@@ -182,12 +182,15 @@ def test_experiment_config(case):
 TIMES = st.sampled_from([0.0, 0.5, 1.25, 3.0, 7.5, 19.75]) | st.floats(0.0, 20.0)
 ROWS = st.lists(st.tuples(TIMES, st.sampled_from([0, 0, 1])), max_size=30)
 BAD_ROWS = ["", "x,0", "1.0,a", "1.0", "nan,0", "inf,1", "-1.0,0", "25.0,0", "1.0,0,0",
-            "1e400,0", " 2.0 , 1 ", "3.0,2"]  # the last: a type >= K
+            "1e400,0", " 2.0 , 1 ", "3.0,2",  # a type >= K
+            "1.0,9223372036854775808", "1.0,18446744073709551616"]  # types past int64
 
 
 @FUZZ
 @given(ROWS, st.sampled_from(["sorted"] * 6 + ["unsorted", *BAD_ROWS]), st.integers(0, 30),
        st.sampled_from(["palm", "ipalm", "aa-ipalm"]))
+@example(rows=[(0.5, 0), (2.0, 1)], corruption="1.0,9223372036854775808", at=1, algo="palm")
+@example(rows=[], corruption="1.0,18446744073709551616", at=0, algo="ipalm")
 def test_fit_event_file(rows, corruption, at, algo):
     """Ties, empty types, n = 0, and one of: unsorted rows, a malformed row, a type >= K."""
     lines = [f"{t!r},{k}" for t, k in sorted(rows)]

@@ -1,5 +1,6 @@
 """Documented usage still runs: the README's Python example and the demos;
-the README's lists of experiment config keys match what the reader takes.
+the README's lists of experiment config keys match what the reader takes, and
+its event stream rules are the check's own phrases.
 
 Each script runs in its own interpreter inside a temporary directory (also
 its TMPDIR), so a signature change that breaks documented usage fails here.
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hawkes_mle import SyntheticRecipe, io
+from hawkes_mle import SyntheticRecipe, io, simulate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,3 +67,10 @@ def test_readme_experiment_keys_match_the_config_reader():
     assert recipe
     named = set(re.findall(r"`(\w+)`", recipe.group(1)))
     assert named and named <= {f.name for f in fields(SyntheticRecipe)}
+
+
+def test_readme_stream_rules_are_the_checks_phrases():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    rules = re.search(r"The stream rules, in the order each event is checked: (.*?)\. ", text)
+    assert rules
+    assert tuple(re.findall(r"`([^`]+)`", rules.group(1))) == simulate._STREAM_RULES

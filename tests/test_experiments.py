@@ -121,6 +121,31 @@ class TestRecipes:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_instance(SyntheticRecipe(**{"K": 2, name: value}))
 
+    @pytest.mark.parametrize("recipe", [
+        {"beta_true": 1e308}, {"mu_high": 1e308}, {"mu_low": -1e308},
+        {"alpha_high": 1e307, "alpha_divisor": 0.05}, {"mu_high": 1.0, "mu_divisor": 1e-307},
+    ], ids=["beta_true", "mu_high", "mu_low", "alpha_high", "mu_high-over-divisor"])
+    def test_recipe_whose_box_overflows_refused_before_the_first_draw(self, recipe,
+                                                                       monkeypatch):
+        """The box spans 100 times the largest value a draw can take; an infinite bound
+        is refused, naming the value, with no overflow warning."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the recipe")
+
+        monkeypatch.setattr(experiments.np.random, "default_rng", refuse)
+        name = next(k for k in recipe if "divisor" not in k)
+        message = f"{name}: expected a value whose 100-fold box bound is finite, got "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message + repr(recipe[name]))):
+                generate_instance(SyntheticRecipe(**{"K": 2, **recipe}))
+
+    def test_recipe_at_the_largest_finite_box_draws(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = generate_instance(SyntheticRecipe(K=2, beta_true=1e306))
+        assert inst.domain.beta_ub.tolist() == [1e308]
+
     def test_impossible_recipe_fails_cleanly(self):
         huge = SyntheticRecipe(kind="custom", K=4, alpha_divisor=0.1)
         with pytest.raises(RuntimeError, match="after 100 attempts"):
@@ -255,9 +280,17 @@ class TestEmptySizes:
     def test_benchmark_refuses_an_unknown_algorithm_first(self, monkeypatch):
         inst = small_instance()
         refuse_simulation(monkeypatch)
-        with pytest.raises(ValueError, match="algorithm: expected one of palm, ipalm, aa-ipalm, "
+        with pytest.raises(ValueError, match="algorithms: expected one of palm, ipalm, aa-ipalm, "
                                              "got 'foo'"):
             run_benchmark(inst, algorithms=("foo",))
+
+    def test_benchmark_checks_names_before_repeats(self, monkeypatch):
+        """An unhashable name is the algorithm rule's error, not the repeat test's TypeError."""
+        inst = small_instance()
+        refuse_simulation(monkeypatch)
+        message = "algorithms: expected one of palm, ipalm, aa-ipalm, got ['palm']"
+        with pytest.raises(HyperParamsError, match=re.escape(message)):
+            run_benchmark(inst, algorithms=(["palm"],))
 
     def test_benchmark_checks_hyperparameters_for_each_algorithm_first(self, monkeypatch):
         inst = small_instance()

@@ -1,12 +1,15 @@
-"""Scalar inputs are checked through ``model._RULES`` alone.
+"""Scalar inputs are checked through ``model._RULES`` alone, event streams through
+``EventSequence`` alone.
 
-The six kinds of scalar an input takes (positive integer, non-negative integer,
-finite number, finite > 0, finite >= 0, fraction in [0, 1]) each have one rule,
-a (predicate, phrase) pair in ``model``, and ``model._require`` words every
-refusal the way the config reader does.  A module that called ``_is_integer``
-or ``_is_finite`` itself, or a config reader with a (predicate, phrase) rule of
-its own, would write a rule a second time, and the two copies would drift.
-This scan keeps either from being added.
+Each kind of scalar an input takes (positive integer, non-negative integer,
+finite number, finite > 0, finite >= 0, fraction in [0, 1] or (0, 1), finite
+>= 1, event type) has one rule, a (predicate, phrase) pair in ``model``, and
+``model._require`` words every refusal the way the config reader does.  A
+module that called ``_is_integer`` or ``_is_finite`` itself, a config reader
+with a (predicate, phrase) rule of its own, an event-file reader that compared
+its times or types itself, or a ``HyperParams.validate`` that read field
+annotations or worded a range of its own, would write a rule a second time,
+and the two copies would drift.  These scans keep each from being added.
 """
 
 import ast
@@ -76,3 +79,89 @@ def test_only_model_calls_the_scalar_predicates(module):
 def test_config_reader_defines_no_rule_of_its_own():
     tree = ast.parse((SRC / "io.py").read_text(), filename="io.py")
     assert module_rules(tree) == [], "io.py defines a rule; model._RULES holds them"
+
+
+ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+# The hand-worded refusals ``HyperParams.validate`` keeps: the coupled epsilon and gamma
+# bounds ("... eps ...") and the step-size and delta compliance rules.
+KEPT_WORDING = ("eps", "non-compliant")
+
+
+def function(tree, name, cls=None):
+    """The definition of function ``name``, or of the method ``name`` of class ``cls``."""
+    scope = tree if cls is None else next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(node for node in scope.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def ordering_comparisons(func):
+    """Line of each <, <=, > or >= comparison in ``func``."""
+    return sorted(node.lineno for node in ast.walk(func) if isinstance(node, ast.Compare)
+                  and any(isinstance(op, ORDERING) for op in node.ops))
+
+
+def annotation_reads(func):
+    """Line of each ``.type``, ``.__annotations__`` or ``fields(...)`` in ``func``."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute) and node.attr in ("type", "__annotations__"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name == "fields":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def worded_raises(func):
+    """Line of each raise in ``func`` whose message holds words of its own (a string
+    constant) but none of ``KEPT_WORDING``."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            words = "".join(part.value for part in ast.walk(node.exc.args[0])
+                            if isinstance(part, ast.Constant) and isinstance(part.value, str))
+            if words and not any(kept in words for kept in KEPT_WORDING):
+                found.append(node.lineno)
+    return found
+
+
+def test_scan_sees_stream_rules_and_worded_ranges():
+    code = (
+        "def read_events(path):\n"
+        "    if last > t:\n"
+        "        raise ValueError('negative time')\n"
+        "    return horizon is None\n"
+        "class HyperParams:\n"
+        "    def validate(self):\n"
+        "        for f in fields(self):\n"
+        "            rule = f.type\n"
+        "        if self.c1 < 1:\n"
+        "            raise HyperParamsError('c1 must be >= 1')\n"
+        "        raise HyperParamsError(f'{name} must lie in [0, 1 - 2 eps]')\n"
+        "        raise HyperParamsError('non-compliant: ' + '; '.join(issues))\n"
+        "        _require(name, value, rule, HyperParamsError)\n"
+    )
+    tree = ast.parse(code)
+    assert ordering_comparisons(function(tree, "read_events")) == [2]
+    validate = function(tree, "validate", "HyperParams")
+    assert annotation_reads(validate) == [7, 8]
+    assert worded_raises(validate) == [10]
+
+
+def test_read_events_compares_no_time_or_type_itself():
+    """``EventSequence`` holds the stream rules; the reader only parses fields."""
+    tree = ast.parse((SRC / "io.py").read_text(), filename="io.py")
+    found = ordering_comparisons(function(tree, "read_events"))
+    assert found == [], f"io.read_events checks a stream rule itself at lines {found}"
+
+
+def test_hyperparams_validate_takes_its_ranges_from_the_table():
+    """``optim._RANGES`` holds each field's range; only the coupled epsilon and gamma
+    bounds and the compliance rules are worded in ``validate``."""
+    tree = ast.parse((SRC / "optim.py").read_text(), filename="optim.py")
+    validate = function(tree, "validate", "HyperParams")
+    assert annotation_reads(validate) == [], "validate reads field annotations"
+    assert worded_raises(validate) == [], "validate words a range of its own"

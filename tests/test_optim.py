@@ -1,6 +1,6 @@
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from hawkes_mle import (
     run_palm,
     simulate_cluster,
 )
+from hawkes_mle import optim
 from hawkes_mle.optim import RUNNERS, TraceRecord
 
 
@@ -138,15 +139,22 @@ class TestHyperParams:
             HyperParams(memory=0).validate("ipalm")
 
     @pytest.mark.parametrize("field, value, message", [
-        ("lbar1", 0.0, "lbar1 and lbar2 must be positive"),
-        ("lbar2", -1.0, "lbar1 and lbar2 must be positive"),
-        ("tau1", 0.0, "tau1 must be positive"),
-        ("tau2", -1e-3, "tau2 must be positive"),
-        ("delta", -0.5, "delta must be nonnegative"),
-    ])
+        ("lbar1", 0.0, "lbar1: expected a finite number > 0, got 0.0"),
+        ("lbar2", -1.0, "lbar2: expected a finite number > 0, got -1.0"),
+        ("tau1", 0.0, "tau1: expected a finite number > 0 or null, got 0.0"),
+        ("tau2", -1e-3, "tau2: expected a finite number > 0 or null, got -0.001"),
+        ("delta", -0.5, "delta: expected a finite number >= 0 or null, got -0.5"),
+        ("omega_bar", 1.0, "omega_bar: expected a finite number in (0, 1), got 1.0"),
+        ("nu", 0.0, "nu: expected a finite number in (0, 1), got 0.0"),
+        ("c2", 0.5, "c2: expected a finite number >= 1, got 0.5"),
+    ], ids=["lbar1", "lbar2", "tau1", "tau2", "delta", "omega_bar", "nu", "c2"])
     def test_sign_violations(self, field, value, message):
-        with pytest.raises(HyperParamsError, match=message):
+        with pytest.raises(HyperParamsError, match=re.escape(message)):
             HyperParams(**{field: value}).validate("ipalm")
+
+    def test_every_field_has_a_range_in_field_order(self):
+        names = [f.name for f in fields(HyperParams) if f.name != "allow_noncompliant"]
+        assert list(optim._RANGES) == names
 
     @staticmethod
     def returned_then_warned_by_the_run(lax, message):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -763,18 +764,43 @@ class TestEventSequence:
     @pytest.mark.parametrize("times, types, message", [
         ([1.0, 2.0], [0], "1-d arrays of equal length"),
         ([[1.0], [2.0]], [[0], [0]], "1-d arrays of equal length"),
-        ([2.0, 1.0], [0, 0], "nondecreasing"),
-        ([-0.5, 1.0], [0, 0], r"lie in \[0, horizon\]"),
-        ([1.0, 10.5], [0, 0], r"lie in \[0, horizon\]"),
-        ([1.0, 2.0], [0, -1], "nonnegative integers"),
-        ([1.0, 2.0], [0.0, 1.7], "types must be integers"),
-        ([1.0, 2.0], [0.0, np.nan], "types must be integers"),
-        ([1.0, 2.0], [0.0, np.inf], "types must be integers"),
+        ([2.0, 1.0], [0, 0], "event 1: time must be >= the previous event's"),
+        ([-0.5, 1.0], [0, 0], "event 0: time must be >= 0"),
+        ([1.0, 10.5], [0, 0], "event 1: time must be <= the horizon"),
+        ([1.0, 2.0], [0, -1], "event 1: type must be an integer in [0, 2**63)"),
+        ([1.0, 2.0], [0.0, 1.7], "event 1: type must be an integer in [0, 2**63)"),
+        ([1.0, 2.0], [0.0, np.nan], "event 1: type must be an integer in [0, 2**63)"),
+        ([1.0, 2.0], [0.0, np.inf], "event 1: type must be an integer in [0, 2**63)"),
     ], ids=["lengths", "2-d", "unsorted", "before-0", "after-T", "negative-type",
             "fractional-type", "nan-type", "inf-type"])
     def test_malformed_stream(self, times, types, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             EventSequence(np.array(times), np.array(types), 10.0)
+
+    @pytest.mark.parametrize("times, types, message", [
+        ([0.1], [2**63], "event 0: type must be an integer in [0, 2**63)"),
+        ([0.1], [2**64], "event 0: type must be an integer in [0, 2**63)"),
+        ([0.1, 0.2], [2**63 - 1, -2**70], "event 1: type must be an integer in [0, 2**63)"),
+        ([0.1, 0.2], [2**63 - 1, 2**63], "event 1: type must be an integer in [0, 2**63)"),
+        ([0.1, 0.2], [0, 2.0**63], "event 1: type must be an integer in [0, 2**63)"),
+        ([0.1, 0.2], np.array([0, "1"], dtype=object),
+         "event 1: type must be an integer in [0, 2**63)"),
+        ([0.1, np.nan], [0, 0], "event 1: time must be finite"),
+        ([0.5, np.inf, 0.2], [0, 0, 0], "event 1: time must be finite"),
+        ([0.5, 0.2, -1.0], [0, 0, 0], "event 1: time must be >= the previous event's"),
+        ([0.5, 0.7, 0.6], [0, 0, 5.5], "event 2: time must be >= the previous event's"),
+    ], ids=["2**63", "2**64", "past-int64-after-int64-max", "2**63-after-int64-max",
+            "float-2**63", "string",
+            "nan-time", "inf-time", "first-of-two-faults", "first-rule-of-an-event"])
+    def test_fault_names_the_first_event_and_its_first_rule(self, times, types, message):
+        """Types of each array kind: uint64, object (past int64), float, int64.  A list of
+        integers that numpy would widen to float64 (rounding 2**63 - 1 up) is kept exact."""
+        with pytest.raises(DataError, match=re.escape(message)):
+            EventSequence(times, types, 1.0)
+
+    def test_int64_maximum_type_accepted(self):
+        ev = EventSequence([0.1], [2**63 - 1], 1.0)
+        assert ev.types.dtype == np.int64 and ev.types.tolist() == [2**63 - 1]
 
     @pytest.mark.parametrize("times, types, horizon", [
         ([1.0], [0], np.inf), ([2.0, 1.0], [0, 0], 10.0), ([1.0], [-1], 10.0),
