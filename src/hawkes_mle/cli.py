@@ -18,6 +18,7 @@ from .io import (
     DataError,
     _read,
     check_output_path,
+    check_report_dir,
     domain_from_config,
     experiment_from_config,
     hyperparams_from_config,
@@ -55,6 +56,7 @@ def cmd_simulate(args):
     if args.horizon is not None:
         doc["horizon"] = _require("--horizon", args.horizon, _RULES["nonnegative"], ConfigError)
     horizon = float(doc["horizon"])
+    check_output_path(args.out)
     sim = simulate_cluster if args.method == "cluster" else simulate_thinning
     events = sim(spec, params, horizon, config)
     write_events(args.out, events)
@@ -130,6 +132,7 @@ def cmd_check_stationarity(args):
 
 
 def cmd_benchmark(args):
+    check_report_dir(args.out)
     _, instance, kwargs = experiment_from_config(args.config, "benchmark")
     report = experiments.run_benchmark(instance, **kwargs)
     write_report(args.out, report)
@@ -140,6 +143,7 @@ def cmd_benchmark(args):
 
 
 def cmd_consistency(args):
+    check_report_dir(args.out)
     recipe, _, kwargs = experiment_from_config(args.config, "consistency")
     report = experiments.run_consistency_study(recipe, **kwargs)
     write_report(args.out, report)

@@ -29,6 +29,7 @@ from .model import (
     ParamVector,
     _FAMILIES,
     _RULES,
+    _distinct_list,
     _or_null,
     _require,
     branching_matrix,
@@ -100,6 +101,21 @@ _RECIPE_RULES = {
     **dict.fromkeys(("beta_true", "alpha_low", "alpha_high", "mu_low", "mu_high"),
                     _RULES["finite"]),
 }
+
+# Each runner argument's rule, for ``_check_arguments`` and the config reader (null iters: default).
+_RUN_RULES = {
+    "algorithms": _distinct_list(_ALGORITHM), "seeds": _distinct_list(_RULES["nonnegative_int"]),
+    "T_grid": _distinct_list(_RULES["positive"]), "seeds_per_T": _RULES["positive_int"],
+    "iters": _or_null(_RULES["positive_int"]),
+}
+
+
+def _check_arguments(**arguments):
+    """Check each argument by its rule; an ``algorithms`` fault is a HyperParamsError."""
+    for name, value in arguments.items():
+        _require(name, value, _RUN_RULES[name],
+                 HyperParamsError if name == "algorithms" else ValueError)
+
 
 # The built-in recipes, by name; callers override K, seed and horizon.
 RECIPES = {
@@ -238,17 +254,11 @@ def run_benchmark(instance, algorithms=ALGORITHMS, iters=None, seeds=(0, 1, 2, 3
     Log-regret is log(best + floor - objective) with the best taken over all
     algorithms and iterations of the same stream (objectives of different
     streams are not comparable).  The arguments and ``instance.hp`` (for each
-    algorithm) are checked before any stream is simulated; seeds and names must differ.
+    algorithm) are checked before any stream is simulated; ``iters=None`` is hp's budget.
     """
-    _require("iters", iters, _or_null(_RULES["positive_int"]))
+    _check_arguments(algorithms=algorithms, seeds=seeds, iters=iters)
     hp = instance.hp if iters is None else replace(instance.hp, max_iters=iters)
-    algorithms = tuple(_require("algorithms", a, _ALGORITHM, HyperParamsError) for a in algorithms)
-    seeds = tuple(int(_require("seeds", s, _RULES["nonnegative_int"])) for s in seeds)
-    for name, values in (("algorithms", algorithms), ("seeds", seeds)):
-        if not values:
-            raise ValueError(f"{name} must not be empty")
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name} must not repeat a value, got {values!r}")
+    algorithms, seeds = tuple(algorithms), tuple(map(int, seeds))
     for algo in algorithms:
         hp.validate(algo)  # non-compliant values raise before any simulation
 
@@ -376,20 +386,17 @@ def _scaled_domain(spec, truth, scale):
 STUDY_BOX_SCALE = 10.0
 
 
-def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=300):
+def run_consistency_study(recipe, T_grid=(200.0, 2000.0), seeds_per_T=10, iters=None):
     """Fit accelerated runs to streams of growing horizon; report error vs T.
 
     For each horizon and stream, the relative parameter error
     ||theta_hat - theta*||_2 / ||theta*||_2 is recorded; medians per horizon
     summarize the study.  Curvature bounds are estimated at each stream's
     starting point, so step sizes adapt to the data volume.  The fits search
-    the box ``STUDY_BOX_SCALE`` wide around the truth.
+    the box ``STUDY_BOX_SCALE`` wide around the truth.  ``iters=None`` is 300 iterations.
     """
-    T_grid = [float(_require("T_grid", T, _RULES["positive"])) for T in T_grid]
-    if not T_grid:
-        raise ValueError("T_grid must not be empty")
-    _require("seeds_per_T", seeds_per_T, _RULES["positive_int"])
-    _require("iters", iters, _RULES["positive_int"])
+    _check_arguments(T_grid=T_grid, seeds_per_T=seeds_per_T, iters=iters)
+    T_grid, iters = [float(T) for T in T_grid], iters or 300
     instance = generate_instance(recipe)
     instance.domain = _scaled_domain(instance.spec, instance.params, STUDY_BOX_SCALE)
     im = instance.spec.index_map

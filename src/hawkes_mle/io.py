@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
+from .experiments import _RECIPE_RULES, _RUN_RULES
 from .model import BoxDomain, DataError, ModelSpec, ParamVector
-from .model import _FAMILIES, _RULES, _or_null, _require
+from .model import _FAMILIES, _RULES, _require
 from .optim import _ALGORITHM, HyperParams
 from .simulate import EventSequence, _StreamFault, _by_time_type
 
@@ -37,6 +38,7 @@ __all__ = [
     "read_trace",
     "write_report",
     "check_output_path",
+    "check_report_dir",
     "load_config",
     "spec_from_config",
     "domain_from_config",
@@ -120,6 +122,18 @@ def check_output_path(path):
         code = errno.EISDIR
     if code is not None:
         raise OSError(code, os.strerror(code), path)
+
+
+def check_report_dir(path):
+    """Raise, before any work and making nothing, the OSError that ``write_report`` making
+    the directory ``path`` would: ``path`` is a file, or a file stands in its way."""
+    path = Path(path)
+    for ancestor in (path, *path.parents):
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                code = errno.EEXIST if ancestor == path else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), str(path))
+            return
 
 
 def _load_json_object(path, error):
@@ -253,17 +267,13 @@ def read_trace(path):
 
 
 def _read(where, build, *args):
-    """build(*args); a KeyError, TypeError or ValueError becomes a ConfigError naming ``where``."""
+    """build(*args); a KeyError, TypeError, ValueError or OverflowError (a JSON integer past
+    the double range) becomes a ConfigError naming ``where``."""
     try:
         return build(*args)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         reason = f"missing key {exc}" if type(exc) is KeyError else str(exc)
         raise ConfigError(f"{where}: {reason}" if where else reason) from None
-
-
-def _nonempty_list(rule, expected):
-    """The rule of a non-empty list whose values keep ``rule``."""
-    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(rule[0], v))), expected
 
 
 # The model and params sections' kernels key: a list; ``kernels_from_json`` checks each entry.
@@ -277,14 +287,14 @@ def _fields(cls, **checks):
 
 # Each section's keys: a key maps to its rule, a (predicate, phrase) pair, mostly one
 # of ``model._RULES``; to the name of the section it holds; or to None when its
-# value's constructor checks it.  The domain, init, optimizer and recipe sections
-# are the dataclasses' own fields, a recipe's values keep ``generate_instance``'s
-# rules, and allow_noncompliant is a command-line flag, not a config key.
+# value's constructor checks it.  The model, domain, init, optimizer and recipe sections
+# are the dataclasses' own fields, recipe values and runner arguments keep the rules
+# ``experiments`` checks them with, and allow_noncompliant is a command-line flag.
 _SECTIONS = {
     "config": {"model": "model", "domain": "domain", "init": "init",
                "regularization": "regularization", "optimizer": "optimizer",
                "horizon": _RULES["nonnegative"]},
-    "model": {"K": _RULES["positive_int"], "M": _RULES["positive_int"], **_KERNELS},
+    "model": _fields(ModelSpec, **_KERNELS),
     "exponential": {"family": None},
     "powerlaw": {"family": None, "c": None},
     "domain": _fields(BoxDomain),
@@ -292,19 +302,12 @@ _SECTIONS = {
     "regularization": {"C": _RULES["nonnegative"]},
     "optimizer": _fields(HyperParams, algorithm=_ALGORITHM),
     "params": _fields(ParamVector, **_KERNELS, objective=None, meta=None),
-    "benchmark": {
-        "recipe": None, "recipe_seed": _RULES["nonnegative_int"], "K": _RULES["positive_int"],
-        "horizon": _RULES["positive"], "iters": _or_null(_RULES["positive_int"]),
-        "algorithms": _nonempty_list(_ALGORITHM, "a non-empty list of " + _ALGORITHM[1]),
-        "seeds": _nonempty_list(_RULES["nonnegative_int"],
-                                "a non-empty list of non-negative integers"),
-    },
-    "consistency": {
-        "recipe": None, "recipe_seed": _RULES["nonnegative_int"],
-        "seeds_per_T": _RULES["positive_int"], "iters": _or_null(_RULES["positive_int"]),
-        "T_grid": _nonempty_list(_RULES["positive"], "a non-empty list of finite numbers > 0"),
-    },
-    "recipe": _fields(experiments.SyntheticRecipe, **experiments._RECIPE_RULES),
+    "benchmark": {"recipe": None, "recipe_seed": _RECIPE_RULES["seed"],
+                  **{k: _RECIPE_RULES[k] for k in ("K", "horizon")},
+                  **{k: _RUN_RULES[k] for k in ("algorithms", "iters", "seeds")}},
+    "consistency": {"recipe": None, "recipe_seed": _RECIPE_RULES["seed"],
+                    **{k: _RUN_RULES[k] for k in ("T_grid", "seeds_per_T", "iters")}},
+    "recipe": _fields(experiments.SyntheticRecipe, **_RECIPE_RULES),
 }
 
 
@@ -385,11 +388,6 @@ def experiment_from_config(path, command):
 
 def _experiment(doc, command):
     kwargs = dict(_section(doc, command))
-    for key in ("algorithms", "seeds"):  # a repeat would run the same cells twice
-        if key in kwargs:
-            _require(key, kwargs[key], ((lambda v: len(set(v)) == len(v)), "distinct values"))
-    if "iters" in kwargs and kwargs["iters"] is None:
-        del kwargs["iters"]  # null: the run's default
     overrides = {k: kwargs.pop(k) for k in ("K", "horizon") if k in kwargs}
     if "horizon" in overrides:
         overrides["horizon"] = float(overrides["horizon"])

@@ -54,8 +54,13 @@ def _is_integer(value):
 
 
 def _is_finite(value):
-    """A finite real number, numpy's included; bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite real number, numpy's included; bool is not one, nor an integer past the
+    double range."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer too large to convert to float
+        return False
 
 
 # The rule for each kind of scalar an input takes: (predicate, the phrase a refusal prints).
@@ -76,6 +81,12 @@ _RULES = {
 def _or_null(rule):
     """``rule``, or null."""
     return (lambda v: v is None or rule[0](v)), f"{rule[1]} or null"
+
+
+def _distinct_list(rule):
+    """A non-empty list or tuple of distinct values, each keeping ``rule`` (checked first)."""
+    return ((lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(rule[0], v))
+             and len(set(v)) == len(v)), f"a non-empty list of distinct values, each {rule[1]}")
 
 
 def _require(name, value, rule, error=ValueError):

@@ -1,7 +1,8 @@
 import json
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hawkes_mle.io import (
     ConfigError,
     DataError,
     domain_from_config,
-    experiment_from_config,
     hyperparams_from_config,
     ingest_lobster,
     load_config,
@@ -1026,7 +1026,57 @@ BAD_KEYS = [
     ("benchmark", "algorithms", []),
     ("benchmark", "seeds", [0, 0]),
     ("benchmark", "algorithms", ["palm", "ipalm", "palm"]),
+    ("consistency", "T_grid", [40.0, 40.0]),
 ]
+
+
+@pytest.mark.parametrize("command, key, value", BAD_KEYS,
+                         ids=[f"{c}-{k}={json.dumps(v)}" for c, k, v in BAD_KEYS])
+def test_bad_key_message_is_the_librarys(tmp_path, capsys, monkeypatch, command, key, value):
+    """The config reader refuses a key with the message the library gives its twin: the
+    runner's for a runner argument, ``generate_instance``'s for a recipe value (the
+    config's ``recipe_seed`` is the recipe's ``seed``)."""
+    monkeypatch.setattr(experiments, "simulate_cluster", no_simulation)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**EXPERIMENT_CONFIGS[command], key: value}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "report")]) == 1
+    message = capsys.readouterr().err.removeprefix("config error: ").removesuffix("\n")
+    recipe = replace(experiments.RECIPES["exp-k10"], K=2, horizon=50.0)
+    name = "seed" if key == "recipe_seed" else key
+    with pytest.raises(ValueError) as raised:
+        if key not in experiments._RUN_RULES:
+            experiments.generate_instance(replace(recipe, **{name: value}))
+        elif command == "benchmark":
+            experiments.run_benchmark(experiments.generate_instance(recipe), **{key: value})
+        else:
+            experiments.run_consistency_study(recipe, **{key: value})
+    assert str(raised.value) == message.replace(key, name, 1)
+
+
+@pytest.mark.parametrize("command, target, errno_line", [
+    ("simulate", "dir", "[Errno 21] Is a directory"),
+    ("simulate", "missing/e.csv", "[Errno 2] No such file or directory"),
+    ("benchmark", "file", "[Errno 17] File exists"),
+    ("benchmark", "file/sub", "[Errno 20] Not a directory"),
+    ("consistency", "file", "[Errno 17] File exists"),
+    ("consistency", "file/sub/report", "[Errno 20] Not a directory"),
+])
+def test_unwritable_out_exit_1_before_any_work(tmp_path, capsys, monkeypatch, command, target,
+                                               errno_line):
+    """Like fit, simulate, benchmark and consistency refuse an --out they cannot write with
+    the error writing it would give, before anything is drawn, and make nothing."""
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "simulate_cluster", no_simulation)
+    monkeypatch.setattr(cli, "simulate_thinning", no_simulation)
+    monkeypatch.setattr(experiments, "generate_instance", no_simulation)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    doc = base_config() if command == "simulate" else EXPERIMENT_CONFIGS[command]
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = str(tmp_path / target)
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {errno_line}: {out!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dir", "file"]
 
 
 @pytest.mark.parametrize("field", ["beta_true", "mu_high"])
@@ -1082,11 +1132,28 @@ class TestExperimentConfigErrors:
 
     @pytest.mark.parametrize("command", ["benchmark", "consistency"])
     def test_null_iters_keeps_the_run_default(self, tmp_path, monkeypatch, command):
-        monkeypatch.setattr(experiments, "simulate_cluster", no_simulation)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**EXPERIMENT_CONFIGS[command], "iters": None}))
-        _, _, kwargs = experiment_from_config(str(cfg), command)
-        assert "iters" not in kwargs
+        """A null ``iters`` runs the same budget as a config without the key: the default."""
+        budgets = []
+
+        class Reached(Exception):
+            pass
+
+        def first_fit(problem, *args, iters=None):  # a runner's (problem, hp, init) or fit_stream
+            budgets.append(args[0].max_iters if args else iters)
+            raise Reached
+
+        monkeypatch.setattr(experiments, "_simulated_problem", lambda *args: SimpleNamespace(n=0))
+        monkeypatch.setattr(experiments, "fit_stream", first_fit)
+        for algo in experiments.ALGORITHMS:
+            monkeypatch.setitem(experiments.RUNNERS, algo, first_fit)
+        doc = {k: v for k, v in EXPERIMENT_CONFIGS[command].items() if k != "iters"}
+        for config in (doc, {**doc, "iters": None}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            with pytest.raises(Reached):
+                main([command, "--config", str(cfg), "--out", str(tmp_path / "report")])
+        default = HyperParams().max_iters if command == "benchmark" else 300
+        assert budgets == [default, default]
 
     @pytest.mark.parametrize("command", ["benchmark", "consistency"])
     def test_top_level_array_exit_1(self, tmp_path, capsys, monkeypatch, command):

@@ -22,6 +22,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hawkes_mle import (DataError, DomainError, EventSequence, HyperParams, HyperParamsError,
+                        PowerLawCutoff, SyntheticRecipe, generate_instance)
 from hawkes_mle.cli import main
 from hawkes_mle.io import read_events, read_params, read_trace
 
@@ -296,3 +298,42 @@ def test_ingestion_at_extreme_times(times):
         run(["ingest-memetracker", "--posts", write(wd, "p.csv", posts),
              "--groups", write(wd, "groups.json", {"a": 0}),
              "--out", str(wd / "out_events_meme.csv")], wd)
+
+
+# A JSON integer past the double range: every number rule refuses it as not finite, and a
+# section's constructor that converts it to float raises a config error, not a traceback.
+PAST_DOUBLE = 10**400
+
+
+@pytest.mark.parametrize("command, path", [
+    ("fit", ("horizon",)), ("fit", ("init", "mu", 0)), ("fit", ("domain", "mu_ub", 1)),
+    ("fit", ("domain", "alpha_ub", 0, 0, 0)), ("fit", ("regularization", "C")),
+    ("fit", ("optimizer", "lbar1")), ("fit", ("model", "kernels", 0, "c")),
+    ("simulate", ("horizon",)), ("simulate", ("init", "beta", 0)),
+    ("simulate", ("model", "kernels", 0, "c")),
+], ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else value)
+def test_integer_past_the_double_range_is_a_config_error(command, path):
+    config = copy.deepcopy(POWERLAW_CONFIG if "c" in path else FIT_CONFIG)
+    slot = config
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = PAST_DOUBLE
+    with tempfile.TemporaryDirectory() as tmp:
+        wd = Path(tmp)
+        argv = ["--config", write(wd, "c.json", config)]
+        if command == "fit":
+            argv += ["--events", write(wd, "e.csv", EVENTS), "--out", str(wd / "out_params.json")]
+        else:
+            argv += ["--out", str(wd / "out_events.csv")]
+        assert run([command, *argv], wd) == 1
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: HyperParams(lbar1=PAST_DOUBLE).validate("palm"), HyperParamsError),
+    (lambda: EventSequence([0.1], [0], PAST_DOUBLE), DataError),
+    (lambda: PowerLawCutoff(c=PAST_DOUBLE), DomainError),
+    (lambda: generate_instance(SyntheticRecipe(K=2, horizon=PAST_DOUBLE)), ValueError),
+], ids=["HyperParams", "EventSequence", "PowerLawCutoff", "generate_instance"])
+def test_integer_past_the_double_range_is_not_finite(build, error):
+    with pytest.raises(error, match=r": expected a finite number[^,]*, got 10{400}$"):
+        build()

@@ -1,6 +1,6 @@
 """Documented usage still runs: the README's Python example and the demos;
 the README's lists of experiment config keys match what the reader takes, and
-its event stream rules are the check's own phrases.
+its event stream rules and experiment argument rules are the checks' own phrases.
 
 Each script runs in its own interpreter inside a temporary directory (also
 its TMPDIR), so a signature change that breaks documented usage fails here.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hawkes_mle import SyntheticRecipe, io, simulate
+from hawkes_mle import SyntheticRecipe, experiments, io, simulate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,3 +74,15 @@ def test_readme_stream_rules_are_the_checks_phrases():
     rules = re.search(r"The stream rules, in the order each event is checked: (.*?)\. ", text)
     assert rules
     assert tuple(re.findall(r"`([^`]+)`", rules.group(1))) == simulate._STREAM_RULES
+
+
+def test_readme_argument_rules_are_the_tables_phrases():
+    """One statement of each experiment argument's rule, for the runners and the config."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    rules = re.search(r"The argument rules: (.*?)\. ", text)
+    assert rules
+    readme = dict(re.findall(r"`(\w+)` expects `([^`]+)`", rules.group(1)))
+    checked = {key: rule[1] for command in ("benchmark", "consistency")
+               for key, rule in io._SECTIONS[command].items() if rule is not None}
+    assert readme == checked
+    assert set(experiments._RUN_RULES) <= set(readme)

@@ -274,21 +274,23 @@ class TestEmptySizes:
     def test_benchmark_refuses_repeats(self, name, value, monkeypatch):
         inst = small_instance()
         refuse_simulation(monkeypatch)
-        with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
+        with pytest.raises(ValueError, match=f"{name}: expected a non-empty list of distinct "):
             run_benchmark(inst, **{name: value})
 
     def test_benchmark_refuses_an_unknown_algorithm_first(self, monkeypatch):
         inst = small_instance()
         refuse_simulation(monkeypatch)
-        with pytest.raises(ValueError, match="algorithms: expected one of palm, ipalm, aa-ipalm, "
-                                             "got 'foo'"):
+        message = ("algorithms: expected a non-empty list of distinct values, each one of palm, "
+                   "ipalm, aa-ipalm, got ('foo',)")
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_benchmark(inst, algorithms=("foo",))
 
     def test_benchmark_checks_names_before_repeats(self, monkeypatch):
         """An unhashable name is the algorithm rule's error, not the repeat test's TypeError."""
         inst = small_instance()
         refuse_simulation(monkeypatch)
-        message = "algorithms: expected one of palm, ipalm, aa-ipalm, got ['palm']"
+        message = ("algorithms: expected a non-empty list of distinct values, each one of palm, "
+                   "ipalm, aa-ipalm, got (['palm'],)")
         with pytest.raises(HyperParamsError, match=re.escape(message)):
             run_benchmark(inst, algorithms=(["palm"],))
 
@@ -304,6 +306,15 @@ class TestEmptySizes:
         refuse_simulation(monkeypatch)
         with pytest.raises(ValueError, match="T_grid"):
             run_consistency_study(experiments.RECIPES["exp-k10"], T_grid=T_grid)
+
+    def test_consistency_refuses_a_repeated_horizon(self, monkeypatch):
+        """Two cells of one horizon would pool their streams into one median."""
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(
+                "T_grid: expected a non-empty list of distinct values, each a finite number > 0, "
+                "got (50.0, 50.0)")):
+            run_consistency_study(experiments.RECIPES["exp-k10"], T_grid=(50.0, 50.0),
+                                  seeds_per_T=2)
 
     @pytest.mark.parametrize("name, value", [
         ("seeds_per_T", 0), ("seeds_per_T", -1), ("iters", 0), ("T_grid", ()),

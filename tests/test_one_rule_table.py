@@ -1,5 +1,5 @@
 """Scalar inputs are checked through ``model._RULES`` alone, event streams through
-``EventSequence`` alone.
+``EventSequence`` alone, experiment arguments through ``experiments._RUN_RULES`` alone.
 
 Each kind of scalar an input takes (positive integer, non-negative integer,
 finite number, finite > 0, finite >= 0, fraction in [0, 1] or (0, 1), finite
@@ -7,9 +7,11 @@ finite number, finite > 0, finite >= 0, fraction in [0, 1] or (0, 1), finite
 ``model._require`` words every refusal the way the config reader does.  A
 module that called ``_is_integer`` or ``_is_finite`` itself, a config reader
 with a (predicate, phrase) rule of its own, an event-file reader that compared
-its times or types itself, or a ``HyperParams.validate`` that read field
-annotations or worded a range of its own, would write a rule a second time,
-and the two copies would drift.  These scans keep each from being added.
+its times or types itself, a ``HyperParams.validate`` that read field
+annotations or worded a range of its own, a config reader that checked a list's
+values or their repeats itself, or a runner that worded an argument error of its
+own, would write a rule a second time, and the two copies would drift.  These
+scans keep each from being added.
 """
 
 import ast
@@ -115,15 +117,15 @@ def annotation_reads(func):
     return sorted(found)
 
 
-def worded_raises(func):
+def worded_raises(func, kept=KEPT_WORDING):
     """Line of each raise in ``func`` whose message holds words of its own (a string
-    constant) but none of ``KEPT_WORDING``."""
+    constant) but none of ``kept``."""
     found = []
     for node in ast.walk(func):
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
             words = "".join(part.value for part in ast.walk(node.exc.args[0])
                             if isinstance(part, ast.Constant) and isinstance(part.value, str))
-            if words and not any(kept in words for kept in KEPT_WORDING):
+            if words and not any(phrase in words for phrase in kept):
                 found.append(node.lineno)
     return found
 
@@ -165,3 +167,53 @@ def test_hyperparams_validate_takes_its_ranges_from_the_table():
     validate = function(tree, "validate", "HyperParams")
     assert annotation_reads(validate) == [], "validate reads field annotations"
     assert worded_raises(validate) == [], "validate words a range of its own"
+
+
+def called(node):
+    """The name a call calls, or None."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def list_checks(tree):
+    """Line of each check of a list's values (an ``all`` or ``any`` call) or of their
+    repeats (``len(set(...))``)."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        called(node) in ("all", "any") or called(node) == "len" and any(
+            isinstance(arg, ast.Call) and called(arg) == "set" for arg in node.args)))
+
+
+RUNNERS = ("run_benchmark", "run_consistency_study")
+
+
+def test_scan_sees_list_rules_and_worded_argument_errors():
+    code = (
+        "def _nonempty_list(rule, expected):\n"
+        "    return (lambda v: isinstance(v, list) and all(map(rule[0], v))), expected\n"
+        "def _experiment(doc, keys):\n"
+        "    _require(key, v, ((lambda v: len(set(v)) == len(v)), 'distinct values'))\n"
+        "    unknown = set(doc) - set(keys)\n"
+        "def run_benchmark(instance, seeds):\n"
+        "    if not seeds:\n"
+        "        raise ValueError(f'{name} must not be empty')\n"
+        "    _check_arguments(seeds=seeds)\n"
+        "    raise error(message)\n"
+    )
+    tree = ast.parse(code)
+    assert list_checks(tree) == [2, 4]
+    assert worded_raises(function(tree, "run_benchmark"), kept=()) == [8]
+
+
+def test_config_reader_checks_no_list_itself():
+    """``experiments._RUN_RULES`` holds the list rules, built by ``model._distinct_list``."""
+    tree = ast.parse((SRC / "io.py").read_text(), filename="io.py")
+    found = list_checks(tree)
+    assert found == [], f"io.py checks a list's values or repeats itself at lines {found}"
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_runners_word_no_argument_error(runner):
+    """A runner checks its arguments through ``_check_arguments`` alone."""
+    tree = ast.parse((SRC / "experiments.py").read_text(), filename="experiments.py")
+    found = worded_raises(function(tree, runner), kept=())
+    assert found == [], f"{runner} words an argument error of its own at lines {found}"
