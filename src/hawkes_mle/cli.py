@@ -132,7 +132,7 @@ def cmd_check_stationarity(args):
 
 
 def cmd_benchmark(args):
-    check_report_dir(args.out)
+    check_report_dir(args.out, experiments.BenchmarkReport)
     _, instance, kwargs = experiment_from_config(args.config, "benchmark")
     report = experiments.run_benchmark(instance, **kwargs)
     write_report(args.out, report)
@@ -143,7 +143,7 @@ def cmd_benchmark(args):
 
 
 def cmd_consistency(args):
-    check_report_dir(args.out)
+    check_report_dir(args.out, experiments.ConsistencyReport)
     recipe, _, kwargs = experiment_from_config(args.config, "consistency")
     report = experiments.run_consistency_study(recipe, **kwargs)
     write_report(args.out, report)
@@ -154,6 +154,7 @@ def cmd_consistency(args):
 
 
 def cmd_ingest_lobster(args):
+    check_output_path(args.out)
     summary = ingest_lobster(
         args.messages, args.types, args.out, max_bad_fraction=args.max_bad_fraction
     )
@@ -166,6 +167,7 @@ def cmd_ingest_lobster(args):
 
 
 def cmd_ingest_memetracker(args):
+    check_output_path(args.out)
     summary = ingest_memetracker(args.posts, args.groups, args.out)
     print(
         f"wrote {summary['rows_written']} events, "

@@ -180,8 +180,7 @@ def generate_instance(recipe):
     # All-ones start with beta = 3, clipped into the box (the power-law
     # alpha bound sits below 1, so the raw start can be infeasible).
     raw = ParamVector(mu=np.ones(K), alpha=np.ones((1, K, K)), beta=[3.0])
-    im = spec.index_map
-    init = im.unpack(project_onto_box(domain, im.pack(raw)))
+    init = spec.index_map.unpack(project_onto_box(domain, raw))
     hp = HyperParams(
         gamma1=0.9,
         gamma2=0.9,
@@ -223,6 +222,7 @@ class BenchmarkReport:
     seconds: dict  # (algo, seed) -> cumulative wall-clock per iteration
     regrets: dict  # (algo, seed) -> log(best + floor - objective)
     manifest: dict
+    FILES = ("regret_iter.csv", "regret_time.csv")  # the names of ``tables()``
 
     def final_objectives(self, algo):
         return np.array([self.objectives[(algo, s)][-1] for s in self.seeds])
@@ -238,8 +238,8 @@ class BenchmarkReport:
             regrets = self.regrets[cell].tolist()
             per_iter += [(*cell, k, *pair) for k, pair in enumerate(zip(objectives, regrets))]
             per_second += [(*cell, sec, reg) for sec, reg in zip(seconds, regrets)]
-        return {"regret_iter.csv": ("algorithm,seed,iter,objective,log_regret", per_iter),
-                "regret_time.csv": ("algorithm,seed,seconds,log_regret", per_second)}
+        return dict(zip(self.FILES, (("algorithm,seed,iter,objective,log_regret", per_iter),
+                                     ("algorithm,seed,seconds,log_regret", per_second))))
 
 
 def _simulated_problem(instance, horizon, seed):
@@ -306,12 +306,13 @@ class ConsistencyReport:
     rows: list  # dicts: horizon, seed, n_events, rel_error, final_objective
     medians: dict  # horizon -> median relative error
     manifest: dict
+    FILES = ("consistency.csv",)  # the names of ``tables()``
 
     def tables(self):
         """The report's CSV file: file name -> (header, rows)."""
         columns = ("horizon", "seed", "n_events", "rel_error", "final_objective")
         rows = [[r[c] for c in columns] for r in self.rows]
-        return {"consistency.csv": (",".join(columns), rows)}
+        return {self.FILES[0]: (",".join(columns), rows)}
 
 
 def _fit_init(prob, domain):

@@ -124,16 +124,24 @@ def check_output_path(path):
         raise OSError(code, os.strerror(code), path)
 
 
-def check_report_dir(path):
-    """Raise, before any work and making nothing, the OSError that ``write_report`` making
-    the directory ``path`` would: ``path`` is a file, or a file stands in its way."""
+# The file a report's manifest is written to, next to its ``tables()``.
+MANIFEST = "manifest.json"
+
+
+def check_report_dir(path, report):
+    """Raise, before any work and making nothing, the OSError that ``write_report`` of a
+    ``report`` (an instance or its class) into the directory ``path`` would: ``path`` is a
+    file, or a file stands in its way, or a file it writes there cannot be written."""
     path = Path(path)
     for ancestor in (path, *path.parents):
         if ancestor.exists():
             if not ancestor.is_dir():
                 code = errno.EEXIST if ancestor == path else errno.ENOTDIR
                 raise OSError(code, os.strerror(code), str(path))
-            return
+            break
+    if path.is_dir():
+        for name in (*report.FILES, MANIFEST):
+            check_output_path(path / name)
 
 
 def _load_json_object(path, error):
@@ -149,12 +157,12 @@ def _load_json_object(path, error):
 
 
 def write_report(outdir, report):
-    """Write a report's ``tables()`` and its ``manifest.json`` into ``outdir``, made if missing."""
+    """Write a report's ``tables()`` and its ``MANIFEST`` into ``outdir``, made if missing."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in report.tables().items():
         _write_table(outdir / name, header, rows)
-    _write_json(outdir / "manifest.json", report.manifest)
+    _write_json(outdir / MANIFEST, report.manifest)
 
 
 # -- event files --------------------------------------------------------------
@@ -346,10 +354,7 @@ def spec_from_config(doc):
 
 def _shaped(cls, section, spec):
     """cls(**section), which must have the model spec's K and M."""
-    value = cls(**{f.name: section[f.name] for f in fields(cls)})
-    if (value.K, value.M) != (spec.K, spec.M):
-        raise ValueError(f"shapes for K={value.K}, M={value.M} do not match the model spec")
-    return value
+    return spec.index_map.shaped(cls(**{f.name: section[f.name] for f in fields(cls)}))
 
 
 def domain_from_config(doc, spec):

@@ -236,13 +236,13 @@ class LikelihoodProblem:
         _require("reg_c", reg_c, _RULES["nonnegative"])
         if np.any(events.types >= spec.K):
             raise DataError("event type index out of range for the model spec")
-        domain.validate_kernels(spec)
+        self.index_map = spec.index_map
+        self.index_map.shaped(domain).validate_kernels(spec)
         self.spec = spec
         self.events = events
         self.domain = domain
         self.reg_c = float(reg_c)
         self.T = float(events.horizon)
-        self.index_map = spec.index_map
         self.dim = self.index_map.dim
 
         times = events.times
@@ -376,11 +376,12 @@ class LikelihoodProblem:
         the box; the objective requires positive intensities at every event
         and raises if that invariant is violated (impossible inside the box).
         """
+        im, K, M = self.index_map, self.spec.K, self.spec.M
+        flat = im.flat(flat)
         # Extrapolated candidates can land far outside the box where kernel values
         # overflow; the resulting non-finite gradients are rejected by the optimizer's
         # safeguard, so the noise is silenced here, kernel sums included.
         with np.errstate(all="ignore"):
-            im, K, M = self.index_map, self.spec.K, self.spec.M
             mu = flat[im.mu_slice]
             alpha = flat[im.alpha_slice].reshape(M, K, K)
             sums = self._sums(flat[im.beta_slice])
@@ -421,15 +422,15 @@ class LikelihoodProblem:
         return obj, grad
 
     def objective_flat(self, flat):
-        obj, _ = self._evaluate(np.asarray(flat, float), True, False, False)
+        obj, _ = self._evaluate(flat, True, False, False)
         return obj
 
     def grad_flat(self, flat, mu_alpha=True, beta=True):
-        _, grad = self._evaluate(np.asarray(flat, float), False, mu_alpha, beta)
+        _, grad = self._evaluate(flat, False, mu_alpha, beta)
         return grad
 
     def objective_and_grad_flat(self, flat):
-        return self._evaluate(np.asarray(flat, float), True, True, True)
+        return self._evaluate(flat, True, True, True)
 
 
 def intensity_at(problem, params, t, i):
@@ -439,28 +440,28 @@ def intensity_at(problem, params, t, i):
         raise ValueError(f"t={t} outside the observation window [0, {problem.T}]")
     if not (_RULES["nonnegative_int"][0](i) and i < problem.spec.K):
         raise ValueError(f"type index {i} out of range")
-    events = problem.events
+    params, events = problem.index_map.shaped(params), problem.events
     return float(intensities(problem.spec, params, events.times, events.types, t)[i])
 
 
 def log_likelihood(problem, params):
     """Closed-form log-likelihood (no penalty)."""
-    flat = problem.index_map.pack(params)
+    flat = problem.index_map.flat(params)
     return problem.objective_flat(flat) + problem.reg_c * float(flat @ flat)
 
 
 def grad_log_likelihood(problem, params):
     """Analytic gradient of the log-likelihood as a flat vector of dim P."""
-    flat = problem.index_map.pack(params)
+    flat = problem.index_map.flat(params)
     grad = problem.grad_flat(flat)
     return grad + 2.0 * problem.reg_c * flat
 
 
 def regularized_objective(problem, params):
     """Log-likelihood minus the Tikhonov penalty C * ||theta||^2."""
-    return problem.objective_flat(problem.index_map.pack(params))
+    return problem.objective_flat(problem.index_map.flat(params))
 
 
 def grad_regularized(problem, params):
     """Gradient of the regularized objective (subtracts 2 C theta)."""
-    return problem.grad_flat(problem.index_map.pack(params))
+    return problem.grad_flat(problem.index_map.flat(params))

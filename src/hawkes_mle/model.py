@@ -78,6 +78,16 @@ _RULES = {
 }
 
 
+def _floats(name, value):
+    """``value`` as a float array; an integer past the double range, which ``_RULES``
+    refuses as a scalar, is a ValueError naming ``name`` here too."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name}: expected finite numbers, got an integer past the double "
+                         "range") from None
+
+
 def _or_null(rule):
     """``rule``, or null."""
     return (lambda v: v is None or rule[0](v)), f"{rule[1]} or null"
@@ -297,10 +307,23 @@ class FlatIndexMap:
             [params.mu, params.alpha.reshape(-1), params.beta]
         ).astype(float)
 
-    def unpack(self, flat):
-        flat = np.asarray(flat, dtype=float)
+    def flat(self, theta):
+        """A ParamVector or an array as this layout's flat float vector; else ValueError."""
+        if isinstance(theta, ParamVector):
+            return self.pack(self.shaped(theta))
+        flat = _floats("theta", theta)
         if flat.shape != (self.dim,):
             raise ValueError(f"expected flat vector of dim {self.dim}, got {flat.shape}")
+        return flat
+
+    def shaped(self, value):
+        """``value``, a ParamVector or BoxDomain, if its K and M are this layout's."""
+        if (value.K, value.M) != (self.K, self.M):
+            raise ValueError(f"shapes for K={value.K}, M={value.M} do not match the model spec")
+        return value
+
+    def unpack(self, flat):
+        flat = self.flat(flat)
         K, M = self.K, self.M
         return ParamVector(
             mu=flat[self.mu_slice].copy(),
@@ -318,9 +341,8 @@ class ParamVector:
     beta: np.ndarray
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
+        for name in ("mu", "alpha", "beta"):
+            setattr(self, name, _floats(name, getattr(self, name)))
         if self.mu.ndim != 1 or self.alpha.ndim != 3 or self.beta.ndim != 1:
             raise ValueError("mu must be 1-d, alpha 3-d, beta 1-d")
         K = self.mu.shape[0]
@@ -343,8 +365,7 @@ class ParamVector:
 
     def validate(self, spec):
         """Admissibility: finite, positive baselines, nonnegative weights, kernel beta."""
-        if (self.K, self.M) != (spec.K, spec.M):
-            raise ValueError("parameter shapes do not match the model spec")
+        spec.index_map.shaped(self)
         if not all(np.all(np.isfinite(a)) for a in (self.mu, self.alpha, self.beta)):
             raise DomainError("parameters must be finite")
         if np.any(self.mu <= 0):
@@ -369,7 +390,7 @@ class BoxDomain:
     def __post_init__(self):
         names = ("mu_lb", "mu_ub", "alpha_lb", "alpha_ub", "beta_lb", "beta_ub")
         for name in names:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            setattr(self, name, _floats(name, getattr(self, name)))
         if self.mu_lb.ndim != 1 or self.beta_lb.ndim != 1:
             raise ValueError("mu and beta bounds must be 1-d arrays")
         K, M = self.K, self.M
@@ -410,19 +431,16 @@ class BoxDomain:
         return np.concatenate([self.mu_ub, self.alpha_ub.reshape(-1), self.beta_ub])
 
     def contains(self, flat):
-        flat = np.asarray(flat, dtype=float)
+        flat = FlatIndexMap(self.K, self.M).flat(flat)
         return bool(
             np.all(flat >= self.lb_flat()) and np.all(flat <= self.ub_flat())
         )
 
 
 def project_onto_box(domain, flat):
-    """Componentwise clamp of a flat vector to the box; idempotent."""
-    flat = np.asarray(flat, dtype=float)
-    lb, ub = domain.lb_flat(), domain.ub_flat()
-    if flat.shape != lb.shape:
-        raise ValueError(f"expected flat vector of dim {lb.shape[0]}, got {flat.shape}")
-    return np.clip(flat, lb, ub)
+    """Componentwise clamp of theta (a flat vector or a ParamVector) to the box; idempotent."""
+    flat = FlatIndexMap(domain.K, domain.M).flat(flat)
+    return np.clip(flat, domain.lb_flat(), domain.ub_flat())
 
 
 def branching_matrix(spec, params):

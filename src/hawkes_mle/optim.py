@@ -304,15 +304,6 @@ def powell_phi(eta, omega_bar):
     return (1.0 - sign * omega_bar) / (1.0 - eta)
 
 
-def _as_flat(problem, theta):
-    if isinstance(theta, ParamVector):
-        return problem.index_map.pack(theta)
-    flat = np.asarray(theta, dtype=float)
-    if flat.shape != (problem.dim,):
-        raise ValueError(f"expected flat vector of dim {problem.dim}")
-    return flat.copy()
-
-
 def _advance(problem, hp, cur, prev, g_ma):
     """One block sweep given the (mu, alpha) gradient at ``cur``; returns new u."""
     im = problem.index_map
@@ -372,7 +363,7 @@ def _iterate(problem, hp, algorithm, theta0, accelerate, keep_iterates, track_h)
     for issue in hp.validate(algorithm):  # the one place that warns of them, once per fit
         warnings.warn(issue)
     hp = hp.for_algorithm(algorithm)
-    flat0 = _as_flat(problem, theta0)
+    flat0 = problem.index_map.flat(theta0)
     if not problem.domain.contains(flat0):
         raise InfeasibleInitError("initial point lies outside the box domain")
     im = problem.index_map
@@ -497,7 +488,7 @@ def estimate_lipschitz_bounds(problem, theta0, safety=2.0):
     differences of the gradient, restricted to each block, then multiplied by
     a safety factor.  A cheap stand-in for user-supplied bounds.
     """
-    flat0 = _as_flat(problem, theta0)
+    flat0 = problem.index_map.flat(theta0)
     im = problem.index_map
     rng = np.random.default_rng(_LIPSCHITZ_SEED)
 

@@ -1060,11 +1060,15 @@ def test_bad_key_message_is_the_librarys(tmp_path, capsys, monkeypatch, command,
     ("benchmark", "file/sub", "[Errno 20] Not a directory"),
     ("consistency", "file", "[Errno 17] File exists"),
     ("consistency", "file/sub/report", "[Errno 20] Not a directory"),
+    ("benchmark", "dir/regret_iter.csv", "[Errno 21] Is a directory"),
+    ("consistency", "dir/manifest.json", "[Errno 21] Is a directory"),
 ])
 def test_unwritable_out_exit_1_before_any_work(tmp_path, capsys, monkeypatch, command, target,
                                                errno_line):
     """Like fit, simulate, benchmark and consistency refuse an --out they cannot write with
-    the error writing it would give, before anything is drawn, and make nothing."""
+    the error writing it would give, before anything is drawn, and make nothing.  A
+    target under ``dir/`` of a report command is a file the report writes into ``--out dir``,
+    there a directory."""
     for module in (cli, experiments):
         monkeypatch.setattr(module, "simulate_cluster", no_simulation)
     monkeypatch.setattr(cli, "simulate_thinning", no_simulation)
@@ -1073,10 +1077,30 @@ def test_unwritable_out_exit_1_before_any_work(tmp_path, capsys, monkeypatch, co
     (tmp_path / "file").write_text("")
     doc = base_config() if command == "simulate" else EXPERIMENT_CONFIGS[command]
     cfg = write_config(tmp_path / "cfg.json", doc)
-    out = str(tmp_path / target)
+    named = tmp_path / target
+    in_report = target.startswith("dir/")
+    if in_report:
+        named.mkdir()
+    out = str(named.parent if in_report else named)
     assert main([command, "--config", cfg, "--out", out]) == 1
-    assert capsys.readouterr().err == f"error: {errno_line}: {out!r}\n"
+    assert capsys.readouterr().err == f"error: {errno_line}: {str(named)!r}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dir", "file"]
+    assert list((tmp_path / "dir").iterdir()) == ([named] if in_report else [])
+
+
+@pytest.mark.parametrize("command, data_flag, map_flag, mapping", [
+    ("ingest-lobster", "--messages", "--types", {"1": "L"}),
+    ("ingest-memetracker", "--posts", "--groups", {"a.example": 0}),
+], ids=["lobster", "memetracker"])
+def test_ingest_unwritable_out_exit_1_before_reading(tmp_path, capsys, command, data_flag,
+                                                     map_flag, mapping):
+    """Like the other commands, the ingesters check --out before they read their input:
+    with the input missing too, the error names --out."""
+    (tmp_path / "map.json").write_text(json.dumps(mapping))
+    out = str(tmp_path / "nodir" / "x.csv")
+    assert main([command, data_flag, str(tmp_path / "missing.csv"),
+                 map_flag, str(tmp_path / "map.json"), "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {out!r}\n"
 
 
 @pytest.mark.parametrize("field", ["beta_true", "mu_high"])

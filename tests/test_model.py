@@ -2,18 +2,25 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from common import exp_spec, params, pwl_spec, wide_domain
+from common import events, exp_spec, params, problem, pwl_spec, wide_domain
 from hawkes_mle import (
     BoxDomain,
     DomainError,
     Exponential,
     FlatIndexMap,
+    HyperParams,
     ModelSpec,
     NonStationaryError,
     ParamVector,
     PowerLawCutoff,
     branching_matrix,
+    grad_log_likelihood,
+    grad_regularized,
+    intensity_at,
+    log_likelihood,
     project_onto_box,
+    regularized_objective,
+    run_palm,
     spectral_radius,
     stationary_mean_intensity,
 )
@@ -309,14 +316,76 @@ class TestFlatIndexMap:
     (lambda: ParamVector([0.1, 0.2], np.zeros((1, 2, 3)), [1.0]),
      r"alpha shape \(1, 2, 3\) inconsistent with K=2, M=1"),
     (lambda: params([0.1, 0.2], np.zeros((2, 2)), 1.0).validate(exp_spec(K=3)),
-     "parameter shapes do not match the model spec"),
+     "shapes for K=2, M=1 do not match the model spec"),
     (lambda: params([0.1, 0.2], np.zeros((2, 2)), 1.0).validate(exp_spec(K=2, M=2)),
-     "parameter shapes do not match the model spec"),
+     "shapes for K=2, M=1 do not match the model spec"),
 ], ids=["K=0", "M=0", "K=2.5", "K=True", "M=1.0", "unpack-length", "alpha-shape", "validate-K",
         "validate-M"])
 def test_shape_checks_raise_value_error(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def k2_problem(spec=None, domain=None):
+    """A K=2 problem, M=1 unless ``spec`` says otherwise: P = 7, reg_c = 1."""
+    spec = spec or exp_spec(K=2)
+    ev = events([0.5, 1.0, 2.5], [0, 1, 0], horizon=3.0)
+    return problem(spec, ev, reg_c=1.0, domain=domain or wide_domain(spec))
+
+
+P = FlatIndexMap(2, 1).dim
+K3 = params([0.5] * 3, np.full((3, 3), 0.1), 1.0)
+M2 = params([0.5, 0.5], np.full((2, 2, 2), 0.1), [1.0, 2.0])
+FLAT_CALLS = {name: lambda flat, name=name: getattr(k2_problem(), name)(flat)
+              for name in ("objective_flat", "grad_flat", "objective_and_grad_flat")}
+PARAM_CALLS = {
+    "log_likelihood": lambda pv: log_likelihood(k2_problem(), pv),
+    "regularized_objective": lambda pv: regularized_objective(k2_problem(), pv),
+    "grad_log_likelihood": lambda pv: grad_log_likelihood(k2_problem(), pv),
+    "grad_regularized": lambda pv: grad_regularized(k2_problem(), pv),
+    "intensity_at": lambda pv: intensity_at(k2_problem(), pv, 1.0, 0),
+}
+WRONG_FLATS = {"P-1": (np.zeros(P - 1), r"\(6,\)"), "P+2": (np.zeros(P + 2), r"\(9,\)"),
+               "1xP": (np.zeros((1, P)), r"\(1, 7\)")}
+ENTRY_POINT_CASES = [
+    *[pytest.param(lambda call=call, x=x: call(x), f"expected flat vector of dim 7, got {got}$",
+                   id=f"{name}-{length}")
+      for name, call in FLAT_CALLS.items() for length, (x, got) in WRONG_FLATS.items()],
+    *[pytest.param(lambda call=call, pv=pv: call(pv), f"shapes for {kind} do not match the model "
+                   "spec", id=f"{name}-{tag}")
+      for name, call in PARAM_CALLS.items()
+      for pv, tag, kind in ((K3, "K=3", "K=3, M=1"), (M2, "M=2", "K=2, M=2"))],
+    pytest.param(lambda: k2_problem(domain=wide_domain(exp_spec(K=3))),
+                 "shapes for K=3, M=1 do not match the model spec", id="problem-box-K=3"),
+    pytest.param(lambda: k2_problem(spec=exp_spec(K=2, M=2), domain=wide_domain(exp_spec(K=2))),
+                 "shapes for K=2, M=1 do not match the model spec", id="problem-box-M=1"),
+    pytest.param(lambda: wide_domain(exp_spec(K=2)).contains(np.zeros(P - 1)),
+                 r"expected flat vector of dim 7, got \(6,\)", id="contains-short"),
+    pytest.param(lambda: run_palm(k2_problem(), HyperParams(lbar1=10.0, lbar2=10.0), K3),
+                 "shapes for K=3, M=1 do not match the model spec", id="run_palm-K=3"),
+]
+
+
+@pytest.mark.parametrize("call, message", ENTRY_POINT_CASES)
+def test_entry_points_refuse_a_wrong_theta_shape(call, message):
+    """Every entry point that takes a theta or a box refuses a wrong shape with one of
+    ``FlatIndexMap``'s two messages, before any numpy error can surface."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+PAST_DOUBLE = 10**400
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: ParamVector([PAST_DOUBLE], [[[0.0]]], [1.0]), "mu"),
+    (lambda: BoxDomain([0.1], [PAST_DOUBLE], [[[0.0]]], [[[1.0]]], [0.5], [2.0]), "mu_ub"),
+    (lambda: k2_problem().objective_flat(np.full(P, PAST_DOUBLE, dtype=object)), "theta"),
+], ids=["ParamVector", "BoxDomain", "objective_flat"])
+def test_integer_past_the_double_range_in_an_array_names_its_field(call, name):
+    with pytest.raises(ValueError, match=f"^{name}: expected finite numbers, got an integer "
+                       "past the double range$"):
+        call()
 
 
 class TestBranchingMatrix:

@@ -1,5 +1,6 @@
 """Scalar inputs are checked through ``model._RULES`` alone, event streams through
-``EventSequence`` alone, experiment arguments through ``experiments._RUN_RULES`` alone.
+``EventSequence`` alone, experiment arguments through ``experiments._RUN_RULES`` alone,
+the shape of a theta or a box through ``model.FlatIndexMap`` alone.
 
 Each kind of scalar an input takes (positive integer, non-negative integer,
 finite number, finite > 0, finite >= 0, fraction in [0, 1] or (0, 1), finite
@@ -9,9 +10,10 @@ module that called ``_is_integer`` or ``_is_finite`` itself, a config reader
 with a (predicate, phrase) rule of its own, an event-file reader that compared
 its times or types itself, a ``HyperParams.validate`` that read field
 annotations or worded a range of its own, a config reader that checked a list's
-values or their repeats itself, or a runner that worded an argument error of its
-own, would write a rule a second time, and the two copies would drift.  These
-scans keep each from being added.
+values or their repeats itself, a runner that worded an argument error of its
+own, or a module that worded a theta-shape refusal of its own, would write a rule
+a second time, and the two copies would drift.  These scans keep each from being
+added.
 """
 
 import ast
@@ -217,3 +219,35 @@ def test_runners_word_no_argument_error(runner):
     tree = ast.parse((SRC / "experiments.py").read_text(), filename="experiments.py")
     found = worded_raises(function(tree, runner), kept=())
     assert found == [], f"{runner} words an argument error of its own at lines {found}"
+
+
+# The two refusals of a wrong theta or box shape, worded by ``FlatIndexMap.flat`` and
+# ``FlatIndexMap.shaped``.
+SHAPE_PHRASES = ("expected flat vector of dim", "do not match the model spec")
+
+
+def shape_phrases(tree):
+    """Line of each string constant or f-string part holding one of ``SHAPE_PHRASES``."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and any(phrase in node.value for phrase in SHAPE_PHRASES)})
+
+
+def test_scan_sees_shape_phrases():
+    code = (
+        "def _as_flat(problem, theta):\n"
+        "    raise ValueError(f'expected flat vector of dim {problem.dim}')\n"
+        "def _shaped(value, spec):\n"
+        "    raise ValueError(f'shapes for K={value.K} do not match the model spec')\n"
+        "def ipalm_map(u, P):\n"
+        "    raise ValueError(f'expected doubled state of dim {2 * P}')\n"
+    )
+    assert shape_phrases(ast.parse(code)) == [2, 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_model_words_a_shape_refusal(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    found = [] if module == "model.py" else shape_phrases(tree)
+    assert found == [], (f"{module} words a theta-shape refusal itself at lines {found}; use "
+                         "FlatIndexMap.flat or FlatIndexMap.shaped")
